@@ -90,11 +90,16 @@ def main(argv=None) -> int:
         data = np.load(args.result)
         from .meridian3d import MeridianField, build_geometry
 
+        # Files written before target_h was stored carry only the r-spacing.
+        th = data["target_h"] if "target_h" in data else data["r"][1] - data["r"][0]
         geom = build_geometry(
-            float(data["h"]), float(data["ell"]), float(data["rho"]),
-            target_h=float(data["r"][1] - data["r"][0]),
+            float(data["h"]), float(data["ell"]), float(data["rho"]), target_h=float(th)
         )
-        fld = MeridianField(geom, data["f0"], data["f1"], data["f2"])
+        try:
+            fld = MeridianField(geom, data["f0"], data["f1"], data["f2"])
+        except ValueError as exc:
+            print(f"error: {args.result} does not match its rebuilt mask: {exc}", file=sys.stderr)
+            return 2
         fld.to_csv(args.csv)
         print(f"wrote {args.csv}")
         return 0

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .tensor_core import SQRT6, beta_arrays, grad_w_tan_arrays
+from .tensor_core import grad_w_tan_arrays, potential_w_arrays, renormalize_arrays
 
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
 STAB_C = 4.0
@@ -64,7 +64,6 @@ class DescentOptions:
     grad_tol: float = 1e-5
     energy_tol: float = 1e-13
     stepper: str = "semi_implicit"
-    verbose: bool = False
 
 
 def energy(p: Problem, f0, f1, f2) -> float:
@@ -72,8 +71,7 @@ def energy(p: Problem, f0, f1, f2) -> float:
     quad += 0.5 * float((np.conj(f1) @ (p.stiff[1] @ f1)).real)
     quad += 0.5 * float((np.conj(f2) @ (p.stiff[2] @ f2)).real)
     if p.lam != 0.0:
-        w = (1.0 - beta_arrays(f0, f1, f2)) / (3.0 * SQRT6)
-        quad += p.lam * float(np.sum(p.mass * w))
+        quad += p.lam * float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
     return quad
 
 
@@ -86,12 +84,10 @@ def riemannian_gradient(p: Problem, f0, f1, f2):
     g2 = (p.stiff[2] @ f2) / mass_safe + p.lam * gw2
     dot = g0 * f0 + (g1 * np.conj(f1)).real + (g2 * np.conj(f2)).real
     g0, g1, g2 = g0 - dot * f0, g1 - dot * f1, g2 - dot * f2
-    masks = []
     for c, g in enumerate((g0, g1, g2)):
         m = np.zeros(g.shape, dtype=bool)
         m[p.free[c]] = True
         g[~m] = 0.0
-        masks.append(m)
     return g0, g1, g2
 
 
@@ -159,15 +155,9 @@ class _Stepper:
         return f0 - tau * g0, f1 - tau * g1, f2 - tau * g2
 
 
-def renormalize(f0, f1, f2, floor: float = 1e-12):
-    n = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
-    n = np.where(n > floor, n, 1.0)
-    return f0 / n, f1 / n, f2 / n
-
-
 # Potential values at the two axis states (+E0 and -E0).
-_W_PLUS = 0.0
-_W_MINUS = 2.0 / (3.0 * SQRT6)
+_W_PLUS = float(potential_w_arrays(1.0, 0.0, 0.0))
+_W_MINUS = float(potential_w_arrays(-1.0, 0.0, 0.0))
 
 
 def flip_sweep(p: Problem, f0, f1, f2, max_flips: int = 64):
@@ -229,7 +219,7 @@ def descend(
             v0, v1, v2 = stepper.semi_implicit(f0, f1, f2, tau, ladder)
         else:
             v0, v1, v2 = stepper.explicit(f0, f1, f2, tau)
-        v0, v1, v2 = renormalize(v0, v1, v2)
+        v0, v1, v2 = renormalize_arrays(v0, v1, v2)
         v0, v1, v2 = p.project(v0, v1, v2)
         e_new = energy(p, v0, v1, v2)
         # The acceptance slack carries an absolute floor: near stationarity
@@ -274,6 +264,4 @@ def descend(
             if gradient_norm(p, f0, f1, f2) < opts.grad_tol:
                 converged = True
                 break
-        if opts.verbose and it % 200 == 0:
-            print(f"    it={it} E={e:.9f} tau={tau:.3g}")
     return (f0, f1, f2), it, converged

@@ -336,6 +336,7 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
                 "beta_max": row.beta_max,
                 "global_class": row.global_class,
                 "valid": row.valid,
+                "failures": [list(f) for f in row.failures],
             },
         )
     est = np.array([row.estar for row in rows])
@@ -467,7 +468,7 @@ def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     np.savez_compressed(
         out_dir / "cigar_field.npz",
         r=geom.r, z=geom.z, f0=best.field.f0, f1=best.field.f1, f2=best.field.f2,
-        h=h, ell=ell, rho=rho,
+        h=h, ell=ell, rho=rho, target_h=th,
     )
     env.artifact("field_npz", out_dir / "cigar_field.npz")
 

@@ -22,13 +22,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import descent
-from .radial2d import SolveOptions, minimize_2d, uniform_grid
-from .tensor_core import SQRT6, beta_arrays, q_to_u
+from .radial2d import SolveOptions, _trapezoid_weights, minimize_2d, uniform_grid
+from .tensor_core import (
+    beta_arrays,
+    hessian_w_homog,
+    potential_w_arrays,
+    q_to_u,
+    real5_arrays,
+)
 
 __all__ = [
     "CylinderGeometry",
@@ -109,17 +116,10 @@ class CylinderGeometry:
             raise ValueError(f"node ({i}, {j}) carries no boundary normal")
         return self.normals[i, j]
 
-    def mask_to_csv(self, path) -> None:
-        """Dump the node classification (0 exterior, 1 interior, 2 data layer)."""
-        code = np.zeros((self.nz, self.nr), dtype=int)
-        code[self.interior] = 1
-        code[self.dirichlet] = 2
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "x3", "mask"])
-            for i in range(self.nz):
-                for j in range(self.nr):
-                    w.writerow([repr(float(self.r[j])), repr(float(self.z[i])), int(code[i, j])])
+    @cached_property
+    def disc(self) -> "_MeridianDisc":
+        """Stiffness, mass and free-index operators of this lattice."""
+        return _MeridianDisc(self)
 
 
 def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) -> CylinderGeometry:
@@ -196,6 +196,13 @@ class MeridianField:
     f1: np.ndarray
     f2: np.ndarray
 
+    def __post_init__(self):
+        shape = (self.geom.nz, self.geom.nr)
+        for name in ("f0", "f1", "f2"):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, the geometry's (nz, nr) is {shape}")
+
     def beta(self) -> np.ndarray:
         return beta_arrays(self.f0, self.f1, self.f2)
 
@@ -214,28 +221,17 @@ class MeridianField:
         return MeridianField(self.geom, self.f0.copy(), self.f1.copy(), self.f2.copy())
 
     def to_csv(self, path) -> None:
+        """Active nodes in row-major (z, then r) order, one row each."""
         g = self.geom
-        beta = self.beta()
+        act = g.active
+        iz, jr = np.nonzero(act)
+        f1, f2 = self.f1[act], self.f2[act]
+        cols = (g.r[jr], g.z[iz], self.f0[act], f1.real, f1.imag, f2.real, f2.imag,
+                self.beta()[act])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["r", "x3", "f0", "Re f1", "Im f1", "Re f2", "Im f2", "beta"])
-            act = g.active
-            for i in range(g.nz):
-                for j in range(g.nr):
-                    if not act[i, j]:
-                        continue
-                    w.writerow(
-                        [
-                            repr(float(g.r[j])),
-                            repr(float(g.z[i])),
-                            repr(float(self.f0[i, j])),
-                            repr(float(self.f1[i, j].real)),
-                            repr(float(self.f1[i, j].imag)),
-                            repr(float(self.f2[i, j].real)),
-                            repr(float(self.f2[i, j].imag)),
-                            repr(float(beta[i, j])),
-                        ]
-                    )
+            w.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols)))
 
 
 def homeotropic_tensor(normal3, normalized: bool = True) -> np.ndarray:
@@ -278,7 +274,6 @@ class _MeridianDisc:
     """Stiffness, mass, and index bookkeeping on the masked lattice."""
 
     def __init__(self, geom: CylinderGeometry):
-        self.geom = geom
         nz, nr = geom.nz, geom.nr
         hr, hz = geom.hr, geom.hz
         act = geom.active
@@ -319,7 +314,6 @@ class _MeridianDisc:
         m *= geom.r[None, :]
         # Lumped P1 mass on the axis column keeps those unknowns inertial.
         m[:, 0] = np.where(inter[:, 0], hz * hr**2 / 6.0, 0.0)
-        self.m_flat = m.ravel()
         inv_r2 = np.zeros(nr)
         inv_r2[1:] = 1.0 / geom.r[1:] ** 2
         pen_flat = (m * inv_r2[None, :]).ravel()
@@ -327,7 +321,7 @@ class _MeridianDisc:
         self.stiff = {}
         for k in (0, 1, 2):
             self.stiff[k] = (2.0 * np.pi * (lap + sp.diags(k * k * pen_flat))).tocsc()
-        self.mass = 2.0 * np.pi * self.m_flat
+        self.mass = 2.0 * np.pi * m.ravel()
 
         inter_flat = inter.ravel()
         axis_col = np.zeros((nz, nr), dtype=bool)
@@ -337,23 +331,9 @@ class _MeridianDisc:
         self.free12 = np.nonzero(inter_flat & ~axis_flat)[0]
 
 
-_MDISC_CACHE: dict[int, _MeridianDisc] = {}
-
-
-def _mdisc_for(geom: CylinderGeometry) -> _MeridianDisc:
-    key = id(geom)
-    d = _MDISC_CACHE.get(key)
-    if d is None:
-        d = _MeridianDisc(geom)
-        if len(_MDISC_CACHE) > 8:
-            _MDISC_CACHE.clear()
-        _MDISC_CACHE[key] = d
-    return d
-
-
 def _problem_for(field: MeridianField, lam: float) -> descent.Problem:
     geom = field.geom
-    d = _mdisc_for(geom)
+    d = geom.disc
     bf0, bf1, bf2 = field.f0.copy(), field.f1.copy(), field.f2.copy()
     dir_mask = geom.dirichlet
     axis = np.zeros_like(dir_mask)
@@ -395,8 +375,7 @@ def meridian_energy(field: MeridianField, lam: float):
     f1 = field.f1.ravel()
     f2 = field.f2.ravel()
     dirichlet = descent.energy(p, f0, f1, f2)
-    w = (1.0 - beta_arrays(f0, f1, f2)) / (3.0 * SQRT6)
-    potential = float(np.sum(p.mass * w))
+    potential = float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
     return dirichlet + lam * potential, dirichlet, potential
 
 
@@ -463,8 +442,6 @@ def seed_field(geom: CylinderGeometry, lam: float, kind: str,
 
 def el_residual_3d(field: MeridianField, lam: float) -> float:
     """Mass-weighted L2 residual of the meridian EL system at interior nodes."""
-    g = field.geom
-    d = _mdisc_for(g)
     p = _problem_for(field, lam)
     g0, g1, g2 = descent.riemannian_gradient(
         p, field.f0.ravel(), field.f1.ravel(), field.f2.ravel()
@@ -552,7 +529,6 @@ def minimize_3d(
         grad_tol=opts.grad_tol,
         energy_tol=opts.energy_tol,
         stepper=opts.stepper,
-        verbose=opts.verbose,
     )
     fields, iters, converged = descent.descend(
         problem,
@@ -717,10 +693,7 @@ def _slice_energy_2d(field: MeridianField, i: int, lam: float) -> float:
     """2D energy of the horizontal slice at row i over the disc D_ell."""
     g = field.geom
     r = g.r
-    w = np.empty_like(r)
-    w[0] = (r[1] - r[0]) / 2
-    w[-1] = (r[-1] - r[-2]) / 2
-    w[1:-1] = (r[2:] - r[:-2]) / 2
+    w = _trapezoid_weights(r)
     out = 0.0
     for k, f in enumerate((field.f0[i].astype(complex), field.f1[i], field.f2[i])):
         df = np.gradient(f, r, edge_order=2)
@@ -728,7 +701,7 @@ def _slice_energy_2d(field: MeridianField, i: int, lam: float) -> float:
         if k:
             dens[1:] += (k * k) * np.abs(f[1:]) ** 2 / r[1:] ** 2
         out += float(np.sum(w * r * dens))
-    wpot = 2.0 * lam * (1.0 - beta_arrays(field.f0[i], field.f1[i], field.f2[i])) / (3.0 * SQRT6)
+    wpot = 2.0 * lam * potential_w_arrays(field.f0[i], field.f1[i], field.f2[i])
     out += float(np.sum(w * r * wpot))
     return np.pi * out
 
@@ -751,10 +724,7 @@ def _vertical_lhs(field: MeridianField, lam: float, t: float) -> tuple[float, fl
     d0, d1, d2 = _dz_row(field, i)
     dens = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
     r = g.r
-    w = np.empty_like(r)
-    w[0] = (r[1] - r[0]) / 2
-    w[-1] = (r[-1] - r[-2]) / 2
-    w[1:-1] = (r[2:] - r[:-2]) / 2
+    w = _trapezoid_weights(r)
     dz_term = 2.0 * np.pi * float(np.sum(w * r * dens))
     return e2d, dz_term
 
@@ -803,17 +773,12 @@ def horizontal_identity_residual(field: MeridianField, lam: float, s: float) -> 
 
     # Volume term over the interior cylinder rows.
     r = g.r
-    wr = np.empty_like(r)
-    wr[0] = (r[1] - r[0]) / 2
-    wr[-1] = (r[-1] - r[-2]) / 2
-    wr[1:-1] = (r[2:] - r[:-2]) / 2
+    wr = _trapezoid_weights(r)
     vol = 0.0
     for i in rows:
         d0, d1, d2 = _dz_row(field, i)
         dens = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
-        dens = dens + 2.0 * lam * (
-            1.0 - beta_arrays(field.f0[i], field.f1[i], field.f2[i])
-        ) / (3.0 * SQRT6)
+        dens = dens + 2.0 * lam * potential_w_arrays(field.f0[i], field.f1[i], field.f2[i])
         vol += float(np.sum(wr * r * dens)) * (wz[i - i_lo])
     vol *= 2.0 * np.pi
 
@@ -835,11 +800,6 @@ def horizontal_identity_residual(field: MeridianField, lam: float, s: float) -> 
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 
-def _ball_mask(geom: CylinderGeometry, radius: float):
-    rr = geom.r[None, :] ** 2 + geom.z[:, None] ** 2
-    return (rr < radius**2) & geom.interior
-
-
 def _energy_density(field: MeridianField, lam: float):
     """Pointwise 1/2 |grad Q|^2 + lam W on interior nodes (np.gradient based)."""
     g = field.geom
@@ -853,7 +813,7 @@ def _energy_density(field: MeridianField, lam: float):
                 pen = (k * k) * np.abs(f) ** 2 / g.r[None, :] ** 2
             pen[:, 0] = 0.0
             dens += 0.5 * pen
-    dens += lam * (1.0 - beta_arrays(field.f0, field.f1, field.f2)) / (3.0 * SQRT6)
+    dens += lam * potential_w_arrays(field.f0, field.f1, field.f2)
     return dens
 
 
@@ -911,7 +871,7 @@ def radial_identity_residual(
     mid_term = 2.0 * np.pi * float(np.sum((rad2 / np.where(rr > 0, rr, 1.0))[shell] * vol[shell]))
 
     # Potential double integral.
-    wdens = lam * (1.0 - beta_arrays(field.f0, field.f1, field.f2)) / (3.0 * SQRT6)
+    wdens = lam * potential_w_arrays(field.f0, field.f1, field.f2)
     radii = np.linspace(r1, r2, n_quad)
     wq = np.full(n_quad, (r2 - r1) / (n_quad - 1))
     wq[0] = wq[-1] = wq[0] / 2
@@ -1048,7 +1008,6 @@ def instability_form(
     eta: EtaSpec | None = None,
     vbar: complex = 1.0 + 0.0j,
     n_phi: int = 32,
-    fd_step: float = 1e-4,
 ) -> float:
     """Second variation along Phi(x) = r^-1/2 eta(|x-p|/r) vbar, vbar in L2.
 
@@ -1127,36 +1086,12 @@ def instability_form(
         )
         term = term - gradsq[idx] * phi_t_sq
         if lam != 0.0:
-            # Second difference of the 0-homogeneous potential along Phi_T.
-            u5 = np.stack(
-                [
-                    f0v,
-                    (f1v * ph1).real,
-                    (f1v * ph1).imag,
-                    (f2v * ph2).real,
-                    (f2v * ph2).imag,
-                ],
-                axis=-1,
-            )
+            # Hessian of the 0-homogeneous potential along Phi_T.
+            u5 = real5_arrays(f0v, f1v * ph1, f2v * ph2)
             v5 = np.zeros_like(u5)
             v5[:, 3] = vb.real
             v5[:, 4] = vb.imag
             pt5 = gv[:, None] * (v5 - w[:, None] * u5)
-            wplus = _w_homog(u5 + fd_step * pt5)
-            wmid = _w_homog(u5)
-            wminus = _w_homog(u5 - fd_step * pt5)
-            term = term + lam * (wplus - 2.0 * wmid + wminus) / fd_step**2
+            term = term + lam * np.einsum("ia,iab,ib->i", pt5, hessian_w_homog(u5), pt5)
         total += float(np.sum(term * vol))
     return total
-
-
-def _w_homog(u5: np.ndarray) -> np.ndarray:
-    """Degree-zero homogeneous reduced potential on stacked real-5 vectors."""
-    u0 = u5[..., 0]
-    u1 = u5[..., 1] + 1j * u5[..., 2]
-    u2 = u5[..., 3] + 1j * u5[..., 4]
-    n = np.sqrt(u0**2 + np.abs(u1) ** 2 + np.abs(u2) ** 2)
-    b = u0 * (u0**2 + 1.5 * np.abs(u1) ** 2 - 3.0 * np.abs(u2) ** 2) + 1.5 * np.sqrt(
-        3.0
-    ) * (u1**2 * np.conj(u2)).real
-    return (1.0 - b / n**3) / (3.0 * SQRT6)

@@ -106,20 +106,11 @@ class RadialProfile:
         return float(np.max(d))
 
     def to_csv(self, path) -> None:
+        cols = (self.grid, self.f0, self.f1.real, self.f1.imag, self.f2.real, self.f2.imag)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["r", "f0", "Re f1", "Im f1", "Re f2", "Im f2"])
-            for k in range(self.n):
-                w.writerow(
-                    [
-                        repr(float(self.grid[k])),
-                        repr(float(self.f0[k])),
-                        repr(float(self.f1[k].real)),
-                        repr(float(self.f1[k].imag)),
-                        repr(float(self.f2[k].real)),
-                        repr(float(self.f2[k].imag)),
-                    ]
-                )
+            w.writerows(zip(*(map(repr, c.tolist()) for c in cols)))
 
     @staticmethod
     def from_csv(path) -> "RadialProfile":

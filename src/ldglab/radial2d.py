@@ -37,9 +37,10 @@ from .tensor_core import (
     SQRT2,
     SQRT3,
     SQRT6,
-    beta_arrays,
     grad_w_tan_arrays,
     hessian_w_homog,
+    potential_w_arrays,
+    real5_arrays,
 )
 
 SIX_PI = 6.0 * np.pi
@@ -57,7 +58,6 @@ class SolveOptions:
     seed: int = 0
     stepper: str = "semi_implicit"  # or "explicit"
     cascade: bool = True
-    verbose: bool = False
 
     def __post_init__(self):
         if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
@@ -216,7 +216,7 @@ def radial_energy(profile: RadialProfile, lam: float):
     d = _disc_for(profile.grid)
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
     dirichlet = d.dirichlet_quad(f0, f1, f2)
-    wdens = 2.0 * (1.0 - beta_arrays(f0, f1, f2)) / (3.0 * SQRT6)
+    wdens = 2.0 * potential_w_arrays(f0, f1, f2)
     potential = np.pi * float(np.sum(d.wr * wdens))
     return dirichlet + lam * potential, dirichlet, potential
 
@@ -411,7 +411,6 @@ def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, max_iters: int
         grad_tol=opts.grad_tol,
         energy_tol=opts.energy_tol,
         stepper=opts.stepper,
-        verbose=opts.verbose,
     )
     fields, it, converged = descent.descend(
         problem, (prof.f0, prof.f1, prof.f2), dopts
@@ -438,13 +437,17 @@ class CurveRow:
     estar_fine: float = math.nan
     potential: float = math.nan
     multi_start_spread: float = math.nan
+    #: (name, message) of each solve that raised: a class-S init ('warm',
+    #: 'uS', 'bubbled'), or 'row' for the error that invalidated the row.
+    failures: tuple[tuple[str, str], ...] = ()
 
 
 def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
     """Lowest-energy class-S solve over warm start and canonical inits.
 
-    Also returns the spread (max - min) of the converged energies: the
-    empirical multi-start disagreement used to report on uniqueness.
+    Also returns the spread (max - min) of the converged energies, the
+    empirical multi-start disagreement used to report on uniqueness, and
+    the (init name, message) of every init whose solve raised.
     """
     inits: list[RadialProfile | str] = []
     if warm is not None:
@@ -452,19 +455,21 @@ def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
     inits += ["uS", "bubbled"]
     best = None
     energies = []
+    failures = []
     for ini in inits:
         try:
             res = minimize_2d(lam, "S", ini, opts, grid=grid)
-        except RuntimeError:
+        except RuntimeError as exc:
+            failures.append((ini if isinstance(ini, str) else "warm", str(exc)))
             continue
         if res.converged:
             energies.append(res.energy)
         if best is None or res.energy < best.energy:
             best = res
     if best is None:
-        raise RuntimeError(f"all class-S solves failed at lambda={lam}")
+        raise RuntimeError(f"all class-S solves failed at lambda={lam}: {failures}")
     spread = max(energies) - min(energies) if len(energies) > 1 else math.nan
-    return best, spread
+    return best, spread, tuple(failures)
 
 
 def energy_curve(
@@ -489,7 +494,7 @@ def energy_curve(
     warm = None
     for lam in lambdas:
         try:
-            res, spread = _best_class_s(lam, grid_c, opts, warm)
+            res, spread, failures = _best_class_s(lam, grid_c, opts, warm)
             warm = res.profile
             estar = res.energy
             estar_fine = math.nan
@@ -504,11 +509,16 @@ def energy_curve(
                 gh = minimize_2d(lam, "N", "ghbar", opts, grid=grid_c)
                 bmin, bmax, gclass, pot = gh.beta_min, gh.beta_max, "N", gh.potential
             rows.append(
-                CurveRow(lam, estar, e, bmin, bmax, gclass, True, estar_fine, pot, spread)
+                CurveRow(
+                    lam, estar, e, bmin, bmax, gclass, True, estar_fine, pot, spread, failures
+                )
             )
-        except RuntimeError:
+        except RuntimeError as exc:
             rows.append(
-                CurveRow(lam, math.nan, math.nan, math.nan, math.nan, "?", False)
+                CurveRow(
+                    lam, math.nan, math.nan, math.nan, math.nan, "?", False,
+                    failures=(("row", str(exc)),),
+                )
             )
     return rows
 
@@ -535,7 +545,7 @@ def estimate_lambda_star(
     warm: dict[str, RadialProfile | None] = {"lo": None, "hi": None}
 
     def g(lam, side):
-        res, _ = _best_class_s(lam, grid, opts, warm[side])
+        res, _, _ = _best_class_s(lam, grid, opts, warm[side])
         warm[side] = res.profile
         return res.energy - SIX_PI
 
@@ -565,25 +575,13 @@ def estimate_lambda_star(
 
 
 def _tangent_frames(f0, f1, f2):
-    """Per-node orthonormal bases of the tangent space, shape (n, 5, 4)."""
-    n = f0.size
-    u = np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=1)
-    frames = np.zeros((n, 5, 4))
-    eye = np.eye(5)
-    for i in range(n):
-        # Gram-Schmidt of the coordinate frame against u_i.
-        cols = []
-        for j in range(5):
-            v = eye[j] - np.dot(eye[j], u[i]) * u[i]
-            for c in cols:
-                v = v - np.dot(v, c) * c
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                cols.append(v / nv)
-            if len(cols) == 4:
-                break
-        frames[i] = np.stack(cols, axis=1)
-    return frames
+    """Per-node orthonormal bases of the tangent space, shape (n, 5, 4).
+
+    The right singular vectors of each 1x5 row u_i after the first span its
+    orthogonal complement.
+    """
+    _, _, vh = np.linalg.svd(real5_arrays(f0, f1, f2)[:, None, :])
+    return np.swapaxes(vh[:, 1:, :], 1, 2)
 
 
 def second_variation_form(profile: RadialProfile, lam: float, phi) -> float:
@@ -613,13 +611,9 @@ def second_variation_form(profile: RadialProfile, lam: float, phi) -> float:
         np.sum(d.mass * g2 * (p0**2 + np.abs(p1) ** 2 + np.abs(p2) ** 2))
     )
     if lam != 0.0:
-        u5 = np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=1)
-        p5 = np.stack([p0, p1.real, p1.imag, p2.real, p2.imag], axis=1)
-        for i in range(profile.n):
-            if d.mass[i] == 0.0:
-                continue
-            h = hessian_w_homog(u5[i])
-            quad += lam * d.mass[i] * float(p5[i] @ h @ p5[i])
+        h = hessian_w_homog(real5_arrays(f0, f1, f2))
+        p5 = real5_arrays(p0, p1, p2)
+        quad += lam * float(np.einsum("i,ia,iab,ib->", d.mass, p5, h, p5))
     return quad
 
 
@@ -648,40 +642,26 @@ def second_variation_spectrum(
     blocks = [d.stiff[comp_pen[c]] for c in range(5)]
     big = sp.block_diag(blocks, format="csr")
 
-    def expand(idx_comp, idx_node):
-        return idx_comp * n + idx_node
-
     g2 = d.grad_sq(f0, f1, f2)
     diag_term = np.concatenate([d.mass * g2 for _ in range(5)])
     big = big - sp.diags(diag_term)
 
+    # Unknowns are ordered component-major: real-5 component a at node i is
+    # index a * n + i.
+    comp = np.arange(5)
     if lam != 0.0:
-        u5 = np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=1)
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            if d.mass[i] == 0.0:
-                continue
-            h = lam * d.mass[i] * hessian_w_homog(u5[i])
-            for a in range(5):
-                for b in range(5):
-                    if h[a, b] != 0.0:
-                        rows.append(expand(a, i))
-                        cols.append(expand(b, i))
-                        vals.append(h[a, b])
-        big = big + sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
+        h = lam * d.mass[:, None, None] * hessian_w_homog(real5_arrays(f0, f1, f2))
+        node = np.arange(n)[:, None, None]
+        rows = np.broadcast_to(comp[:, None] * n + node, h.shape).ravel()
+        cols = np.broadcast_to(comp[None, :] * n + node, h.shape).ravel()
+        big = big + sp.csr_matrix((h.ravel(), (rows, cols)), shape=(5 * n, 5 * n))
 
-    frames = _tangent_frames(f0, f1, f2)
-    rows, cols, vals = [], [], []
     interior = np.arange(1, n - 1)
-    for jj, i in enumerate(interior):
-        for a in range(5):
-            for b in range(4):
-                v = frames[i, a, b]
-                if v != 0.0:
-                    rows.append(expand(a, i))
-                    cols.append(4 * jj + b)
-                    vals.append(v)
-    t = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 4 * interior.size))
+    frames = _tangent_frames(f0, f1, f2)[interior]
+    rows = np.broadcast_to(comp[:, None] * n + interior[:, None, None], frames.shape).ravel()
+    cols = 4 * np.arange(interior.size)[:, None, None] + np.arange(4)
+    cols = np.broadcast_to(cols, frames.shape).ravel()
+    t = sp.csr_matrix((frames.ravel(), (rows, cols)), shape=(5 * n, 4 * interior.size))
     h_t = (t.T @ big @ t).tocsc()
     m_t = sp.diags(np.repeat(d.mass[interior], 4)).tocsc()
     k = min(modes, h_t.shape[0] - 2)

@@ -179,6 +179,11 @@ def grad_w_tan_arrays(f0, f1, f2):
     return g0, g1, g2
 
 
+def real5_arrays(f0, f1, f2):
+    """Stack samples into real-5 coordinates (..., 5), as UVector.as_real5."""
+    return np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+
+
 def renormalize_arrays(f0, f1, f2):
     """Project samples to the unit sphere nodewise."""
     n = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
@@ -192,41 +197,76 @@ def renormalize_arrays(f0, f1, f2):
 # ---------------------------------------------------------------------------
 
 
-def grad_w_homog(v: np.ndarray) -> np.ndarray:
-    """Gradient of the 0-homogeneous extension of W, in real-5 coordinates.
+def _cubic_form(v: np.ndarray):
+    """B, grad B and Hessian of B over real-5 vectors (..., 5), beta = B/|v|^3.
+
+    B is the cubic of beta_arrays, which equals beta only at unit norm.
+    """
+    a, x1, y1, x2, y2 = np.moveaxis(v, -1, 0)
+    s = 3.0 * SQRT3
+    q1 = x1**2 + y1**2
+    q2 = x2**2 + y2**2
+    b = beta_arrays(a, x1 + 1j * y1, x2 + 1j * y2)
+    db = np.stack(
+        [
+            3.0 * a**2 + 1.5 * q1 - 3.0 * q2,
+            3.0 * a * x1 + s * (x1 * x2 + y1 * y2),
+            3.0 * a * y1 + s * (x1 * y2 - y1 * x2),
+            -6.0 * a * x2 + 0.5 * s * (x1**2 - y1**2),
+            -6.0 * a * y2 + s * x1 * y1,
+        ],
+        axis=-1,
+    )
+    zero = np.zeros_like(a)
+    ddb = np.stack(
+        [
+            np.stack([6.0 * a, 3.0 * x1, 3.0 * y1, -6.0 * x2, -6.0 * y2], axis=-1),
+            np.stack([3.0 * x1, 3.0 * a + s * x2, s * y2, s * x1, s * y1], axis=-1),
+            np.stack([3.0 * y1, s * y2, 3.0 * a - s * x2, -s * y1, s * x1], axis=-1),
+            np.stack([-6.0 * x2, s * x1, -s * y1, -6.0 * a, zero], axis=-1),
+            np.stack([-6.0 * y2, s * y1, s * x1, zero, -6.0 * a], axis=-1),
+        ],
+        axis=-2,
+    )
+    return b, db, ddb
+
+
+def _norm_sq_nonzero(v: np.ndarray) -> np.ndarray:
+    n2 = np.sum(v**2, axis=-1)
+    if np.any(n2 == 0.0):
+        raise ValueError("the 0-homogeneous W is not differentiable at 0")
+    return n2
+
+
+def grad_w_homog(v) -> np.ndarray:
+    """Gradient of the 0-homogeneous extension of W, real-5 coordinates (..., 5).
 
     The extension W(v) = (1 - beta(v))/(3 sqrt6) with beta 0-homogeneous is
     what enters second variations: its gradient is automatically tangent on
     the unit sphere, where it coincides with grad_w_tangential.
     """
     v = np.asarray(v, dtype=float)
-    u0 = v[0]
-    u1 = complex(v[1], v[2])
-    u2 = complex(v[3], v[4])
-    n2 = u0**2 + abs(u1) ** 2 + abs(u2) ** 2
-    if n2 == 0.0:
-        raise ValueError("gradient undefined at 0")
-    n = np.sqrt(n2)
-    # Cubic form B(u) with beta = B/|u|^3.
-    bval = u0 * (u0**2 + 1.5 * abs(u1) ** 2 - 3.0 * abs(u2) ** 2) + (1.5 * SQRT3) * (
-        u1**2 * np.conj(u2)
-    ).real
-    db0 = 3.0 * u0**2 + 1.5 * abs(u1) ** 2 - 3.0 * abs(u2) ** 2
-    db1 = 3.0 * u0 * u1 + 3.0 * SQRT3 * np.conj(u1) * u2
-    db2 = -6.0 * u0 * u2 + (1.5 * SQRT3) * u1**2
-    dbeta = (
-        np.array([db0, db1.real, db1.imag, db2.real, db2.imag]) / n**3
-        - 3.0 * bval * v / n**5
-    )
+    n2 = _norm_sq_nonzero(v)[..., None]
+    b, db, _ = _cubic_form(v)
+    dbeta = db / n2**1.5 - 3.0 * b[..., None] * v / n2**2.5
     return -dbeta / (3.0 * SQRT6)
 
 
-def hessian_w_homog(v: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """5x5 Hessian of the 0-homogeneous W by central differences of its gradient."""
+def hessian_w_homog(v) -> np.ndarray:
+    """Hessian of the 0-homogeneous W in closed form: (..., 5) -> (..., 5, 5).
+
+    With beta = B |v|^-3:
+    D^2 beta = D^2B |v|^-3 - 3 |v|^-5 (DB v^T + v DB^T) + B (15 |v|^-7 v v^T - 3 |v|^-5 Id).
+    """
     v = np.asarray(v, dtype=float)
-    h = np.zeros((5, 5))
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = step
-        h[:, j] = (grad_w_homog(v + e) - grad_w_homog(v - e)) / (2.0 * step)
-    return 0.5 * (h + h.T)
+    n2 = _norm_sq_nonzero(v)[..., None, None]
+    b, db, ddb = _cubic_form(v)
+    b = b[..., None, None]
+    vv = v[..., :, None] * v[..., None, :]
+    dbv = db[..., :, None] * v[..., None, :]
+    hbeta = (
+        ddb / n2**1.5
+        - 3.0 * (dbv + np.swapaxes(dbv, -1, -2)) / n2**2.5
+        + b * (15.0 * vv / n2**3.5 - 3.0 * np.eye(5) / n2**2.5)
+    )
+    return -hbeta / (3.0 * SQRT6)

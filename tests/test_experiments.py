@@ -176,3 +176,31 @@ def test_cli_dump_field(tmp_path, capsys):
     rc = cli.main(["dump-field", str(npz), "--csv", str(out_csv)])
     assert rc == 0
     assert out_csv.read_text().startswith("r,x3,f0")
+
+
+def test_cli_dump_field_round_trips_cigar(tmp_path, capsys):
+    # At this size the r-spacing alone rebuilds a 133-row mask for the
+    # 135-row field; the stored target_h rebuilds the solver's own mask.
+    cfg = write_config(
+        tmp_path, "kind = cigar\nh = 2.0\nell = 1.0\nrho = 0.2\nlambda = 1.0\ntarget_h = 0.03\n"
+    )
+    out = tmp_path / "res"
+    cli.main(["run", str(cfg), "--out", str(out)])
+    dumped = tmp_path / "dumped.csv"
+    assert cli.main(["dump-field", str(out / "cigar_field.npz"), "--csv", str(dumped)]) == 0
+    assert dumped.read_bytes() == (out / "cigar_field.csv").read_bytes()
+
+
+def test_cli_dump_field_rejects_shape_mismatch(tmp_path, capsys):
+    from ldglab import meridian3d as m3
+    from ldglab.radial2d import SolveOptions
+
+    g = m3.build_geometry(1.0, 0.8, 0.2, target_h=0.1)
+    fld = m3.seed_field(g, 1.0, "torus-seed", SolveOptions(max_iters=100))
+    npz = tmp_path / "f.npz"
+    np.savez(npz, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2, h=1.0, ell=0.8, rho=0.2,
+             target_h=0.05)
+    out_csv = tmp_path / "f.csv"
+    assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
+    assert "does not match" in capsys.readouterr().err
+    assert not out_csv.exists()

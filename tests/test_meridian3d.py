@@ -11,14 +11,18 @@ Groups:
     classification, multi-start ordering.
  6. Energy identities on an x3-independent field and a converged state.
  7. Instability form: admissibility check, zero at zero, negativity on the
-    synthetic singular field.
+    synthetic singular field, the finite-difference reference.
+ 8. CSV output against the node-by-node writer; shape validation.
 """
+
+import csv
 
 import numpy as np
 import pytest
 
 from ldglab import meridian3d as m3
 from ldglab import radial2d as r2
+from ldglab import tensor_core as tc
 from ldglab.profiles import uniform_grid
 
 OPTS = r2.SolveOptions(max_iters=6000)
@@ -193,19 +197,90 @@ def test_instability_negative_on_tangent_field():
     assert m3.instability_form(tf, 0.0, 0.2123, 1.0, vbar=1j) < 0
 
 
+def fd_potential_term(field, lam, p_z, r_ball, eta, n_phi=32, fd_step=1e-4):
+    """lam * int D^2W(Q)[Phi_T, Phi_T] for vbar = 1, by second differences.
+
+    The potential term of instability_form as it was first written: a
+    finite-difference second difference of the 0-homogeneous W along Phi_T.
+    """
+    g = field.geom
+    rr, zz = np.meshgrid(g.r, g.z)
+    s_dist = np.sqrt(rr**2 + (zz - p_z) ** 2) / r_ball
+    supp = (s_dist < 1.0) & (rr > 0)
+    gv = r_ball ** (-0.5) * eta.value(s_dist[supp])
+    vol = 2.0 * np.pi / n_phi * g.hr * g.hz * rr[supp]
+
+    def w_homog(x):
+        return tc.potential_w_arrays(
+            *tc.renormalize_arrays(x[:, 0], x[:, 1] + 1j * x[:, 2], x[:, 3] + 1j * x[:, 4])
+        )
+
+    total = 0.0
+    for phi in np.arange(n_phi) * 2.0 * np.pi / n_phi:
+        u5 = tc.real5_arrays(
+            field.f0[supp], field.f1[supp] * np.exp(1j * phi), field.f2[supp] * np.exp(2j * phi)
+        )
+        v5 = np.zeros_like(u5)
+        v5[:, 3] = 1.0
+        pt5 = gv[:, None] * (v5 - u5[:, 3:4] * u5)
+        second = w_homog(u5 + fd_step * pt5) - 2.0 * w_homog(u5) + w_homog(u5 - fd_step * pt5)
+        total += float(np.sum(lam * second / fd_step**2 * vol))
+    return total
+
+
+def test_instability_form_matches_finite_difference_reference():
+    g = m3.build_geometry(3.0, 1.5, 0.2, target_h=0.05)
+    res = m3.minimize_3d(g, 4.0, "split-seed", OPTS)
+    assert res.classification == "Split"
+    pz = max(s.position for s in res.singularities)
+    eta = m3.EtaSpec()
+    value = m3.instability_form(res.field, 4.0, pz, 0.5, eta=eta)
+    reference = m3.instability_form(res.field, 0.0, pz, 0.5, eta=eta) + fd_potential_term(
+        res.field, 4.0, pz, 0.5, eta
+    )
+    assert value < 0
+    assert value == pytest.approx(reference, rel=1e-5)
+
+
 def test_seed_requires_known_name():
     g = small_cigar()
     with pytest.raises(ValueError):
         m3.seed_field(g, 1.0, "mystery-seed")
 
 
+def rowwise_csv(fld, path):
+    """The CSV written one active node at a time, as to_csv was first written."""
+    g = fld.geom
+    beta = fld.beta()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "x3", "f0", "Re f1", "Im f1", "Re f2", "Im f2", "beta"])
+        for i in range(g.nz):
+            for j in range(g.nr):
+                if g.active[i, j]:
+                    f1, f2 = fld.f1[i, j], fld.f2[i, j]
+                    vals = (g.r[j], g.z[i], fld.f0[i, j], f1.real, f1.imag, f2.real, f2.imag,
+                            beta[i, j])
+                    w.writerow([repr(float(v)) for v in vals])
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = small_cigar(target_h=0.1)
+    for kind in ("torus-seed", "split-seed"):
+        fld = m3.seed_field(g, 1.0, kind, OPTS)
+        path = tmp_path / "field.csv"
+        fld.to_csv(path)
+        header = path.read_text().splitlines()[0]
+        assert header == "r,x3,f0,Re f1,Im f1,Re f2,Im f2,beta"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape[1] == 8
+        assert data.shape[0] == int(g.active.sum())
+        rowwise_csv(fld, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_field_rejects_shape_mismatch():
+    g = small_cigar(target_h=0.1)
     fld = m3.seed_field(g, 1.0, "torus-seed", OPTS)
-    path = tmp_path / "field.csv"
-    fld.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "r,x3,f0,Re f1,Im f1,Re f2,Im f2,beta"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape[1] == 8
-    assert data.shape[0] == int(g.active.sum())
+    with pytest.raises(ValueError, match="shape"):
+        m3.MeridianField(g, fld.f0[:-2], fld.f1[:-2], fld.f2[:-2])

@@ -1,5 +1,7 @@
 """Profile container tests: invariants, grids, CSV round trip, interpolation."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ def test_csv_roundtrip(tmp_path):
     assert header == "r,f0,Re f1,Im f1,Re f2,Im f2"
     q = RadialProfile.from_csv(path)
     assert q.max_norm_distance(p) == 0.0
+    # Byte-identical to the CSV written one node at a time.
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["r", "f0", "Re f1", "Im f1", "Re f2", "Im f2"])
+        for k in range(p.n):
+            vals = (p.grid[k], p.f0[k], p.f1[k].real, p.f1[k].imag, p.f2[k].real, p.f2[k].imag)
+            w.writerow([repr(float(v)) for v in vals])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_interp_to_preserves_pins():

@@ -7,15 +7,19 @@ Groups:
     stepper cross-check, determinism.
  4. energy_curve and the lambda_* bisection on coarse grids.
  5. Second variation: positivity at the small solution, zero at zero,
-    non-stationary rejection, oracle agreement.
+    non-stationary rejection, oracle agreement, the nodewise
+    finite-difference reference.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ldglab import closed_forms as cf
 from ldglab import descent
 from ldglab import radial2d as r2
+from ldglab import tensor_core as tc
 from ldglab.profiles import RadialProfile, profile_from_map, uniform_grid
 
 TWO_PI = 2 * np.pi
@@ -149,6 +153,31 @@ def test_energy_curve_coarse():
     assert np.max(d2) <= 1e-3
 
 
+def test_energy_curve_records_failed_inits(monkeypatch):
+    lambdas = [0.0, 10.0]
+    clean = r2.energy_curve(lambdas, n=129, richardson=False)
+    solve = r2.minimize_2d
+
+    def failing(lam, class_tag, init, *args, **kwargs):
+        if isinstance(init, str) and init in failing.inits:
+            raise RuntimeError(f"no {init}")
+        return solve(lam, class_tag, init, *args, **kwargs)
+
+    failing.inits = ("bubbled",)
+    monkeypatch.setattr(r2, "minimize_2d", failing)
+    rows = r2.energy_curve(lambdas, n=129, richardson=False)
+    # At weak coupling 'bubbled' only ever ties the other inits.
+    assert [row.estar for row in rows] == pytest.approx([row.estar for row in clean], rel=1e-12)
+    assert all(row.failures == (("bubbled", "no bubbled"),) for row in rows)
+    assert all(row.failures == () for row in clean)
+    # With every init failing, the row is invalid and carries the reasons.
+    failing.inits = ("uS", "bubbled")
+    (row,) = r2.energy_curve([0.0], n=129, richardson=False)
+    assert not row.valid
+    ((name, message),) = row.failures
+    assert name == "row" and "no uS" in message and "no bubbled" in message
+
+
 def test_lambda_star_coarse_bracket():
     lo, hi, pt = r2.estimate_lambda_star(tol=2.0, n=257, bracket=(60.0, 140.0))
     assert hi - lo <= 2.0
@@ -175,25 +204,97 @@ def test_second_variation_zero_at_zero():
     assert r2.second_variation_form(p, 0.3, (z, z.astype(complex), z.astype(complex))) == 0.0
 
 
+def random_direction(n, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    )
+
+
+def tangent_part(p, phi):
+    """phi projected tangentially along p and zeroed at the pinned nodes."""
+    dot = phi[0] * p.f0 + (phi[1] * np.conj(p.f1)).real + (phi[2] * np.conj(p.f2)).real
+    q = [phi[0] - dot * p.f0, phi[1] - dot * p.f1, phi[2] - dot * p.f2]
+    for arr in q:
+        arr[0] = 0.0
+        arr[-1] = 0.0
+    return q
+
+
+def fd_hessian_w(v, step=1e-6):
+    """Central differences of grad_w_homog, symmetrized."""
+    h = np.zeros((5, 5))
+    for j in range(5):
+        e = np.zeros(5)
+        e[j] = step
+        h[:, j] = (tc.grad_w_homog(v + e) - tc.grad_w_homog(v - e)) / (2.0 * step)
+    return 0.5 * (h + h.T)
+
+
+def test_second_variation_form_matches_nodewise_reference():
+    # The potential term summed node by node with a finite-difference
+    # Hessian of W, as the form was first written.
+    n = 129
+    p = r2.preset_profile("uS", uniform_grid(n), noise=0.01, seed=2)
+    phi = random_direction(n, 7)
+    lam = 3.0
+    q = tangent_part(p, phi)
+    mass = r2._disc_for(p.grid).mass
+    u5 = np.stack([p.f0, p.f1.real, p.f1.imag, p.f2.real, p.f2.imag], axis=1)
+    p5 = np.stack([q[0], q[1].real, q[1].imag, q[2].real, q[2].imag], axis=1)
+    pot = 0.0
+    for i in range(n):
+        if mass[i] != 0.0:
+            pot += mass[i] * float(p5[i] @ fd_hessian_w(u5[i]) @ p5[i])
+    reference = r2.second_variation_form(p, 0.0, phi) + lam * pot
+    assert r2.second_variation_form(p, lam, phi) == pytest.approx(reference, rel=1e-8)
+
+
+def test_second_variation_spectrum_matches_nodewise_reference():
+    # Assembled node by node: Gram-Schmidt tangent frames and a
+    # finite-difference Hessian of W, as the spectrum was first written.
+    # Eigenvalues do not depend on the choice of tangent basis.
+    res = r2.minimize_2d(0.1, "S", "uS", grid=uniform_grid(129))
+    p, lam, n = res.profile, 0.1, 129
+    d = r2._disc_for(p.grid)
+    u5 = np.stack([p.f0, p.f1.real, p.f1.imag, p.f2.real, p.f2.imag], axis=1)
+    big = sp.block_diag([d.stiff[k] for k in (0, 1, 1, 2, 2)], format="lil")
+    big -= sp.diags(np.tile(d.mass * d.grad_sq(p.f0, p.f1, p.f2), 5))
+    t = sp.lil_matrix((5 * n, 4 * (n - 2)))
+    for i in range(1, n - 1):
+        h = lam * d.mass[i] * fd_hessian_w(u5[i])
+        cols = []
+        for j in range(5):
+            v = np.eye(5)[j] - u5[i, j] * u5[i]
+            for c in cols:
+                v = v - np.dot(v, c) * c
+            if np.linalg.norm(v) > 1e-8 and len(cols) < 4:
+                cols.append(v / np.linalg.norm(v))
+        for a in range(5):
+            for b in range(5):
+                big[a * n + i, b * n + i] += h[a, b]
+            for b in range(4):
+                t[a * n + i, 4 * (i - 1) + b] = cols[b][a]
+    t = t.tocsr()
+    h_t = (t.T @ big.tocsr() @ t).tocsc()
+    m_t = sp.diags(np.repeat(d.mass[1:-1], 4)).tocsc()
+    ref = np.sort(spla.eigsh(h_t, k=4, M=m_t, sigma=-2.0, which="LM", return_eigenvectors=False))
+    _, vals = r2.second_variation_spectrum(p, lam, modes=4)
+    assert vals == pytest.approx(ref, rel=1e-8)
+
+
 def test_second_variation_oracle():
     # Assembled quadratic form equals the literal second difference of the
     # discrete energy along a projected direction.
     n = 129
     grid = uniform_grid(n)
     p = us_profile(n)
-    rng = np.random.default_rng(5)
-    phi = (
-        rng.standard_normal(n),
-        rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        rng.standard_normal(n) + 1j * rng.standard_normal(n),
-    )
+    phi = random_direction(n, 5)
     lam = 0.4
     form = r2.second_variation_form(p, lam, phi)
-    dot = phi[0] * p.f0 + (phi[1] * np.conj(p.f1)).real + (phi[2] * np.conj(p.f2)).real
-    q = [phi[0] - dot * p.f0, phi[1] - dot * p.f1, phi[2] - dot * p.f2]
-    for arr in q:
-        arr[0] = 0.0
-        arr[-1] = 0.0
+    q = tangent_part(p, phi)
     prob = r2._problem_for(grid, lam, -1.0)
 
     def energy_at(t):

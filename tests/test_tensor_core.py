@@ -3,13 +3,17 @@
 Groups:
  1. Correspondence matrix: basis images, linearity, isometry, round trip.
  2. Determinant and signed biaxiality against brute-force matrix oracles.
- 3. Reduced potential and its tangential gradient (finite-difference oracle).
+ 3. Reduced potential and its tangential gradient (finite-difference oracle);
+    properties of the closed-form Hessian of the 0-homogeneous extension.
  4. Invariance under the degree-(1,2) circle action; extremal-beta
     eigenvalue structure.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ldglab import tensor_core as tc
 
@@ -190,13 +194,30 @@ def test_grad_w_matrix_oracle():
         assert np.max(np.abs(expected - got)) < 1e-12
 
 
-def test_hessian_w_symmetric_and_consistent():
-    for u in random_unit(10):
-        v = u.as_real5()
-        h = tc.hessian_w_homog(v)
-        assert np.allclose(h, h.T)
-        # Directional consistency with the gradient.
-        t = RNG.standard_normal(5)
-        step = 1e-6
-        fd = (tc.grad_w_homog(v + step * t) - tc.grad_w_homog(v - step * t)) / (2 * step)
-        assert np.max(np.abs(h @ t - fd)) < 1e-4
+_real5 = arrays(float, 5, elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=_real5.filter(lambda v: 0.3 < np.linalg.norm(v) and abs(np.linalg.norm(v) - 1.0) > 1e-3),
+    t=_real5.filter(lambda t: np.linalg.norm(t) > 0.1),
+    scale=st.floats(0.2, 5.0),
+)
+def test_hessian_w_symmetric_and_consistent(v, t, scale):
+    # Closed form at nonzero, non-unit points of R^5.
+    h = tc.hessian_w_homog(v)
+    g = tc.grad_w_homog(v)
+    size = np.max(np.abs(h))
+    assert np.array_equal(h, h.T)
+    # Directional consistency with central differences of the gradient.
+    step = 1e-6 * np.linalg.norm(v) / np.linalg.norm(t)
+    fd = (tc.grad_w_homog(v + step * t) - tc.grad_w_homog(v - step * t)) / (2 * step)
+    assert np.max(np.abs(h @ t - fd)) <= 1e-6 * size * np.linalg.norm(t)
+    # Euler's relation for the 0-homogeneous W: D^2W(v) v = -DW(v).
+    assert np.max(np.abs(h @ v + g)) <= 1e-12 * size * np.linalg.norm(v)
+    # Homogeneous of degree -2, also through the stacked (..., 5) form.
+    stacked = tc.hessian_w_homog(np.stack([v, scale * v]))
+    assert np.max(np.abs(stacked[0] - h)) <= 1e-14 * size
+    assert np.max(np.abs(stacked[1] - h / scale**2)) <= 1e-12 * size / scale**2
+    with pytest.raises(ValueError):
+        tc.hessian_w_homog(np.zeros(5))
