@@ -13,6 +13,20 @@ are exact fixed points -- followed by nodewise renormalization.  A step is
 accepted only if the energy decreases; otherwise the step size is halved
 (the step ladder is powers of two, so LU factorizations are reused).
 
+The step is solved in increment form: on the free nodes
+
+    (M (1 + tau lam C) + tau A) delta = tau (s f - A f - lam M grad W_tan),
+
+with s = (A f) . conj(f) the mass times the nodal multiplier (zero where
+the mass is zero), and the candidate is f + delta.  The right-hand side
+does not depend on tau, so it is formed once per accepted state and serves
+every rung of the ladder.  The shifted matrices are SPD, so SuperLU factors
+them in symmetric mode with a minimum-degree ordering of A^T + A; the real
+and imaginary parts of a complex right-hand side go through one 2-column
+solve.  The products A f of the accepted state are carried forward: each
+candidate costs one stiffness product per component, and those products
+give both its energy and, once it is accepted, the next multiplier.
+
 A plain explicit stepper with the same projection is kept for cross-checks.
 """
 
@@ -66,22 +80,34 @@ class DescentOptions:
     stepper: str = "semi_implicit"
 
 
-def energy(p: Problem, f0, f1, f2) -> float:
-    quad = 0.5 * float(f0 @ (p.stiff[0] @ f0))
-    quad += 0.5 * float((np.conj(f1) @ (p.stiff[1] @ f1)).real)
-    quad += 0.5 * float((np.conj(f2) @ (p.stiff[2] @ f2)).real)
+#: Cap on the LU factors one stepper keeps; past it the oldest is evicted.
+MAX_FACTORS = 13
+
+
+def stiffness_products(p: Problem, f0, f1, f2):
+    """(A0 f0, A1 f1, A2 f2), shared by the energy, multiplier and gradient."""
+    return p.stiff[0] @ f0, p.stiff[1] @ f1, p.stiff[2] @ f2
+
+
+def energy(p: Problem, f0, f1, f2, af=None) -> float:
+    """Discrete energy; af optionally carries the stiffness products of f."""
+    a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
+    quad = 0.5 * float(f0 @ a0)
+    quad += 0.5 * float((np.conj(f1) @ a1).real)
+    quad += 0.5 * float((np.conj(f2) @ a2).real)
     if p.lam != 0.0:
         quad += p.lam * float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
     return quad
 
 
-def riemannian_gradient(p: Problem, f0, f1, f2):
+def riemannian_gradient(p: Problem, f0, f1, f2, af=None):
     """Tangentially projected gradient in the mass metric, zero on fixed dofs."""
+    a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
     mass_safe = np.where(p.mass > 0, p.mass, 1.0)
     gw0, gw1, gw2 = grad_w_tan_arrays(f0, f1, f2) if p.lam != 0.0 else (0.0, 0.0, 0.0)
-    g0 = (p.stiff[0] @ f0) / mass_safe + p.lam * gw0
-    g1 = (p.stiff[1] @ f1) / mass_safe + p.lam * gw1
-    g2 = (p.stiff[2] @ f2) / mass_safe + p.lam * gw2
+    g0 = a0 / mass_safe + p.lam * gw0
+    g1 = a1 / mass_safe + p.lam * gw1
+    g2 = a2 / mass_safe + p.lam * gw2
     dot = g0 * f0 + (g1 * np.conj(f1)).real + (g2 * np.conj(f2)).real
     g0, g1, g2 = g0 - dot * f0, g1 - dot * f1, g2 - dot * f2
     for c, g in enumerate((g0, g1, g2)):
@@ -91,8 +117,8 @@ def riemannian_gradient(p: Problem, f0, f1, f2):
     return g0, g1, g2
 
 
-def gradient_norm(p: Problem, f0, f1, f2) -> float:
-    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2)
+def gradient_norm(p: Problem, f0, f1, f2, af=None) -> float:
+    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2, af)
     total = sum(float(np.sum(p.mass * np.abs(g) ** 2)) for g in (g0, g1, g2))
     return math.sqrt(total / float(np.sum(p.mass)))
 
@@ -101,54 +127,53 @@ class _Stepper:
     def __init__(self, p: Problem):
         self.p = p
         self._factors: dict[tuple[int, int], object] = {}
-        self._tau0 = None
 
     def _factor(self, c: int, ladder: int, tau: float):
         key = (c, ladder)
         fac = self._factors.get(key)
         if fac is None:
+            if len(self._factors) >= MAX_FACTORS:
+                del self._factors[next(iter(self._factors))]
             p = self.p
             idx = p.free[c]
             mat = sp.diags(p.mass * (1.0 + tau * p.lam * STAB_C)) + tau * p.stiff[c]
             mat = mat.tocsr()[idx, :][:, idx].tocsc()
-            fac = spla.splu(mat)
-            if len(self._factors) > 12:
-                self._factors.clear()
+            fac = spla.splu(
+                mat,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
             self._factors[key] = fac
         return fac
 
-    def semi_implicit(self, f0, f1, f2, tau, ladder):
+    def force(self, f0, f1, f2, af):
+        """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
         p = self.p
+        s = af[0] * f0 + (af[1] * np.conj(f1)).real + (af[2] * np.conj(f2)).real
+        s = np.where(p.mass > 0, s, 0.0)
+        out = [s * f - a for f, a in zip((f0, f1, f2), af)]
         if p.lam != 0.0:
             gws = grad_w_tan_arrays(f0, f1, f2)
-        else:
-            gws = (np.zeros_like(f0), np.zeros_like(f1), np.zeros_like(f2))
-        # Nodal Lagrange multiplier of the norm constraint.
-        s = (p.stiff[0] @ f0) * f0
-        s = s + ((p.stiff[1] @ f1) * np.conj(f1)).real
-        s = s + ((p.stiff[2] @ f2) * np.conj(f2)).real
-        sigma = np.zeros_like(s)
-        np.divide(s, p.mass, out=sigma, where=p.mass > 0)
+            out = [r - p.lam * p.mass * g for r, g in zip(out, gws)]
+        return out
+
+    def semi_implicit(self, fields, force, tau, ladder):
+        """Candidate f + delta before renormalization; force from `force`."""
         out = []
-        for c, f in enumerate((f0.astype(complex), f1, f2)):
-            idx = p.free[c]
+        for c, (f, r) in enumerate(zip(fields, force)):
+            idx = self.p.free[c]
             fac = self._factor(c, ladder, tau)
-            gw = np.asarray(gws[c], dtype=complex)
-            rhs_full = (
-                p.mass * (1.0 + tau * p.lam * STAB_C) * f
-                - tau * p.lam * p.mass * gw
-                + tau * p.mass * sigma * f
-            )
-            bvec = f.copy()
-            bvec[idx] = 0.0
-            rhs = rhs_full[idx] - tau * (p.stiff[c] @ bvec)[idx]
+            rhs = tau * r[idx]
+            if np.any(rhs.imag):
+                sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
+                delta = sol[:, 0] + 1j * sol[:, 1]
+            else:
+                delta = fac.solve(rhs.real)
             v = f.copy()
-            sol = fac.solve(rhs.real)
-            if np.max(np.abs(rhs.imag)) > 0.0:
-                sol = sol + 1j * fac.solve(rhs.imag)
-            v[idx] = sol
+            v[idx] += delta
             out.append(v)
-        return out[0].real, out[1], out[2]
+        return out
 
     def explicit(self, f0, f1, f2, tau):
         g0, g1, g2 = riemannian_gradient(self.p, f0, f1, f2)
@@ -206,7 +231,9 @@ def descend(
     f2 = np.asarray(f2, dtype=complex).copy()
     max_iters = max_iters if max_iters is not None else opts.max_iters
     stepper = _Stepper(p)
-    e = energy(p, f0, f1, f2)
+    af = stiffness_products(p, f0, f1, f2)
+    e = energy(p, f0, f1, f2, af)
+    force = None
     ladder = 0
     ladder_max = 6
     grow = 0
@@ -216,12 +243,15 @@ def descend(
         it += 1
         tau = opts.step * 2.0**ladder
         if opts.stepper == "semi_implicit":
-            v0, v1, v2 = stepper.semi_implicit(f0, f1, f2, tau, ladder)
+            if force is None:
+                force = stepper.force(f0, f1, f2, af)
+            v0, v1, v2 = stepper.semi_implicit((f0, f1, f2), force, tau, ladder)
         else:
             v0, v1, v2 = stepper.explicit(f0, f1, f2, tau)
         v0, v1, v2 = renormalize_arrays(v0, v1, v2)
         v0, v1, v2 = p.project(v0, v1, v2)
-        e_new = energy(p, v0, v1, v2)
+        av = stiffness_products(p, v0, v1, v2)
+        e_new = energy(p, v0, v1, v2, av)
         # The acceptance slack carries an absolute floor: near stationarity
         # the solve/renormalize round-trip has a small roundoff noise floor
         # amplified by the stiff 1/r^2 rows, independent of the step size.
@@ -234,10 +264,12 @@ def descend(
                 f0c, nflips = flip_sweep(p, f0, f1, f2)
                 if nflips:
                     f0 = f0c
-                    e = energy(p, f0, f1, f2)
+                    af = (p.stiff[0] @ f0, af[1], af[2])
+                    force = None
+                    e = energy(p, f0, f1, f2, af)
                     ladder = 0
                     continue
-                if gradient_norm(p, f0, f1, f2) < opts.grad_tol:
+                if gradient_norm(p, f0, f1, f2, af) < opts.grad_tol:
                     converged = True
                     break
                 if tau < 1e-15:
@@ -245,6 +277,8 @@ def descend(
             continue
         decrement = e - e_new
         f0, f1, f2 = v0, v1, v2
+        af = av
+        force = None
         e = e_new
         if on_accept is not None:
             on_accept(it, e)
@@ -256,12 +290,14 @@ def descend(
             f0c, nflips = flip_sweep(p, f0, f1, f2)
             if nflips:
                 f0 = f0c
-                e = energy(p, f0, f1, f2)
+                af = (p.stiff[0] @ f0, af[1], af[2])
+                force = None
+                e = energy(p, f0, f1, f2, af)
                 if on_accept is not None:
                     on_accept(it, e)
                 grow = 0
                 continue
-            if gradient_norm(p, f0, f1, f2) < opts.grad_tol:
+            if gradient_norm(p, f0, f1, f2, af) < opts.grad_tol:
                 converged = True
                 break
     return (f0, f1, f2), it, converged

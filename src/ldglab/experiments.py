@@ -370,8 +370,12 @@ def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     tol = config.get("tol", 0.5)
     n = int(config.get("grid", 1025))
     opts = _solve_opts(config)
-    lo, hi, pt = r2.estimate_lambda_star(tol=tol, opts=opts, n=n)
-    rid = env.add_run("lambda-star/bisection", {"lo": lo, "hi": hi, "point": pt})
+    est = r2.estimate_lambda_star(tol=tol, opts=opts, n=n)
+    lo, hi, pt = est
+    rid = env.add_run(
+        "lambda-star/bisection",
+        {"lo": lo, "hi": hi, "point": pt, "failures": [list(f) for f in est.failures]},
+    )
     env.scalar("lambda_star_lo", lo, rid)
     env.scalar("lambda_star_hi", hi, rid)
     env.scalar("lambda_star", pt, rid)

@@ -523,18 +523,31 @@ def energy_curve(
     return rows
 
 
+class LambdaStar(tuple):
+    """(lo, hi, point) of the lambda_* bisection.
+
+    `.failures` holds (lambda, init name, message) for every class-S init
+    whose solve raised at one of the bisection's evaluation points.
+    """
+
+    def __new__(cls, lo: float, hi: float, point: float, failures=()):
+        self = super().__new__(cls, (lo, hi, point))
+        self.failures = tuple(failures)
+        return self
+
+
 def estimate_lambda_star(
     tol: float = 0.5,
     opts: SolveOptions | None = None,
     n: int = 1025,
     bracket: tuple[float, float] | None = None,
-):
+) -> LambdaStar:
     """Bisection for lambda_*: the unique solution of e*_lam = 6 pi.
 
-    Returns (lo, hi, point_estimate).  The seed bracket defaults to the
-    certified interval [24 sqrt2/(2 pi - 3 sqrt3), 3^8 (sqrt6/4) pi^2];
-    a missing sign change there is reported as an error with both
-    endpoint energies.
+    Returns (lo, hi, point_estimate) as a LambdaStar, which also carries
+    the failed inits.  The seed bracket defaults to the certified interval
+    [24 sqrt2/(2 pi - 3 sqrt3), 3^8 (sqrt6/4) pi^2]; a missing sign change
+    there is reported as an error with both endpoint energies.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -543,9 +556,11 @@ def estimate_lambda_star(
     lo, hi = bracket if bracket is not None else (LAMBDA_STAR_LOWER, LAMBDA_STAR_UPPER)
 
     warm: dict[str, RadialProfile | None] = {"lo": None, "hi": None}
+    failures: list[tuple[float, str, str]] = []
 
     def g(lam, side):
-        res, _, _ = _best_class_s(lam, grid, opts, warm[side])
+        res, _, failed = _best_class_s(lam, grid, opts, warm[side])
+        failures.extend((lam, name, message) for name, message in failed)
         warm[side] = res.profile
         return res.energy - SIX_PI
 
@@ -566,7 +581,7 @@ def estimate_lambda_star(
         raise RuntimeError(
             f"bisection result [{lo}, {hi}] escaped the certified interval"
         )
-    return lo, hi, 0.5 * (lo + hi)
+    return LambdaStar(lo, hi, 0.5 * (lo + hi), failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,248 @@
+"""Descent engine tests: the semi-implicit step against a reference.
+
+Groups:
+ 1. The increment-form step equals a full right-hand-side reference step
+    on a radial and a meridian problem.
+ 2. Discrete stationary states are fixed points of the step.
+ 3. Carried stiffness products: the energy with precomputed products, and
+    one product per component per candidate step.
+ 4. The factor cache: one factorization per (component, rung) on a climb.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from ldglab import descent
+from ldglab import meridian3d as m3
+from ldglab import radial2d as r2
+from ldglab.profiles import uniform_grid
+from ldglab.tensor_core import grad_w_tan_arrays, renormalize_arrays
+
+
+def radial_case(lam=20.0, n=129):
+    grid = uniform_grid(n)
+    prof = r2.preset_profile("uS", grid, noise=0.05, seed=3)
+    prob = r2._problem_for(grid, lam, -1.0)
+    return prob, (prof.f0, prof.f1, prof.f2)
+
+
+def radial_free_axis_case():
+    """A radial problem whose axis node is free: a free row of zero mass."""
+    prob, fields = radial_case()
+    n = fields[0].size
+    prob.free = (np.arange(n - 1),) * 3
+    assert prob.mass[0] == 0.0
+    return prob, fields
+
+
+def meridian_split_seed(lam=1.0):
+    geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.1)
+    fld = m3.seed_field(geom, lam, "split-seed")
+    return m3._problem_for(fld, lam), fld
+
+
+def meridian_case(lam=1.0):
+    prob, fld = meridian_split_seed(lam)
+    rng = np.random.default_rng(5)
+    f = [fld.f0.ravel().copy(), fld.f1.ravel().copy(), fld.f2.ravel().copy()]
+    for c, scale in enumerate((0.1, 0.1 + 0.1j, 0.1 - 0.05j)):
+        f[c][prob.free[c]] += scale * rng.standard_normal(prob.free[c].size)
+    return prob, prob.project(*renormalize_arrays(*f))
+
+
+def reference_step(p, fields, tau):
+    """The semi-implicit step with the full right-hand side, before renormalization.
+
+    (M (1 + tau lam C) + tau A_ff) v_f
+        = M (1 + tau lam C) f + tau (M sigma f - lam M grad W_tan) - tau A_fb f_b,
+    with sigma = (A f) . conj(f) / M the nodal multiplier (0 where M = 0).
+    """
+    f0, f1, f2 = (np.asarray(f, dtype=complex) for f in fields)
+    gws = grad_w_tan_arrays(*fields)
+    s = sum(((p.stiff[c] @ f) * np.conj(f)).real for c, f in enumerate((f0, f1, f2)))
+    sigma = np.zeros_like(s)
+    np.divide(s, p.mass, out=sigma, where=p.mass > 0)
+    shift = p.mass * (1.0 + tau * p.lam * descent.STAB_C)
+    out = []
+    for c, f in enumerate((f0, f1, f2)):
+        idx = p.free[c]
+        mat = (sp.diags(shift) + tau * p.stiff[c]).tocsr()[idx, :][:, idx].tocsc()
+        bvec = f.copy()
+        bvec[idx] = 0.0
+        rhs = shift * f - tau * p.lam * p.mass * gws[c] + tau * p.mass * sigma * f
+        rhs = rhs[idx] - tau * (p.stiff[c] @ bvec)[idx]
+        v = f.copy()
+        v[idx] = spla.spsolve(mat, rhs.real) + 1j * spla.spsolve(mat, rhs.imag)
+        out.append(v)
+    return out[0].real, out[1], out[2]
+
+
+def increment_step(p, fields, ladder, step=0.1):
+    stepper = descent._Stepper(p)
+    af = descent.stiffness_products(p, *fields)
+    force = stepper.force(*fields, af)
+    return stepper.semi_implicit(fields, force, step * 2.0**ladder, ladder)
+
+
+def rel_diff(a, b):
+    num = sum(float(np.sum(np.abs(x - y) ** 2)) for x, y in zip(a, b))
+    den = sum(float(np.sum(np.abs(y) ** 2)) for y in b)
+    return np.sqrt(num / den)
+
+
+@pytest.mark.parametrize("case", [radial_case, radial_free_axis_case, meridian_case])
+@pytest.mark.parametrize("ladder", [-3, 0, 6])
+def test_increment_step_matches_full_rhs_reference(case, ladder):
+    p, fields = case()
+    assert np.any(fields[1].imag != 0.0)  # the 2-column solve is exercised
+    got = increment_step(p, fields, ladder)
+    want = reference_step(p, fields, 0.1 * 2.0**ladder)
+    assert got[0].dtype == float
+    assert rel_diff(got, want) < 1e-12
+    # The step moves the state: the comparison is not between two copies of f.
+    assert rel_diff(fields, want) > 1e-4
+
+
+def constant_problem(value, lam, n=65):
+    """Radial operators with both ends pinned to one constant unit vector."""
+    d = r2._disc_for(uniform_grid(n))
+
+    def project(v0, v1, v2):
+        for v, x in zip((v0, v1, v2), value):
+            v[0] = v[-1] = x
+        return v0, v1, v2
+
+    prob = descent.Problem(
+        stiff=(d.stiff[0], d.stiff[1], d.stiff[2]),
+        mass=d.mass,
+        free=(d.interior,) * 3,
+        project=project,
+        lam=lam,
+    )
+    fields = (np.full(n, value[0], dtype=float), np.full(n, value[1], dtype=complex),
+              np.full(n, value[2], dtype=complex))
+    return prob, fields
+
+
+@pytest.mark.parametrize(
+    "value, lam",
+    [
+        ((1.0, 0.0, 0.0), 20.0),  # E0: the potential's tangential gradient vanishes
+        ((0.0, 0.6 + 0.8j, 0.0), 0.0),  # A f != 0, balanced by the multiplier alone
+    ],
+)
+def test_stationary_state_is_a_fixed_point(value, lam):
+    p, fields = constant_problem(value, lam)
+    assert descent.gradient_norm(p, *fields) < 1e-12
+    if lam == 0.0:
+        assert np.max(np.abs(p.stiff[1] @ fields[1])) > 1.0
+    for ladder in (0, 6):
+        step = increment_step(p, fields, ladder)
+        moved = p.project(*renormalize_arrays(*step))
+        assert rel_diff(moved, fields) < 1e-13
+    out, _, converged = descent.descend(p, fields, descent.DescentOptions(max_iters=30))
+    assert converged
+    assert rel_diff(out, fields) < 1e-13
+
+
+@pytest.mark.parametrize("case", [radial_case, meridian_case])
+def test_energy_with_carried_products(case):
+    p, fields = case()
+    af = descent.stiffness_products(p, *fields)
+    assert descent.energy(p, *fields, af) == descent.energy(p, *fields)
+    ref = descent.riemannian_gradient(p, *fields)
+    for g, h in zip(descent.riemannian_gradient(p, *fields, af), ref):
+        assert np.array_equal(g, h)
+
+
+def test_carried_products_stay_fresh_through_flips(monkeypatch):
+    # The split seed flips two axis nodes within its first iterations.
+    p, fld = meridian_split_seed()
+    flips = []
+    seen = []
+
+    def fresh(f0, f1, f2, af):
+        if af is not None:
+            ref = descent.stiffness_products(p, f0, f1, f2)
+            seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
+
+    energy, gradient_norm, flip_sweep = descent.energy, descent.gradient_norm, descent.flip_sweep
+
+    def checked_energy(p, f0, f1, f2, af=None):
+        fresh(f0, f1, f2, af)
+        return energy(p, f0, f1, f2, af)
+
+    def checked_gradient_norm(p, f0, f1, f2, af=None):
+        fresh(f0, f1, f2, af)
+        return gradient_norm(p, f0, f1, f2, af)
+
+    def counted_flip_sweep(*args, **kwargs):
+        out = flip_sweep(*args, **kwargs)
+        flips.append(out[1])
+        return out
+
+    monkeypatch.setattr(descent, "energy", checked_energy)
+    monkeypatch.setattr(descent, "gradient_norm", checked_gradient_norm)
+    monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
+    fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
+    _, _, converged = descent.descend(p, fields, descent.DescentOptions(max_iters=3000))
+    assert converged and sum(flips) > 0
+    assert seen and all(seen)
+
+
+class CountingStiffness:
+    """A stiffness matrix that counts its matrix-vector products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.mat @ x
+
+    def __rmul__(self, scalar):
+        return scalar * self.mat
+
+    def __getattr__(self, attr):
+        return getattr(self.mat, attr)
+
+
+def test_one_stiffness_product_per_component_per_candidate(monkeypatch):
+    p, fields = radial_case(lam=5.0)
+    counted = [CountingStiffness(a) for a in p.stiff]
+    p.stiff = tuple(counted)
+    candidates = []
+    energy = descent.energy
+
+    def counting_energy(*args, **kwargs):
+        candidates.append(1)
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(descent, "energy", counting_energy)
+    _, iters, _ = descent.descend(p, fields, descent.DescentOptions(max_iters=120))
+    # The initial state plus one candidate per iteration; no flip sweeps here.
+    assert len(candidates) == iters + 1
+    assert [a.products for a in counted] == [iters + 1] * 3
+
+
+def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
+    p, fields = meridian_case()
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    stepper = descent._Stepper(p)
+    af = descent.stiffness_products(p, *fields)
+    force = stepper.force(*fields, af)
+    for ladder in range(7):
+        for _ in range(2):
+            stepper.semi_implicit(fields, force, 0.1 * 2.0**ladder, ladder)
+            assert len(stepper._factors) <= descent.MAX_FACTORS
+    assert len(calls) == 3 * 7

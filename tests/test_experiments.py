@@ -204,3 +204,31 @@ def test_cli_dump_field_rejects_shape_mismatch(tmp_path, capsys):
     assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
     assert "does not match" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_lambda_star_payload_records_failed_inits(tmp_path, monkeypatch):
+    from ldglab import radial2d as r2
+
+    solve = r2.minimize_2d
+
+    def failing(lam, class_tag, init, *args, **kwargs):
+        if init == "bubbled":
+            raise RuntimeError("no bubbled")
+        return solve(lam, class_tag, init, *args, **kwargs)
+
+    monkeypatch.setattr(r2, "minimize_2d", failing)
+    est = r2.estimate_lambda_star(tol=20.0, n=129, bracket=(60.0, 140.0))
+    lo, hi, pt = est
+    assert lo < pt < hi and hi - lo <= 20.0
+    # Both endpoints and every midpoint evaluate the 'bubbled' init once.
+    assert [name for _, name, _ in est.failures] == ["bubbled"] * (2 + 2)
+    assert est.failures[:2] == ((60.0, "bubbled", "no bubbled"), (140.0, "bubbled", "no bubbled"))
+
+    cfg = experiments.ExperimentConfig(
+        "lambda-star", {"grid": 129, "tol": 5000.0}, str(tmp_path)
+    )
+    doc = experiments.run(cfg)
+    (run,) = [r for r in doc["runs"] if r["id"] == "lambda-star/bisection"]
+    failures = run["failures"]
+    assert failures and all(f[1:] == ["bubbled", "no bubbled"] for f in failures)
+    assert failures[0][0] == pytest.approx(r2.LAMBDA_STAR_LOWER)
