@@ -25,15 +25,22 @@ them in symmetric mode with a minimum-degree ordering of A^T + A; the real
 and imaginary parts of a complex right-hand side go through one 2-column
 solve.  The products A f of the accepted state are carried forward: each
 candidate costs one stiffness product per component, and those products
-give both its energy and, once it is accepted, the next multiplier.
+give both its energy and, once it is accepted, the next multiplier.  The
+tangential potential gradient of the accepted state is likewise computed
+once and shared by the step's right-hand side and the gradient-norm check.
+
+The LU factors belong to the Problem, keyed by (component, tau), so every
+descent on one Problem reuses them: the 3D solver runs the seeds of one
+cascade level on one shared Problem and drops it before the next level.
 
 A plain explicit stepper with the same projection is kept for cross-checks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +51,31 @@ from .tensor_core import grad_w_tan_arrays, potential_w_arrays, renormalize_arra
 
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
 STAB_C = 4.0
+
+#: Cap on the LU factors one Problem keeps; past it the oldest is evicted.
+MAX_FACTORS = 13
+
+#: Evicting a factor trims the heap only if its values take at least this
+#: many bytes, glibc's default trim threshold: a smaller one (any of the 2D
+#: problems') leaves no run of free pages worth the call.
+TRIM_BYTES = 128 * 1024
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def trim_heap() -> None:
+    """Hand the free pages of the C heap back to the system (glibc only).
+
+    glibc keeps the pages of a freed LU factor mapped, and small live blocks
+    allocated among them decide, by timing, whether the next factor can
+    reuse them.  Trimming after a factor or a whole Problem is freed makes
+    the peak resident size follow the live factors, not the heap layout.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass
@@ -61,6 +93,10 @@ class Problem:
         sweep: any such node is sign-flipped whenever that strictly
         decreases the energy (computed from the local quadratic form),
         keeping the iteration monotone while letting the axis trace move.
+    factors: LU factors of the shifted matrices, keyed by (component, tau)
+        and shared by every descent on this Problem; at most MAX_FACTORS
+        are kept, the oldest evicted first.  The operators must not change
+        once a factor is cached.
     """
 
     stiff: Sequence[sp.spmatrix]
@@ -69,6 +105,30 @@ class Problem:
     project: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     lam: float
     snap_nodes: np.ndarray | None = None
+    factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def factor(self, c: int, tau: float):
+        """SuperLU factor of M (1 + tau lam C) + tau A_c on the free nodes."""
+        key = (c, tau)
+        fac = self.factors.get(key)
+        if fac is None:
+            if len(self.factors) >= MAX_FACTORS:
+                oldest = next(iter(self.factors))
+                big = self.factors[oldest].nnz * 8 >= TRIM_BYTES
+                del self.factors[oldest]
+                if big:
+                    trim_heap()
+            idx = self.free[c]
+            mat = sp.diags(self.mass * (1.0 + tau * self.lam * STAB_C)) + tau * self.stiff[c]
+            mat = mat.tocsr()[idx, :][:, idx].tocsc()
+            fac = spla.splu(
+                mat,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            self.factors[key] = fac
+        return fac
 
 
 @dataclass
@@ -78,10 +138,6 @@ class DescentOptions:
     grad_tol: float = 1e-5
     energy_tol: float = 1e-13
     stepper: str = "semi_implicit"
-
-
-#: Cap on the LU factors one stepper keeps; past it the oldest is evicted.
-MAX_FACTORS = 13
 
 
 def stiffness_products(p: Problem, f0, f1, f2):
@@ -100,11 +156,20 @@ def energy(p: Problem, f0, f1, f2, af=None) -> float:
     return quad
 
 
-def riemannian_gradient(p: Problem, f0, f1, f2, af=None):
-    """Tangentially projected gradient in the mass metric, zero on fixed dofs."""
+def _grad_w(p: Problem, f0, f1, f2):
+    """Tangential gradient of W at every node; zeros when lam = 0."""
+    return grad_w_tan_arrays(f0, f1, f2) if p.lam != 0.0 else (0.0, 0.0, 0.0)
+
+
+def riemannian_gradient(p: Problem, f0, f1, f2, af=None, gw=None):
+    """Tangentially projected gradient in the mass metric, zero on fixed dofs.
+
+    af and gw optionally carry the stiffness products and the tangential
+    potential gradient of f.
+    """
     a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
     mass_safe = np.where(p.mass > 0, p.mass, 1.0)
-    gw0, gw1, gw2 = grad_w_tan_arrays(f0, f1, f2) if p.lam != 0.0 else (0.0, 0.0, 0.0)
+    gw0, gw1, gw2 = gw if gw is not None else _grad_w(p, f0, f1, f2)
     g0 = a0 / mass_safe + p.lam * gw0
     g1 = a1 / mass_safe + p.lam * gw1
     g2 = a2 / mass_safe + p.lam * gw2
@@ -117,67 +182,43 @@ def riemannian_gradient(p: Problem, f0, f1, f2, af=None):
     return g0, g1, g2
 
 
-def gradient_norm(p: Problem, f0, f1, f2, af=None) -> float:
-    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2, af)
+def gradient_norm(p: Problem, f0, f1, f2, af=None, gw=None) -> float:
+    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2, af, gw)
     total = sum(float(np.sum(p.mass * np.abs(g) ** 2)) for g in (g0, g1, g2))
     return math.sqrt(total / float(np.sum(p.mass)))
 
 
-class _Stepper:
-    def __init__(self, p: Problem):
-        self.p = p
-        self._factors: dict[tuple[int, int], object] = {}
+def _force(p: Problem, f0, f1, f2, af, gw):
+    """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
+    s = af[0] * f0 + (af[1] * np.conj(f1)).real + (af[2] * np.conj(f2)).real
+    s = np.where(p.mass > 0, s, 0.0)
+    out = [s * f - a for f, a in zip((f0, f1, f2), af)]
+    if p.lam != 0.0:
+        out = [r - p.lam * p.mass * g for r, g in zip(out, gw)]
+    return out
 
-    def _factor(self, c: int, ladder: int, tau: float):
-        key = (c, ladder)
-        fac = self._factors.get(key)
-        if fac is None:
-            if len(self._factors) >= MAX_FACTORS:
-                del self._factors[next(iter(self._factors))]
-            p = self.p
-            idx = p.free[c]
-            mat = sp.diags(p.mass * (1.0 + tau * p.lam * STAB_C)) + tau * p.stiff[c]
-            mat = mat.tocsr()[idx, :][:, idx].tocsc()
-            fac = spla.splu(
-                mat,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-            self._factors[key] = fac
-        return fac
 
-    def force(self, f0, f1, f2, af):
-        """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
-        p = self.p
-        s = af[0] * f0 + (af[1] * np.conj(f1)).real + (af[2] * np.conj(f2)).real
-        s = np.where(p.mass > 0, s, 0.0)
-        out = [s * f - a for f, a in zip((f0, f1, f2), af)]
-        if p.lam != 0.0:
-            gws = grad_w_tan_arrays(f0, f1, f2)
-            out = [r - p.lam * p.mass * g for r, g in zip(out, gws)]
-        return out
+def _semi_implicit(p: Problem, fields, force, tau):
+    """Candidate f + delta before renormalization; force from `_force`."""
+    out = []
+    for c, (f, r) in enumerate(zip(fields, force)):
+        idx = p.free[c]
+        fac = p.factor(c, tau)
+        rhs = tau * r[idx]
+        if np.any(rhs.imag):
+            sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
+            delta = sol[:, 0] + 1j * sol[:, 1]
+        else:
+            delta = fac.solve(rhs.real)
+        v = f.copy()
+        v[idx] += delta
+        out.append(v)
+    return out
 
-    def semi_implicit(self, fields, force, tau, ladder):
-        """Candidate f + delta before renormalization; force from `force`."""
-        out = []
-        for c, (f, r) in enumerate(zip(fields, force)):
-            idx = self.p.free[c]
-            fac = self._factor(c, ladder, tau)
-            rhs = tau * r[idx]
-            if np.any(rhs.imag):
-                sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
-                delta = sol[:, 0] + 1j * sol[:, 1]
-            else:
-                delta = fac.solve(rhs.real)
-            v = f.copy()
-            v[idx] += delta
-            out.append(v)
-        return out
 
-    def explicit(self, f0, f1, f2, tau):
-        g0, g1, g2 = riemannian_gradient(self.p, f0, f1, f2)
-        return f0 - tau * g0, f1 - tau * g1, f2 - tau * g2
+def _explicit(p: Problem, f0, f1, f2, tau):
+    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2)
+    return f0 - tau * g0, f1 - tau * g1, f2 - tau * g2
 
 
 # Potential values at the two axis states (+E0 and -E0).
@@ -230,10 +271,9 @@ def descend(
     f1 = np.asarray(f1, dtype=complex).copy()
     f2 = np.asarray(f2, dtype=complex).copy()
     max_iters = max_iters if max_iters is not None else opts.max_iters
-    stepper = _Stepper(p)
     af = stiffness_products(p, f0, f1, f2)
     e = energy(p, f0, f1, f2, af)
-    force = None
+    gw = force = None
     ladder = 0
     ladder_max = 6
     grow = 0
@@ -244,10 +284,12 @@ def descend(
         tau = opts.step * 2.0**ladder
         if opts.stepper == "semi_implicit":
             if force is None:
-                force = stepper.force(f0, f1, f2, af)
-            v0, v1, v2 = stepper.semi_implicit((f0, f1, f2), force, tau, ladder)
+                if gw is None:
+                    gw = _grad_w(p, f0, f1, f2)
+                force = _force(p, f0, f1, f2, af, gw)
+            v0, v1, v2 = _semi_implicit(p, (f0, f1, f2), force, tau)
         else:
-            v0, v1, v2 = stepper.explicit(f0, f1, f2, tau)
+            v0, v1, v2 = _explicit(p, f0, f1, f2, tau)
         v0, v1, v2 = renormalize_arrays(v0, v1, v2)
         v0, v1, v2 = p.project(v0, v1, v2)
         av = stiffness_products(p, v0, v1, v2)
@@ -265,11 +307,12 @@ def descend(
                 if nflips:
                     f0 = f0c
                     af = (p.stiff[0] @ f0, af[1], af[2])
-                    force = None
+                    gw = force = None
                     e = energy(p, f0, f1, f2, af)
                     ladder = 0
                     continue
-                if gradient_norm(p, f0, f1, f2, af) < opts.grad_tol:
+                # gw is the step's, unless the explicit stepper left it unset.
+                if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
                     converged = True
                     break
                 if tau < 1e-15:
@@ -278,7 +321,7 @@ def descend(
         decrement = e - e_new
         f0, f1, f2 = v0, v1, v2
         af = av
-        force = None
+        gw = force = None
         e = e_new
         if on_accept is not None:
             on_accept(it, e)
@@ -291,13 +334,14 @@ def descend(
             if nflips:
                 f0 = f0c
                 af = (p.stiff[0] @ f0, af[1], af[2])
-                force = None
+                gw = force = None
                 e = energy(p, f0, f1, f2, af)
                 if on_accept is not None:
                     on_accept(it, e)
                 grow = 0
                 continue
-            if gradient_norm(p, f0, f1, f2, af) < opts.grad_tol:
+            gw = _grad_w(p, f0, f1, f2)
+            if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
                 converged = True
                 break
     return (f0, f1, f2), it, converged

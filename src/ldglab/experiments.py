@@ -419,14 +419,13 @@ def _cigar_defaults(config: ExperimentConfig):
     )
 
 
+SEEDS = ("split-seed", "torus-seed")
+
+
 def _dual_seed_solve(geom, lam, opts):
-    best = None
-    results = {}
-    for seed in ("split-seed", "torus-seed"):
-        res = m3.minimize_3d(geom, lam, seed, opts)
-        results[seed] = res
-        if best is None or res.energy < best.energy:
-            best = res
+    results = m3.minimize_seeds(geom, lam, SEEDS, opts)
+    # min keeps the first of equal energies: the split seed wins a tie.
+    best = min(results.values(), key=lambda res: res.energy)
     return best, results
 
 
@@ -528,15 +527,15 @@ def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 def _shape_point(args):
     ell, h, rho, lam, th, opts = args
     geom = m3.build_geometry(h, ell, rho, target_h=th)
-    out = {}
-    for seed in ("split-seed", "torus-seed"):
-        res = m3.minimize_3d(geom, lam, seed, opts)
-        out[seed] = {
+    out = {
+        seed: {
             "energy": res.energy,
             "classification": res.classification,
             "converged": res.converged,
             "n_sing": len(res.singularities),
         }
+        for seed, res in m3.minimize_seeds(geom, lam, SEEDS, opts).items()
+    }
     return ell, out
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -46,6 +47,7 @@ __all__ = [
     "homeotropic_data",
     "meridian_energy",
     "minimize_3d",
+    "minimize_seeds",
     "axis_trace",
     "detect_singularities",
     "classify",
@@ -120,6 +122,14 @@ class CylinderGeometry:
     def disc(self) -> "_MeridianDisc":
         """Stiffness, mass and free-index operators of this lattice."""
         return _MeridianDisc(self)
+
+    @cached_property
+    def boundary_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only `homeotropic_data` of this lattice, shared by every seed."""
+        arrays = homeotropic_data(self)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) -> CylinderGeometry:
@@ -410,7 +420,7 @@ def seed_field(geom: CylinderGeometry, lam: float, kind: str,
                opts: SolveOptions | None = None) -> MeridianField:
     """'split-seed' (vertical extension of the 2D class-S minimizer) or
     'torus-seed' (constant E0 interior), glued to the homeotropic layer."""
-    bf0, bf1, bf2 = homeotropic_data(geom)
+    bf0, bf1, bf2 = geom.boundary_data
     f0 = np.ones((geom.nz, geom.nr))
     f1 = np.zeros((geom.nz, geom.nr), dtype=complex)
     f2 = np.zeros((geom.nz, geom.nr), dtype=complex)
@@ -466,7 +476,7 @@ def interp_field(src: MeridianField, geom: CylinderGeometry, lam: float = 0.0) -
     n = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
     n = np.where(n > 1e-9, n, 1.0)
     f0, f1, f2 = f0 / n, f1 / n, f2 / n
-    bf0, bf1, bf2 = homeotropic_data(geom)
+    bf0, bf1, bf2 = geom.boundary_data
     dm = geom.dirichlet
     f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
     f1[:, 0] = 0.0
@@ -495,34 +505,68 @@ def _bilinear(zs, rs, arr, z_new, r_new):
     )
 
 
+def minimize_seeds(
+    geom: CylinderGeometry,
+    lam: float,
+    seeds: Sequence[str],
+    opts: SolveOptions | None = None,
+) -> dict[str, MinResult3D]:
+    """Minimize from each named seed; returns the results keyed by seed name.
+
+    The seeds run level by level: with opts.cascade, every seed's descent
+    on a twice-coarser mask first, then every seed's descent on `geom` from
+    the transferred fields.  The seeds of one level share one Problem and
+    so its LU factors; each level's Problem is dropped, and its pages are
+    handed back to the system, before the next level factors anything.
+    """
+    opts = opts or SolveOptions()
+    if opts.cascade:
+        coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
+        fields = {name: seed_field(coarse, lam, name, opts) for name in seeds}
+        pre = _minimize_level(
+            coarse, lam, fields,
+            replace(opts, cascade=False, max_iters=max(500, opts.max_iters // 3)),
+        )
+        fields = {name: interp_field(res.field, geom, lam) for name, res in pre.items()}
+        descent.trim_heap()
+    else:
+        fields = {name: seed_field(geom, lam, name, opts) for name in seeds}
+    results = _minimize_level(geom, lam, fields, opts)
+    descent.trim_heap()
+    for name, res in results.items():
+        res.seed_name = name
+    return results
+
+
+def _minimize_level(geom, lam, fields, opts):
+    """One minimize_3d call per field, all on one shared Problem."""
+    problem = _problem_for(next(iter(fields.values())), lam)
+    return {name: minimize_3d(geom, lam, fld, opts, problem=problem)
+            for name, fld in fields.items()}
+
+
 def minimize_3d(
     geom: CylinderGeometry,
     lam: float,
     init: MeridianField | str = "split-seed",
     opts: SolveOptions | None = None,
+    *,
+    problem: descent.Problem | None = None,
 ) -> MinResult3D:
     """Projected gradient descent for the meridian energy; monotone.
 
-    init is a MeridianField or one of the named seeds.  With opts.cascade
-    the descent first runs on a twice-coarser mask and transfers the
-    result.  Returns the field with its energy split, residual, axis
-    trace singularity list, and torus/split classification.
+    init is a MeridianField or one of the named seeds; a named seed is a
+    one-seed `minimize_seeds` call, so opts.cascade applies to it.  Returns
+    the field with its energy split, residual, axis trace singularity list,
+    and torus/split classification.  `problem` lets the seeds of one
+    cascade level share their Problem; its boundary data must be init's.
     """
+    if isinstance(init, str):
+        return minimize_seeds(geom, lam, [init], opts)[init]
     opts = opts or SolveOptions()
-    seed_name = init if isinstance(init, str) else "custom"
-    if isinstance(init, str) and opts.cascade:
-        coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
-        pre = minimize_3d(
-            coarse,
-            lam,
-            seed_field(coarse, lam, init, opts),
-            replace(opts, cascade=False, max_iters=max(500, opts.max_iters // 3)),
-        )
-        init = interp_field(pre.field, geom, lam)
-    elif isinstance(init, str):
-        init = seed_field(geom, lam, init, opts)
     init.validate()
-    problem = _problem_for(init, lam)
+    if problem is None:
+        problem = _problem_for(init, lam)
     dopts = descent.DescentOptions(
         step=opts.step,
         max_iters=opts.max_iters,
@@ -558,7 +602,7 @@ def minimize_3d(
         classification=cls,
         beta_min=float(np.min(beta)),
         beta_max=float(np.max(beta)),
-        seed_name=seed_name,
+        seed_name="custom",
     )
 
 

@@ -79,8 +79,8 @@ def lambda_star_run():
 @pytest.fixture(scope="module")
 def cigar_run():
     geom = m3.build_geometry(8.0, 0.6, 0.2, target_h=0.015)
-    split = m3.minimize_3d(geom, 1.0, "split-seed", OPTS3D)
-    torus = m3.minimize_3d(geom, 1.0, "torus-seed", OPTS3D)
+    runs = m3.minimize_seeds(geom, 1.0, ("split-seed", "torus-seed"), OPTS3D)
+    split, torus = runs["split-seed"], runs["torus-seed"]
     best = split if split.energy <= torus.energy else torus
     return geom, best, split, torus
 
@@ -88,12 +88,12 @@ def cigar_run():
 @pytest.fixture(scope="module")
 def pancake_run():
     geom = m3.build_geometry(0.8, 12.0, 0.2, target_h=0.025)
-    torus = m3.minimize_3d(geom, 1.0, "torus-seed", OPTS3D)
-    split = m3.minimize_3d(geom, 1.0, "split-seed", OPTS3D)
+    runs = m3.minimize_seeds(geom, 1.0, ("torus-seed", "split-seed"), OPTS3D)
+    torus, split = runs["torus-seed"], runs["split-seed"]
     best = torus if torus.energy <= split.energy else split
     geom6 = m3.build_geometry(0.8, 6.0, 0.2, target_h=0.025)
-    torus6 = m3.minimize_3d(geom6, 1.0, "torus-seed", OPTS3D)
-    split6 = m3.minimize_3d(geom6, 1.0, "split-seed", OPTS3D)
+    runs6 = m3.minimize_seeds(geom6, 1.0, ("torus-seed", "split-seed"), OPTS3D)
+    torus6, split6 = runs6["torus-seed"], runs6["split-seed"]
     best6 = torus6 if torus6.energy <= split6.energy else split6
     return geom, best, geom6, best6
 
@@ -103,9 +103,8 @@ def weak_cigar_run():
     # Split minimizer with defects deep enough for an interior ball:
     # lam ell^2 = 36 keeps the vertical drive weak.
     geom = m3.build_geometry(6.0, 3.0, 0.2, target_h=0.025)
-    split = m3.minimize_3d(geom, 4.0, "split-seed", OPTS3D)
-    torus = m3.minimize_3d(geom, 4.0, "torus-seed", OPTS3D)
-    return geom, split, torus
+    runs = m3.minimize_seeds(geom, 4.0, ("split-seed", "torus-seed"), OPTS3D)
+    return geom, runs["split-seed"], runs["torus-seed"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Groups:
  2. Discrete stationary states are fixed points of the step.
  3. Carried stiffness products: the energy with precomputed products, and
     one product per component per candidate step.
- 4. The factor cache: one factorization per (component, rung) on a climb.
+ 4. The factor cache: one factorization per (component, rung) on a climb;
+    factors live on the Problem, keyed by tau, so descents with different
+    step sizes can share one Problem.
+ 5. The flip sweep of the deep-backtracking branch refreshes the carried
+    products.
 """
 
 import numpy as np
@@ -80,10 +84,9 @@ def reference_step(p, fields, tau):
 
 
 def increment_step(p, fields, ladder, step=0.1):
-    stepper = descent._Stepper(p)
     af = descent.stiffness_products(p, *fields)
-    force = stepper.force(*fields, af)
-    return stepper.semi_implicit(fields, force, step * 2.0**ladder, ladder)
+    force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
+    return descent._semi_implicit(p, fields, force, step * 2.0**ladder)
 
 
 def rel_diff(a, b):
@@ -163,10 +166,13 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
     flips = []
     seen = []
 
-    def fresh(f0, f1, f2, af):
+    def fresh(f0, f1, f2, af, gw=None):
         if af is not None:
             ref = descent.stiffness_products(p, f0, f1, f2)
             seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
+        if gw is not None:
+            ref = grad_w_tan_arrays(f0, f1, f2)
+            seen.append(all(np.array_equal(a, b) for a, b in zip(gw, ref)))
 
     energy, gradient_norm, flip_sweep = descent.energy, descent.gradient_norm, descent.flip_sweep
 
@@ -174,9 +180,9 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
         fresh(f0, f1, f2, af)
         return energy(p, f0, f1, f2, af)
 
-    def checked_gradient_norm(p, f0, f1, f2, af=None):
-        fresh(f0, f1, f2, af)
-        return gradient_norm(p, f0, f1, f2, af)
+    def checked_gradient_norm(p, f0, f1, f2, af=None, gw=None):
+        fresh(f0, f1, f2, af, gw)
+        return gradient_norm(p, f0, f1, f2, af, gw)
 
     def counted_flip_sweep(*args, **kwargs):
         out = flip_sweep(*args, **kwargs)
@@ -238,11 +244,114 @@ def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    stepper = descent._Stepper(p)
     af = descent.stiffness_products(p, *fields)
-    force = stepper.force(*fields, af)
+    force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
     for ladder in range(7):
         for _ in range(2):
-            stepper.semi_implicit(fields, force, 0.1 * 2.0**ladder, ladder)
-            assert len(stepper._factors) <= descent.MAX_FACTORS
+            descent._semi_implicit(p, fields, force, 0.1 * 2.0**ladder)
+            assert len(p.factors) <= descent.MAX_FACTORS
     assert len(calls) == 3 * 7
+
+
+def evictions_and_trims(monkeypatch, p, fields):
+    """Climb the ladder 0 -> 6; the cache sizes seen at each heap trim."""
+    trims = []
+    monkeypatch.setattr(descent, "trim_heap", lambda: trims.append(len(p.factors)))
+    af = descent.stiffness_products(p, *fields)
+    force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
+    for ladder in range(7):
+        descent._semi_implicit(p, fields, force, 0.1 * 2.0**ladder)
+    return trims
+
+
+def test_evicting_a_large_factor_trims_the_heap_after_freeing_it(monkeypatch):
+    geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.03)
+    fld = m3.seed_field(geom, 1.0, "split-seed")
+    p = m3._problem_for(fld, 1.0)
+    assert min(p.factor(c, 0.05).nnz for c in range(3)) * 8 >= descent.TRIM_BYTES
+    p.factors.clear()
+    fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
+    # 21 factorizations through 13 slots: 8 evictions, each trimmed once the
+    # evicted factor has left the cache and before its successor is built.
+    want = [descent.MAX_FACTORS - 1] * (3 * 7 - descent.MAX_FACTORS)
+    assert evictions_and_trims(monkeypatch, p, fields) == want
+    descent.trim_heap()  # harmless, malloc_trim or not
+
+
+def test_evicting_a_small_factor_leaves_the_heap_alone(monkeypatch):
+    p, fields = radial_case()
+    assert evictions_and_trims(monkeypatch, p, fields) == []
+    assert max(f.nnz for f in p.factors.values()) * 8 < descent.TRIM_BYTES
+
+
+def test_descents_with_different_steps_share_one_problem():
+    p, fields = meridian_case()
+    shared = [descent.descend(p, fields, descent.DescentOptions(step=step, max_iters=60))
+              for step in (0.1, 0.05, 0.1)]
+    assert p.factors
+    for step, got in zip((0.1, 0.05, 0.1), shared):
+        fresh, _ = meridian_case()
+        want = descent.descend(fresh, fields, descent.DescentOptions(step=step, max_iters=60))
+        assert got[1:] == want[1:]
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+    assert rel_diff(shared[0][0], shared[1][0]) > 1e-8
+
+
+def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
+    p, fld = meridian_split_seed()
+    f0, f1, f2 = fld.f0.ravel().copy(), fld.f1.ravel(), fld.f2.ravel()
+    axis = p.snap_nodes
+    assert np.all(f0[axis] == f0[axis[0]])
+    planted, other = axis[axis.size // 2], axis[axis.size // 4]
+    f0[planted] = -f0[planted]  # a flip back lowers the energy
+    state = {"accepted": 0, "deep_flips": 0}
+    seen = []
+
+    def fresh(g0, g1, g2, af, gw=None):
+        ref = descent.stiffness_products(p, g0, g1, g2)
+        seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
+        if gw is not None:
+            ref = grad_w_tan_arrays(g0, g1, g2)
+            seen.append(all(np.array_equal(a, b) for a, b in zip(gw, ref)))
+
+    energy, force, semi_implicit = descent.energy, descent._force, descent._semi_implicit
+    flip_sweep = descent.flip_sweep
+
+    def checked_energy(p, g0, g1, g2, af=None):
+        if af is not None:
+            fresh(g0, g1, g2, af)
+        return energy(p, g0, g1, g2, af)
+
+    def checked_force(p, g0, g1, g2, af, gw):
+        fresh(g0, g1, g2, af, gw)
+        return force(p, g0, g1, g2, af, gw)
+
+    def rising_step(p, fields, force, tau):
+        # Until the deep-backtracking flip, every candidate flips another
+        # axis node, which raises the energy: each rung is rejected.
+        if state["deep_flips"]:
+            return semi_implicit(p, fields, force, tau)
+        v0 = fields[0].copy()
+        v0[other] = -v0[other]
+        return [v0, fields[1].copy(), fields[2].copy()]
+
+    def counted_flip_sweep(*args, **kwargs):
+        out = flip_sweep(*args, **kwargs)
+        if out[1] and not state["accepted"]:
+            state["deep_flips"] += out[1]
+        return out
+
+    def on_accept(it, e):
+        state["accepted"] += 1
+
+    monkeypatch.setattr(descent, "energy", checked_energy)
+    monkeypatch.setattr(descent, "_force", checked_force)
+    monkeypatch.setattr(descent, "_semi_implicit", rising_step)
+    monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
+    out, _, _ = descent.descend(p, (f0, f1, f2), descent.DescentOptions(max_iters=40),
+                                on_accept=on_accept)
+    # The planted node was flipped back before any step was accepted, that
+    # is, by the flip sweep of the deep-backtracking branch.
+    assert state["deep_flips"] > 0 and state["accepted"] > 0
+    assert out[0][planted] == fld.f0.ravel()[planted]
+    assert seen and all(seen)

@@ -13,13 +13,22 @@ Groups:
  7. Instability form: admissibility check, zero at zero, negativity on the
     synthetic singular field, the finite-difference reference.
  8. CSV output against the node-by-node writer; shape validation.
+ 9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
+    for bit, factor each shifted matrix once while it is cached, and drop
+    the coarse Problem before the fine level factors anything, trimming the
+    heap after each level.
 """
 
 import csv
+import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as spla
+
+from ldglab import descent
 from ldglab import meridian3d as m3
 from ldglab import radial2d as r2
 from ldglab import tensor_core as tc
@@ -71,6 +80,28 @@ def test_homeotropic_data_values():
     assert np.all(np.abs(f2b[wall] - np.sqrt(3) / 2) < 1e-12)
     norms = np.sqrt(f0b**2 + np.abs(f1b) ** 2 + np.abs(f2b) ** 2)[g.dirichlet]
     assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
+    g = small_cigar(target_h=0.1)
+    want = m3.homeotropic_data(g)
+    calls = []
+    homeotropic_data = m3.homeotropic_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return homeotropic_data(*args, **kwargs)
+
+    monkeypatch.setattr(m3, "homeotropic_data", counted)
+    fields = [m3.seed_field(g, 1.0, kind, OPTS) for kind in ("torus-seed", "split-seed")]
+    fields.append(m3.interp_field(fields[0], g))
+    assert len(calls) == 1
+    for got, ref in zip(g.boundary_data, want):
+        assert np.array_equal(got, ref) and not got.flags.writeable
+    dm = g.dirichlet
+    for fld in fields:
+        assert np.array_equal(fld.f0[dm], want[0][dm])
+        assert fld.f0.flags.writeable
 
 
 def test_normal_query_outside_layer_raises():
@@ -284,3 +315,135 @@ def test_field_rejects_shape_mismatch():
     fld = m3.seed_field(g, 1.0, "torus-seed", OPTS)
     with pytest.raises(ValueError, match="shape"):
         m3.MeridianField(g, fld.f0[:-2], fld.f1[:-2], fld.f2[:-2])
+
+
+# ---------------------------------------------------------------------------
+# Level-by-level seeds (minimize_seeds).
+# ---------------------------------------------------------------------------
+
+SEEDS = ("split-seed", "torus-seed")
+
+
+def assert_same_result(got, want):
+    for name in ("f0", "f1", "f2"):
+        assert np.array_equal(getattr(got.field, name), getattr(want.field, name))
+    assert (got.energy, got.iterations, got.converged, got.classification, got.seed_name) == (
+        want.energy, want.iterations, want.converged, want.classification, want.seed_name)
+
+
+def test_minimize_seeds_matches_single_seed_solves():
+    g = small_cigar()
+    shared = m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
+    assert list(shared) == list(SEEDS)
+    for seed in SEEDS:
+        assert_same_result(shared[seed], m3.minimize_3d(g, 1.0, seed, OPTS))
+    flat = r2.SolveOptions(max_iters=6000, cascade=False)
+    shared = m3.minimize_seeds(g, 1.0, SEEDS, flat)
+    for seed in SEEDS:
+        assert_same_result(shared[seed], m3.minimize_3d(g, 1.0, seed, flat))
+
+
+class FactorLog:
+    """Counts 3D `splu` calls by (level, matrix) and watches the live Problems.
+
+    Matrices of other sizes (the split seed's 2D solve) are passed through.
+    """
+
+    def __init__(self, monkeypatch, levels):
+        self.levels = levels  # matrix size -> level name
+        self.keys = []  # (level, matrix digest) per factorization
+        self.problems = []  # (level, weakref to the Problem)
+        self.coarse_alive_at_fine = []
+        self.max_factors = 0
+        splu, problem_for = spla.splu, m3._problem_for
+
+        def counting_splu(mat, *args, **kwargs):
+            level = self.levels.get(mat.shape[0])
+            if level is None:
+                return splu(mat, *args, **kwargs)
+            live = [p() for _, p in self.problems if p() is not None]
+            self.max_factors = max([self.max_factors] + [len(p.factors) for p in live])
+            if level == "fine" and not any(k[0] == "fine" for k in self.keys):
+                self.coarse_alive_at_fine = [
+                    lv for lv, p in self.problems if lv == "coarse" and p() is not None
+                ]
+            digest = hashlib.sha256(
+                mat.data.tobytes() + mat.indices.tobytes() + mat.indptr.tobytes()
+            ).hexdigest()
+            self.keys.append((level, digest))
+            return splu(mat, *args, **kwargs)
+
+        def recording_problem_for(field, lam):
+            p = problem_for(field, lam)
+            level = self.levels[field.geom.disc.free0.size]
+            self.problems.append((level, weakref.ref(p)))
+            return p
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(m3, "_problem_for", recording_problem_for)
+
+
+def levels_of(g):
+    coarse = m3.build_geometry(g.h, g.ell, g.rho, target_h=2.0 * g.hr)
+    return {
+        d.free0.size if k == 0 else d.free12.size: name
+        for name, d in (("coarse", coarse.disc), ("fine", g.disc))
+        for k in (0, 1)
+    }
+
+
+def test_seed_levels_factor_each_matrix_once_while_cached(monkeypatch):
+    g = small_cigar()
+    levels = levels_of(g)
+    assert len(levels) == 4
+    alone = {}
+    for seed in SEEDS:
+        log = FactorLog(monkeypatch, levels)
+        m3.minimize_3d(g, 1.0, seed, OPTS)
+        alone[seed] = len(log.keys)
+    log = FactorLog(monkeypatch, levels)
+    m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
+    # Level by level: every coarse factorization comes before every fine one.
+    order = [level for level, _ in log.keys]
+    assert order == sorted(order)
+    assert order.count("coarse") > 0 and order.count("fine") > 0
+    # Replaying the factorizations through a FIFO cache of MAX_FACTORS:
+    # no matrix is factored again while its factor is still cached.
+    cache = []
+    for key in log.keys:
+        assert key not in cache
+        if len(cache) >= descent.MAX_FACTORS:
+            cache.pop(0)
+        cache.append(key)
+    # The oldest factor is evicted before a factorization, so a Problem
+    # holds at most MAX_FACTORS - 1 during one and MAX_FACTORS after it.
+    assert 0 < log.max_factors <= descent.MAX_FACTORS - 1
+    assert len(log.keys) < sum(alone.values())
+
+
+def test_coarse_problem_is_dropped_before_the_fine_level(monkeypatch):
+    g = small_cigar()
+    log = FactorLog(monkeypatch, levels_of(g))
+    m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
+    assert any(level == "coarse" for level, _ in log.problems)
+    assert any(level == "fine" for level, _ in log.keys)
+    assert log.coarse_alive_at_fine == []
+
+
+def test_heap_is_trimmed_after_each_level_is_freed(monkeypatch):
+    g = small_cigar()
+    log = FactorLog(monkeypatch, levels_of(g))
+    trims = []  # (fine factorizations so far, levels of the live Problems)
+
+    def recording_trim():
+        fine = sum(1 for level, _ in log.keys if level == "fine")
+        trims.append((fine, [lv for lv, p in log.problems if p() is not None]))
+
+    monkeypatch.setattr(descent, "trim_heap", recording_trim)
+    m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
+    fine_total = sum(1 for level, _ in log.keys if level == "fine")
+    assert fine_total > 0
+    # Evictions trim with their Problem alive; the level ends trim with none:
+    # once before the fine level factors anything and once after it.
+    assert [t for t in trims if not t[1]] == [(0, []), (fine_total, [])]
+    assert trims[-1] == (fine_total, [])
