@@ -32,6 +32,10 @@ once and shared by the step's right-hand side and the gradient-norm check.
 The LU factors belong to the Problem, keyed by (component, tau), so every
 descent on one Problem reuses them: the 3D solver runs the seeds of one
 cascade level on one shared Problem and drops it before the next level.
+A shifted matrix is assembled from the free-node block A_ff of its
+component, extracted once per Problem in CSC with sorted indices: its
+values are tau A_ff.data with the shifted masses added at the cached
+diagonal slots, over A_ff's own index arrays.
 
 A plain explicit stepper with the same projection is kept for cross-checks.
 """
@@ -78,6 +82,18 @@ def trim_heap() -> None:
         _malloc_trim(0)
 
 
+def _free_block(a: sp.spmatrix, mass: np.ndarray, idx: np.ndarray):
+    """(A_ff, diag, mass_f): the free-node block of a in CSC with sorted
+    indices, the slots of its diagonal in A_ff.data, and the free masses."""
+    block = a.tocsr()[idx, :][:, idx].tocsc()
+    block.sort_indices()
+    cols = np.repeat(np.arange(idx.size), np.diff(block.indptr))
+    diag = np.flatnonzero(block.indices == cols)
+    if diag.size != idx.size:
+        raise ValueError("the stiffness stores no diagonal entry at some free node")
+    return block, diag, mass[idx]
+
+
 @dataclass
 class Problem:
     """Discrete constrained-minimization problem fed to the engine.
@@ -97,6 +113,9 @@ class Problem:
         and shared by every descent on this Problem; at most MAX_FACTORS
         are kept, the oldest evicted first.  The operators must not change
         once a factor is cached.
+    blocks: per component, the free-node block of A_c (`_free_block`),
+        built at the first factorization and reused by every later one.
+        Like the operators, `free` must not change once a factor is cached.
     """
 
     stiff: Sequence[sp.spmatrix]
@@ -106,9 +125,19 @@ class Problem:
     lam: float
     snap_nodes: np.ndarray | None = None
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def shifted(self, c: int, tau: float) -> sp.csc_matrix:
+        """M (1 + tau lam C) + tau A_c on the free nodes, from the cached block."""
+        if c not in self.blocks:
+            self.blocks[c] = _free_block(self.stiff[c], self.mass, self.free[c])
+        block, diag, mass_f = self.blocks[c]
+        data = tau * block.data
+        data[diag] += mass_f * (1.0 + tau * self.lam * STAB_C)
+        return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
 
     def factor(self, c: int, tau: float):
-        """SuperLU factor of M (1 + tau lam C) + tau A_c on the free nodes."""
+        """SuperLU factor of the shifted matrix of component c at step tau."""
         key = (c, tau)
         fac = self.factors.get(key)
         if fac is None:
@@ -118,11 +147,8 @@ class Problem:
                 del self.factors[oldest]
                 if big:
                     trim_heap()
-            idx = self.free[c]
-            mat = sp.diags(self.mass * (1.0 + tau * self.lam * STAB_C)) + tau * self.stiff[c]
-            mat = mat.tocsr()[idx, :][:, idx].tocsc()
             fac = spla.splu(
-                mat,
+                self.shifted(c, tau),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},

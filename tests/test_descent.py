@@ -2,21 +2,30 @@
 
 Groups:
  1. The increment-form step equals a full right-hand-side reference step
-    on a radial and a meridian problem.
+    on a radial and a meridian problem, and the shifted matrices assembled
+    from the cached free-node blocks equal the reference's byte for byte.
  2. Discrete stationary states are fixed points of the step.
  3. Carried stiffness products: the energy with precomputed products, and
     one product per component per candidate step.
- 4. The factor cache: one factorization per (component, rung) on a climb;
-    factors live on the Problem, keyed by tau, so descents with different
-    step sizes can share one Problem.
+ 4. The factor cache: one factorization per (component, rung) on a climb,
+    and one free-node block per component; factors live on the Problem,
+    keyed by tau, so descents with different step sizes can share one
+    Problem.
  5. The flip sweep of the deep-backtracking branch refreshes the carried
     products.
+ 6. Properties (hypothesis): the energy is invariant under the circle
+    action, and the accepted energies of a descent never rise.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldglab import descent
 from ldglab import meridian3d as m3
@@ -56,6 +65,13 @@ def meridian_case(lam=1.0):
     return prob, prob.project(*renormalize_arrays(*f))
 
 
+def reference_matrix(p, c, tau):
+    """M (1 + tau lam C) + tau A_c on the free nodes, rebuilt from the full operators."""
+    idx = p.free[c]
+    shift = p.mass * (1.0 + tau * p.lam * descent.STAB_C)
+    return (sp.diags(shift) + tau * p.stiff[c]).tocsr()[idx, :][:, idx].tocsc()
+
+
 def reference_step(p, fields, tau):
     """The semi-implicit step with the full right-hand side, before renormalization.
 
@@ -72,7 +88,7 @@ def reference_step(p, fields, tau):
     out = []
     for c, f in enumerate((f0, f1, f2)):
         idx = p.free[c]
-        mat = (sp.diags(shift) + tau * p.stiff[c]).tocsr()[idx, :][:, idx].tocsc()
+        mat = reference_matrix(p, c, tau)
         bvec = f.copy()
         bvec[idx] = 0.0
         rhs = shift * f - tau * p.lam * p.mass * gws[c] + tau * p.mass * sigma * f
@@ -106,6 +122,29 @@ def test_increment_step_matches_full_rhs_reference(case, ladder):
     assert rel_diff(got, want) < 1e-12
     # The step moves the state: the comparison is not between two copies of f.
     assert rel_diff(fields, want) > 1e-4
+
+
+@pytest.mark.parametrize("case", [radial_case, radial_free_axis_case, meridian_case])
+def test_shifted_matrices_equal_the_reference_byte_for_byte(case):
+    p, _ = case()
+    for c in range(3):
+        for ladder in range(-12, 7):
+            tau = 0.1 * 2.0**ladder
+            got, want = p.shifted(c, tau), reference_matrix(p, c, tau)
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (c, ladder, attr)
+    assert sorted(p.blocks) == [0, 1, 2]
+
+
+def test_a_free_node_without_a_stored_diagonal_is_rejected():
+    p, _ = radial_case()
+    a = p.stiff[1].tolil()
+    k = p.free[1][3]
+    a[k, k] = 0.0
+    p.stiff = (p.stiff[0], a.tocsc(), p.stiff[2])
+    with pytest.raises(ValueError, match="diagonal"):
+        p.shifted(1, 0.1)
 
 
 def constant_problem(value, lam, n=65):
@@ -243,7 +282,15 @@ def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
         calls.append(1)
         return splu(*args, **kwargs)
 
+    free_block = descent._free_block
+    blocks = []
+
+    def counting_free_block(*args):
+        blocks.append(1)
+        return free_block(*args)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(descent, "_free_block", counting_free_block)
     af = descent.stiffness_products(p, *fields)
     force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
     for ladder in range(7):
@@ -251,6 +298,8 @@ def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
             descent._semi_implicit(p, fields, force, 0.1 * 2.0**ladder)
             assert len(p.factors) <= descent.MAX_FACTORS
     assert len(calls) == 3 * 7
+    # The free-node block of each component is extracted once, not per rung.
+    assert len(blocks) == 3
 
 
 def evictions_and_trims(monkeypatch, p, fields):
@@ -355,3 +404,57 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     assert state["deep_flips"] > 0 and state["accepted"] > 0
     assert out[0][planted] == fld.f0.ravel()[planted]
     assert seen and all(seen)
+
+
+@functools.lru_cache(maxsize=None)
+def small_problem(kind):
+    if kind == "radial":
+        return radial_case(lam=1.0, n=33)[0]
+    geom = m3.build_geometry(2.0, 0.6, 0.2, target_h=0.15)
+    return m3._problem_for(m3.seed_field(geom, 1.0, "split-seed"), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["radial", "meridian"]),
+    lam=st.floats(0.0, 120.0),
+    alpha=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_energy_is_invariant_under_the_circle_action(kind, lam, alpha, seed):
+    p = dataclasses.replace(small_problem(kind), lam=lam)
+    n = p.mass.size
+    rng = np.random.default_rng(seed)
+    f = renormalize_arrays(
+        rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    )
+    turned = (f[0], np.exp(1j * alpha) * f[1], np.exp(2j * alpha) * f[2])
+    e = descent.energy(p, *f)
+    assert abs(descent.energy(p, *turned) - e) <= 1e-12 * abs(e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([33, 65]),
+    lam=st.floats(0.0, 120.0),
+    noise=st.floats(0.01, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+    stepper=st.sampled_from(["semi_implicit", "explicit"]),
+)
+def test_accepted_energies_never_rise(n, lam, noise, seed, stepper):
+    grid = uniform_grid(n)
+    prof = r2.preset_profile("uS", grid, noise=noise, seed=seed)
+    p = r2._problem_for(grid, lam, -1.0)
+    fields = (prof.f0, prof.f1, prof.f2)
+    # The explicit stepper's upper rungs overshoot, so its history also
+    # exercises the rejection of rising candidates.
+    step = 0.1 if stepper == "semi_implicit" else 0.5 * grid[1] ** 2
+    energies = [descent.energy(p, *fields)]
+    opts = descent.DescentOptions(step=step, max_iters=300, stepper=stepper)
+    descent.descend(p, fields, opts, on_accept=lambda it, e: energies.append(e))
+    assert len(energies) > 1
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-10 + 1e-12 * abs(before)
+
