@@ -6,38 +6,43 @@ Both solvers (radial disc, meridian section) minimize an energy of the form
 
 over fields f = (f0, f1, f2) that are unit norm at every node, with some
 nodes carrying fixed values (boundary data, class pins).  One iteration is
-a semi-implicit step -- the quadratic part backward-Euler, the potential
-explicit with a convexity-stabilizing shift, and the constraint's nodal
-Lagrange multiplier carried explicitly so that discrete stationary points
-are exact fixed points -- followed by nodewise renormalization.  A step is
-accepted only if the energy decreases; otherwise the step size is halved
-(the step ladder is powers of two, so LU factorizations are reused).
+a semi-implicit increment -- the quadratic part backward-Euler, the
+potential explicit with a convexity-stabilizing shift, and the
+constraint's nodal Lagrange multiplier carried explicitly so that discrete
+stationary points are exact fixed points -- followed by nodewise
+renormalization.  The increment is solved once per accepted state at one
+fixed step tau0 = step * 2**LADDER_MAX; the candidates are f + alpha delta,
+renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
+accepted only if the energy decreases; otherwise alpha is halved along the
+same increment, so every step of a descent uses one LU factor per
+component.  delta solves an SPD system with the negative tangential
+gradient on the right, so it is a descent direction and a small enough
+alpha decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
 
-The step is solved in increment form: on the free nodes
+The increment is, on the free nodes,
 
-    (M (1 + tau lam C) + tau A) delta = tau (s f - A f - lam M grad W_tan),
+    (M (1 + tau0 lam C) + tau0 A) delta = tau0 (s f - A f - lam M grad W_tan),
 
 with s = (A f) . conj(f) the mass times the nodal multiplier (zero where
-the mass is zero), and the candidate is f + delta.  The right-hand side
-does not depend on tau, so it is formed once per accepted state and serves
-every rung of the ladder.  The shifted matrices are SPD, so SuperLU factors
-them in symmetric mode with a minimum-degree ordering of A^T + A; the real
-and imaginary parts of a complex right-hand side go through one 2-column
+the mass is zero).  The shifted matrices are SPD, so SuperLU factors them
+in symmetric mode with a minimum-degree ordering of A^T + A; the real and
+imaginary parts of a complex right-hand side go through one 2-column
 solve.  The products A f of the accepted state are carried forward: each
 candidate costs one stiffness product per component, and those products
 give both its energy and, once it is accepted, the next multiplier.  The
 tangential potential gradient of the accepted state is likewise computed
-once and shared by the step's right-hand side and the gradient-norm check.
+once and shared by the increment and the gradient-norm check.
 
-The LU factors belong to the Problem, keyed by (component, tau), so every
+The LU factors belong to the Problem, keyed by (component, tau0), so every
 descent on one Problem reuses them: the 3D solver runs the seeds of one
 cascade level on one shared Problem and drops it before the next level.
 A shifted matrix is assembled from the free-node block A_ff of its
 component, extracted once per Problem in CSC with sorted indices: its
-values are tau A_ff.data with the shifted masses added at the cached
+values are tau0 A_ff.data with the shifted masses added at the cached
 diagonal slots, over A_ff's own index arrays.
 
-A plain explicit stepper with the same projection is kept for cross-checks.
+A plain explicit stepper, delta = -tau0 grad, backtracks along the same
+alpha ladder and is kept for cross-checks.
 """
 
 from __future__ import annotations
@@ -56,13 +61,10 @@ from .tensor_core import grad_w_tan_arrays, potential_w_arrays, renormalize_arra
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
 STAB_C = 4.0
 
-#: Cap on the LU factors one Problem keeps; past it the oldest is evicted.
-MAX_FACTORS = 13
-
-#: Evicting a factor trims the heap only if its values take at least this
-#: many bytes, glibc's default trim threshold: a smaller one (any of the 2D
-#: problems') leaves no run of free pages worth the call.
-TRIM_BYTES = 128 * 1024
+#: Top of the step ladder: the increment is solved at tau0 = step *
+#: 2**LADDER_MAX and scaled by alpha = 2**(ladder - LADDER_MAX), so a descent
+#: starts (ladder 0) at the effective step `step` and never exceeds tau0.
+LADDER_MAX = 1
 
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -75,8 +77,8 @@ def trim_heap() -> None:
 
     glibc keeps the pages of a freed LU factor mapped, and small live blocks
     allocated among them decide, by timing, whether the next factor can
-    reuse them.  Trimming after a factor or a whole Problem is freed makes
-    the peak resident size follow the live factors, not the heap layout.
+    reuse them.  Trimming after a whole Problem is freed makes the peak
+    resident size follow the live factors, not the heap layout.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -109,10 +111,10 @@ class Problem:
         sweep: any such node is sign-flipped whenever that strictly
         decreases the energy (computed from the local quadratic form),
         keeping the iteration monotone while letting the axis trace move.
-    factors: LU factors of the shifted matrices, keyed by (component, tau)
-        and shared by every descent on this Problem; at most MAX_FACTORS
-        are kept, the oldest evicted first.  The operators must not change
-        once a factor is cached.
+    factors: LU factors of the shifted matrices, keyed by (component, tau0)
+        and shared by every descent on this Problem: one per component for
+        the descents of one step size.  The operators must not change once
+        a factor is cached.
     blocks: per component, the free-node block of A_c (`_free_block`),
         built at the first factorization and reused by every later one.
         Like the operators, `free` must not change once a factor is cached.
@@ -139,22 +141,14 @@ class Problem:
     def factor(self, c: int, tau: float):
         """SuperLU factor of the shifted matrix of component c at step tau."""
         key = (c, tau)
-        fac = self.factors.get(key)
-        if fac is None:
-            if len(self.factors) >= MAX_FACTORS:
-                oldest = next(iter(self.factors))
-                big = self.factors[oldest].nnz * 8 >= TRIM_BYTES
-                del self.factors[oldest]
-                if big:
-                    trim_heap()
-            fac = spla.splu(
+        if key not in self.factors:
+            self.factors[key] = spla.splu(
                 self.shifted(c, tau),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-            self.factors[key] = fac
-        return fac
+        return self.factors[key]
 
 
 @dataclass
@@ -225,26 +219,25 @@ def _force(p: Problem, f0, f1, f2, af, gw):
 
 
 def _semi_implicit(p: Problem, fields, force, tau):
-    """Candidate f + delta before renormalization; force from `_force`."""
+    """Increment delta at step tau, zero on fixed nodes; force from `_force`."""
     out = []
     for c, (f, r) in enumerate(zip(fields, force)):
         idx = p.free[c]
         fac = p.factor(c, tau)
         rhs = tau * r[idx]
+        delta = np.zeros_like(f)
         if np.any(rhs.imag):
             sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
-            delta = sol[:, 0] + 1j * sol[:, 1]
+            delta[idx] = sol[:, 0] + 1j * sol[:, 1]
         else:
-            delta = fac.solve(rhs.real)
-        v = f.copy()
-        v[idx] += delta
-        out.append(v)
+            delta[idx] = fac.solve(rhs.real)
+        out.append(delta)
     return out
 
 
-def _explicit(p: Problem, f0, f1, f2, tau):
-    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2)
-    return f0 - tau * g0, f1 - tau * g1, f2 - tau * g2
+def _explicit(p: Problem, f0, f1, f2, tau, af, gw):
+    """Increment -tau grad, grad the projected gradient (`riemannian_gradient`)."""
+    return [-tau * g for g in riemannian_gradient(p, f0, f1, f2, af, gw)]
 
 
 # Potential values at the two axis states (+E0 and -E0).
@@ -299,24 +292,23 @@ def descend(
     max_iters = max_iters if max_iters is not None else opts.max_iters
     af = stiffness_products(p, f0, f1, f2)
     e = energy(p, f0, f1, f2, af)
-    gw = force = None
+    tau0 = opts.step * 2.0**LADDER_MAX
+    gw = delta = None
     ladder = 0
-    ladder_max = 6
     grow = 0
     converged = False
     it = 0
     while it < max_iters:
         it += 1
-        tau = opts.step * 2.0**ladder
-        if opts.stepper == "semi_implicit":
-            if force is None:
-                if gw is None:
-                    gw = _grad_w(p, f0, f1, f2)
-                force = _force(p, f0, f1, f2, af, gw)
-            v0, v1, v2 = _semi_implicit(p, (f0, f1, f2), force, tau)
-        else:
-            v0, v1, v2 = _explicit(p, f0, f1, f2, tau)
-        v0, v1, v2 = renormalize_arrays(v0, v1, v2)
+        if delta is None:
+            if gw is None:
+                gw = _grad_w(p, f0, f1, f2)
+            if opts.stepper == "semi_implicit":
+                delta = _semi_implicit(p, (f0, f1, f2), _force(p, f0, f1, f2, af, gw), tau0)
+            else:
+                delta = _explicit(p, f0, f1, f2, tau0, af, gw)
+        alpha = 2.0 ** (ladder - LADDER_MAX)
+        v0, v1, v2 = renormalize_arrays(*(f + alpha * d for f, d in zip((f0, f1, f2), delta)))
         v0, v1, v2 = p.project(v0, v1, v2)
         av = stiffness_products(p, v0, v1, v2)
         e_new = energy(p, v0, v1, v2, av)
@@ -324,35 +316,34 @@ def descend(
         # the solve/renormalize round-trip has a small roundoff noise floor
         # amplified by the stiff 1/r^2 rows, independent of the step size.
         if e_new > e + 1e-10 + 1e-12 * abs(e):
-            ladder -= 1
             grow = 0
-            if tau < opts.step * 2.0**-10:
+            if ladder < -10:
                 # Deep in the backtracking: either we are at a stationary
                 # point (rejections are pure roundoff) or genuinely stuck.
                 f0c, nflips = flip_sweep(p, f0, f1, f2)
                 if nflips:
                     f0 = f0c
                     af = (p.stiff[0] @ f0, af[1], af[2])
-                    gw = force = None
+                    gw = delta = None
                     e = energy(p, f0, f1, f2, af)
                     ladder = 0
                     continue
-                # gw is the step's, unless the explicit stepper left it unset.
                 if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
                     converged = True
                     break
-                if tau < 1e-15:
+                if alpha * tau0 < 1e-15:
                     raise RuntimeError("descent stalled: step size underflow")
+            ladder -= 1
             continue
         decrement = e - e_new
         f0, f1, f2 = v0, v1, v2
         af = av
-        gw = force = None
+        gw = delta = None
         e = e_new
         if on_accept is not None:
             on_accept(it, e)
         grow += 1
-        if grow >= 8 and ladder < ladder_max:
+        if grow >= 8 and ladder < LADDER_MAX:
             ladder += 1
             grow = 0
         if it % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
@@ -360,7 +351,6 @@ def descend(
             if nflips:
                 f0 = f0c
                 af = (p.stiff[0] @ f0, af[1], af[2])
-                gw = force = None
                 e = energy(p, f0, f1, f2, af)
                 if on_accept is not None:
                     on_accept(it, e)

@@ -518,8 +518,10 @@ def minimize_seeds(
     the transferred fields.  The seeds of one level share one Problem and
     so its LU factors; each level's Problem is dropped, and its pages are
     handed back to the system, before the next level factors anything.
+    A result's iterations count the descents of both levels.
     """
     opts = opts or SolveOptions()
+    pre = {}
     if opts.cascade:
         coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
         fields = {name: seed_field(coarse, lam, name, opts) for name in seeds}
@@ -535,6 +537,8 @@ def minimize_seeds(
     descent.trim_heap()
     for name, res in results.items():
         res.seed_name = name
+        if name in pre:
+            res.iterations += pre[name].iterations
     return results
 
 

@@ -273,7 +273,7 @@ def el_residual_2d(profile: RadialProfile, lam: float) -> float:
 def preset_profile(
     name: str, grid: np.ndarray, noise: float = 0.0, seed: int = 0
 ) -> RadialProfile:
-    """Named starting profiles: 'uS', 'ghbar', 'ghbar-neg', 'bubbled'.
+    """Named starting profiles: 'uS', 'ghbar', 'bubbled'.
 
     'bubbled' is g_hbar with the center value flipped to -E0 across the
     first grid cell: the cheap class-S competitor at strong coupling.
@@ -285,8 +285,6 @@ def preset_profile(
         p = profile_from_map(closed_forms.small_solution_us, grid)
     elif name == "ghbar":
         p = profile_from_map(closed_forms.g_hbar, grid)
-    elif name == "ghbar-neg":
-        p = profile_from_map(lambda z: closed_forms.g_hbar(-z), grid)
     elif name == "bubbled":
         p = profile_from_map(closed_forms.g_hbar, grid)
         p.f0[0] = -1.0

@@ -7,10 +7,10 @@ Groups:
  2. Discrete stationary states are fixed points of the step.
  3. Carried stiffness products: the energy with precomputed products, and
     one product per component per candidate step.
- 4. The factor cache: one factorization per (component, rung) on a climb,
-    and one free-node block per component; factors live on the Problem,
-    keyed by tau, so descents with different step sizes can share one
-    Problem.
+ 4. The factors: a full descent, backtracking included, factors one
+    matrix and extracts one free-node block per component; factors live
+    on the Problem, keyed by tau, so descents with different step sizes
+    can share one Problem.
  5. The flip sweep of the deep-backtracking branch refreshes the carried
     products.
  6. Properties (hypothesis): the energy is invariant under the circle
@@ -100,9 +100,11 @@ def reference_step(p, fields, tau):
 
 
 def increment_step(p, fields, ladder, step=0.1):
+    """The candidate f + delta at tau = step * 2**ladder, before renormalization."""
     af = descent.stiffness_products(p, *fields)
     force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
-    return descent._semi_implicit(p, fields, force, step * 2.0**ladder)
+    delta = descent._semi_implicit(p, fields, force, step * 2.0**ladder)
+    return [f + d for f, d in zip(fields, delta)]
 
 
 def rel_diff(a, b):
@@ -273,7 +275,7 @@ def test_one_stiffness_product_per_component_per_candidate(monkeypatch):
     assert [a.products for a in counted] == [iters + 1] * 3
 
 
-def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
+def test_a_descent_factors_one_matrix_per_component(monkeypatch):
     p, fields = meridian_case()
     calls = []
     splu = spla.splu
@@ -289,48 +291,26 @@ def test_factor_cache_climb_factors_each_rung_once(monkeypatch):
         blocks.append(1)
         return free_block(*args)
 
+    energy = descent.energy
+    evaluations = []
+
+    def every_tenth_rises(*args, **kwargs):
+        # These steps are all accepted as they are: raise every tenth
+        # energy so that the descent also backtracks.
+        evaluations.append(1)
+        return energy(*args, **kwargs) + (1.0 if len(evaluations) % 10 == 0 else 0.0)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "_free_block", counting_free_block)
-    af = descent.stiffness_products(p, *fields)
-    force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
-    for ladder in range(7):
-        for _ in range(2):
-            descent._semi_implicit(p, fields, force, 0.1 * 2.0**ladder)
-            assert len(p.factors) <= descent.MAX_FACTORS
-    assert len(calls) == 3 * 7
-    # The free-node block of each component is extracted once, not per rung.
-    assert len(blocks) == 3
-
-
-def evictions_and_trims(monkeypatch, p, fields):
-    """Climb the ladder 0 -> 6; the cache sizes seen at each heap trim."""
-    trims = []
-    monkeypatch.setattr(descent, "trim_heap", lambda: trims.append(len(p.factors)))
-    af = descent.stiffness_products(p, *fields)
-    force = descent._force(p, *fields, af, descent._grad_w(p, *fields))
-    for ladder in range(7):
-        descent._semi_implicit(p, fields, force, 0.1 * 2.0**ladder)
-    return trims
-
-
-def test_evicting_a_large_factor_trims_the_heap_after_freeing_it(monkeypatch):
-    geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.03)
-    fld = m3.seed_field(geom, 1.0, "split-seed")
-    p = m3._problem_for(fld, 1.0)
-    assert min(p.factor(c, 0.05).nnz for c in range(3)) * 8 >= descent.TRIM_BYTES
-    p.factors.clear()
-    fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
-    # 21 factorizations through 13 slots: 8 evictions, each trimmed once the
-    # evicted factor has left the cache and before its successor is built.
-    want = [descent.MAX_FACTORS - 1] * (3 * 7 - descent.MAX_FACTORS)
-    assert evictions_and_trims(monkeypatch, p, fields) == want
-    descent.trim_heap()  # harmless, malloc_trim or not
-
-
-def test_evicting_a_small_factor_leaves_the_heap_alone(monkeypatch):
-    p, fields = radial_case()
-    assert evictions_and_trims(monkeypatch, p, fields) == []
-    assert max(f.nnz for f in p.factors.values()) * 8 < descent.TRIM_BYTES
+    monkeypatch.setattr(descent, "energy", every_tenth_rises)
+    accepted = []
+    _, iters, _ = descent.descend(p, fields, descent.DescentOptions(max_iters=200),
+                                  on_accept=lambda it, e: accepted.append(it))
+    # Many accepts, so the ladder climbs, and many rejections, so it falls,
+    # yet one factorization and one free-node block per component.
+    assert len(set(accepted)) > 16 and iters - len(set(accepted)) > 16
+    assert len(calls) == 3 and len(blocks) == 3
+    assert sorted(p.factors) == [(c, 0.1 * 2.0**descent.LADDER_MAX) for c in range(3)]
 
 
 def test_descents_with_different_steps_share_one_problem():
@@ -377,12 +357,13 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
 
     def rising_step(p, fields, force, tau):
         # Until the deep-backtracking flip, every candidate flips another
-        # axis node, which raises the energy: each rung is rejected.
+        # axis node, which raises the energy: each rung is rejected.  The
+        # increment reverses that node for every alpha above 2**-21.
         if state["deep_flips"]:
             return semi_implicit(p, fields, force, tau)
-        v0 = fields[0].copy()
-        v0[other] = -v0[other]
-        return [v0, fields[1].copy(), fields[2].copy()]
+        delta = [np.zeros_like(f) for f in fields]
+        delta[0][other] = -(2.0**21) * fields[0][other]
+        return delta
 
     def counted_flip_sweep(*args, **kwargs):
         out = flip_sweep(*args, **kwargs)

@@ -14,9 +14,9 @@ Groups:
     synthetic singular field, the finite-difference reference.
  8. CSV output against the node-by-node writer; shape validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
-    for bit, factor each shifted matrix once while it is cached, and drop
-    the coarse Problem before the fine level factors anything, trimming the
-    heap after each level.
+    for bit, factor three matrices per level, none twice, and drop the
+    coarse Problem before the fine level factors anything, trimming the
+    heap after each level; a seed's iterations count both levels.
 """
 
 import csv
@@ -354,15 +354,12 @@ class FactorLog:
         self.keys = []  # (level, matrix digest) per factorization
         self.problems = []  # (level, weakref to the Problem)
         self.coarse_alive_at_fine = []
-        self.max_factors = 0
         splu, problem_for = spla.splu, m3._problem_for
 
         def counting_splu(mat, *args, **kwargs):
             level = self.levels.get(mat.shape[0])
             if level is None:
                 return splu(mat, *args, **kwargs)
-            live = [p() for _, p in self.problems if p() is not None]
-            self.max_factors = max([self.max_factors] + [len(p.factors) for p in live])
             if level == "fine" and not any(k[0] == "fine" for k in self.keys):
                 self.coarse_alive_at_fine = [
                     lv for lv, p in self.problems if lv == "coarse" and p() is not None
@@ -407,17 +404,10 @@ def test_seed_levels_factor_each_matrix_once_while_cached(monkeypatch):
     order = [level for level, _ in log.keys]
     assert order == sorted(order)
     assert order.count("coarse") > 0 and order.count("fine") > 0
-    # Replaying the factorizations through a FIFO cache of MAX_FACTORS:
-    # no matrix is factored again while its factor is still cached.
-    cache = []
-    for key in log.keys:
-        assert key not in cache
-        if len(cache) >= descent.MAX_FACTORS:
-            cache.pop(0)
-        cache.append(key)
-    # The oldest factor is evicted before a factorization, so a Problem
-    # holds at most MAX_FACTORS - 1 during one and MAX_FACTORS after it.
-    assert 0 < log.max_factors <= descent.MAX_FACTORS - 1
+    # Each level's Problem factors one matrix per component, none twice.
+    for level in ("coarse", "fine"):
+        keys = [key for key in log.keys if key[0] == level]
+        assert len(keys) == len(set(keys)) == 3
     assert len(log.keys) < sum(alone.values())
 
 
@@ -443,7 +433,27 @@ def test_heap_is_trimmed_after_each_level_is_freed(monkeypatch):
     m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
     fine_total = sum(1 for level, _ in log.keys if level == "fine")
     assert fine_total > 0
-    # Evictions trim with their Problem alive; the level ends trim with none:
-    # once before the fine level factors anything and once after it.
-    assert [t for t in trims if not t[1]] == [(0, []), (fine_total, [])]
-    assert trims[-1] == (fine_total, [])
+    # Once before the fine level factors anything and once after it, each
+    # time with no Problem alive.
+    assert trims == [(0, []), (fine_total, [])]
+
+
+def test_seed_iterations_count_both_levels(monkeypatch):
+    g = small_cigar()
+    coarse = m3.build_geometry(g.h, g.ell, g.rho, target_h=2.0 * g.hr)
+    sizes = {coarse.nz * coarse.nr: "coarse", g.nz * g.nr: "fine"}
+    runs = []  # (level, iterations) of each 3D descent, in call order
+    descend = descent.descend
+
+    def recording_descend(p, *args, **kwargs):
+        out = descend(p, *args, **kwargs)
+        if p.mass.size in sizes:
+            runs.append((sizes[p.mass.size], out[1]))
+        return out
+
+    monkeypatch.setattr(descent, "descend", recording_descend)
+    res = m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
+    # Level by level: every seed's coarse descent, then every seed's fine one.
+    assert [level for level, _ in runs] == ["coarse"] * len(SEEDS) + ["fine"] * len(SEEDS)
+    for k, seed in enumerate(SEEDS):
+        assert res[seed].iterations == runs[k][1] + runs[len(SEEDS) + k][1]
