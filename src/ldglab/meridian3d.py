@@ -848,47 +848,59 @@ def horizontal_identity_residual(field: MeridianField, lam: float, s: float) -> 
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 
-def _energy_density(field: MeridianField, lam: float):
-    """Pointwise 1/2 |grad Q|^2 + lam W on interior nodes (np.gradient based)."""
+def _energy_density(field: MeridianField, lam: float) -> np.ndarray:
+    """Each node's share of `meridian_energy`, shape (nz, nr).
+
+    Half of every edge term of the stiffness goes to each end of the edge;
+    the k^2/r^2 term and lam * mass * W stay at the node.  With the edge
+    weights diag(A) - A and the penalty A 1, component f's share at node i
+    is 1/2 Re(conj f_i (A f)_i) + 1/4 (|f_i|^2 (A 1)_i - (A |f|^2)_i), so
+    the shares are nonnegative (up to round-off) and sum to the energy.
+    """
     g = field.geom
-    dens = np.zeros((g.nz, g.nr))
-    for k, f in enumerate((field.f0.astype(complex), field.f1, field.f2)):
-        dr = np.gradient(f, g.r, axis=1, edge_order=2)
-        dz = np.gradient(f, g.z, axis=0, edge_order=2)
-        dens += 0.5 * (np.abs(dr) ** 2 + np.abs(dz) ** 2)
-        if k:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pen = (k * k) * np.abs(f) ** 2 / g.r[None, :] ** 2
-            pen[:, 0] = 0.0
-            dens += 0.5 * pen
-    dens += lam * potential_w_arrays(field.f0, field.f1, field.f2)
-    return dens
+    d = g.disc
+    ones = np.ones(g.nz * g.nr)
+    dens = lam * d.mass * potential_w_arrays(field.f0, field.f1, field.f2).ravel()
+    for k, f in enumerate((field.f0, field.f1, field.f2)):
+        a = d.stiff[k]
+        f = f.ravel()
+        f2 = np.abs(f) ** 2
+        dens += 0.5 * (np.conj(f) * (a @ f)).real + 0.25 * (f2 * (a @ ones) - a @ f2)
+    return dens.reshape(g.nz, g.nr)
 
 
-def _vol_weights(g: CylinderGeometry) -> np.ndarray:
-    return g.hr * g.hz * np.broadcast_to(g.r[None, :], (g.nz, g.nr))
+def _in_ball(g: CylinderGeometry, radius: float, z0: float = 0.0) -> np.ndarray:
+    return g.r[None, :] ** 2 + (g.z[:, None] - z0) ** 2 < radius**2
 
 
 def energy_in_ball(field: MeridianField, lam: float, radius: float, z0: float = 0.0) -> float:
-    g = field.geom
-    rr = g.r[None, :] ** 2 + (g.z[:, None] - z0) ** 2
-    mask = (rr < radius**2) & g.interior
-    dens = _energy_density(field, lam)
-    vol = _vol_weights(g)
-    return 2.0 * np.pi * float(np.sum(dens[mask] * vol[mask]))
+    """The share of `meridian_energy` held by the nodes within `radius` of
+    (0, z0): the whole energy once the ball covers the lattice."""
+    return float(np.sum(_energy_density(field, lam)[_in_ball(field.geom, radius, z0)]))
 
 
 def energy_in_cylinder(field: MeridianField, lam: float, r_max: float, z_max: float) -> float:
+    """The share of `meridian_energy` held by the nodes with r < r_max and
+    |z| < z_max."""
     g = field.geom
-    mask = (g.r[None, :] < r_max) & (np.abs(g.z[:, None]) < z_max) & g.interior
-    dens = _energy_density(field, lam)
-    vol = _vol_weights(g)
-    return 2.0 * np.pi * float(np.sum(dens[mask] * vol[mask]))
+    mask = (g.r[None, :] < r_max) & (np.abs(g.z[:, None]) < z_max)
+    return float(np.sum(_energy_density(field, lam)[mask]))
 
 
 def radial_monotonicity(field: MeridianField, lam: float, radii) -> np.ndarray:
     """(1/r) E_lam(Q, Omega cap B_r) sampled at the given radii."""
-    return np.array([energy_in_ball(field, lam, r) / r for r in radii])
+    dens = _energy_density(field, lam)
+    return np.array([float(np.sum(dens[_in_ball(field.geom, r)])) / r for r in radii])
+
+
+def _meridian_gradients(field: MeridianField):
+    """(d/dr, d/dz) lists of (f0, f1, f2) by np.gradient, f0 taken complex."""
+    g = field.geom
+    fs = (field.f0.astype(complex), field.f1, field.f2)
+    return (
+        [np.gradient(f, g.r, axis=1, edge_order=2) for f in fs],
+        [np.gradient(f, g.z, axis=0, edge_order=2) for f in fs],
+    )
 
 
 def radial_identity_residual(
@@ -902,24 +914,22 @@ def radial_identity_residual(
     if not (g.ell <= r1 < r2 <= g.h - g.rho):
         raise ValueError("need ell <= r1 < r2 <= h - rho")
     dens = _energy_density(field, lam)
-    vol = _vol_weights(g)
+    mass = g.disc.mass.reshape(g.nz, g.nr)
     rr = np.sqrt(g.r[None, :] ** 2 + g.z[:, None] ** 2)
 
     def e_ball(radius):
-        m = (rr < radius) & g.interior
-        return 2.0 * np.pi * float(np.sum(dens[m] * vol[m]))
+        return float(np.sum(dens[rr < radius]))
 
     # Radial-derivative volume term.
-    dr_ = [np.gradient(f, g.r, axis=1, edge_order=2) for f in (field.f0.astype(complex), field.f1, field.f2)]
-    dz_ = [np.gradient(f, g.z, axis=0, edge_order=2) for f in (field.f0.astype(complex), field.f1, field.f2)]
+    dr_, dz_ = _meridian_gradients(field)
     er = g.r[None, :] / np.where(rr > 0, rr, 1.0)
     ez = g.z[:, None] / np.where(rr > 0, rr, 1.0)
     rad2 = sum(np.abs(er * a + ez * b) ** 2 for a, b in zip(dr_, dz_))
-    shell = (rr >= r1) & (rr < r2) & g.interior
-    mid_term = 2.0 * np.pi * float(np.sum((rad2 / np.where(rr > 0, rr, 1.0))[shell] * vol[shell]))
+    shell = (rr >= r1) & (rr < r2)
+    mid_term = float(np.sum((rad2 / np.where(rr > 0, rr, 1.0) * mass)[shell]))
 
     # Potential double integral.
-    wdens = lam * potential_w_arrays(field.f0, field.f1, field.f2)
+    wdens = 2.0 * lam * mass * potential_w_arrays(field.f0, field.f1, field.f2)
     radii = np.linspace(r1, r2, n_quad)
     wq = np.full(n_quad, (r2 - r1) / (n_quad - 1))
     wq[0] = wq[-1] = wq[0] / 2
@@ -928,8 +938,7 @@ def radial_identity_residual(
     dn0, dn1, dn2 = _wall_normal_derivative(field)
     dn2sum = np.abs(dn0) ** 2 + np.abs(dn1) ** 2 + np.abs(dn2) ** 2
     for rad, wgt in zip(radii, wq):
-        m = (rr < rad) & g.interior
-        pot_term += wgt / rad**2 * 2.0 * np.pi * float(np.sum((2.0 * wdens)[m] * vol[m]))
+        pot_term += wgt / rad**2 * float(np.sum(wdens[rr < rad]))
         # Lateral wall portion inside B_rad: |z| < sqrt(rad^2 - ell^2).
         zmax = math.sqrt(max(rad**2 - g.ell**2, 0.0))
         rows = np.abs(g.z) < zmax
@@ -1091,8 +1100,7 @@ def instability_form(
     ggrad_z = gprm * es_z
 
     # Meridian derivatives of f2 and |grad Q|^2.
-    dfr = [np.gradient(f, g.r, axis=1, edge_order=2) for f in (field.f0.astype(complex), field.f1, field.f2)]
-    dfz = [np.gradient(f, g.z, axis=0, edge_order=2) for f in (field.f0.astype(complex), field.f1, field.f2)]
+    dfr, dfz = _meridian_gradients(field)
     gradsq = np.zeros((g.nz, g.nr))
     for k in range(3):
         gradsq += np.abs(dfr[k]) ** 2 + np.abs(dfz[k]) ** 2

@@ -80,7 +80,7 @@ class MinResult2D:
 
 
 # ---------------------------------------------------------------------------
-# Discretization: gradient matrix, quadrature weights, stiffness matrices.
+# Discretization: quadrature weights, stiffness matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -91,38 +91,6 @@ def _trapezoid_weights(r: np.ndarray) -> np.ndarray:
     w[-1] = dr[-1] / 2.0
     w[1:-1] = (dr[:-1] + dr[1:]) / 2.0
     return w
-
-
-def _gradient_matrix(r: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix reproducing np.gradient(., r, edge_order=2)."""
-    n = r.size
-    rows, cols, vals = [], [], []
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    a = -hp / (hm * (hm + hp))
-    b = (hp - hm) / (hm * hp)
-    c = hm / (hp * (hm + hp))
-    for i in range(1, n - 1):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [a[i - 1], b[i - 1], c[i - 1]]
-
-    def edge(i0, i1, i2):
-        x0, x1, x2 = r[i0], r[i1], r[i2]
-        c0 = (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        c1 = (x0 - x2) / ((x1 - x0) * (x1 - x2))
-        c2 = (x0 - x1) / ((x2 - x0) * (x2 - x1))
-        return c0, c1, c2
-
-    c0, c1, c2 = edge(0, 1, 2)
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [c0, c1, c2]
-    c0, c1, c2 = edge(n - 1, n - 2, n - 3)
-    rows += [n - 1, n - 1, n - 1]
-    cols += [n - 1, n - 2, n - 3]
-    vals += [c0, c1, c2]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 class _Discretization:
@@ -137,49 +105,29 @@ class _Discretization:
     def __init__(self, r: np.ndarray):
         self.r = r
         self.n = r.size
-        self.w = _trapezoid_weights(r)
-        self.grad = _gradient_matrix(r)
-        self.wr = self.w * r
-        self.h_seg = np.diff(r)
-        self.rmid = 0.5 * (r[:-1] + r[1:])
-        self.seg_coef = self.rmid / self.h_seg
+        wr = _trapezoid_weights(r) * r
+        seg_coef = 0.5 * (r[:-1] + r[1:]) / np.diff(r)
         inv_r2 = np.zeros_like(r)
         inv_r2[1:] = 1.0 / r[1:] ** 2
-        self.inv_r2 = inv_r2
         # Tridiagonal segment stiffness: gradient of pi * sum seg_coef |df|^2.
-        n = self.n
-        main = np.zeros(n)
-        main[:-1] += self.seg_coef
-        main[1:] += self.seg_coef
-        a_seg = sp.diags(
-            [-self.seg_coef, main, -self.seg_coef], offsets=(-1, 0, 1)
-        )
+        main = np.zeros(self.n)
+        main[:-1] += seg_coef
+        main[1:] += seg_coef
+        a_seg = sp.diags([-seg_coef, main, -seg_coef], offsets=(-1, 0, 1))
         self.stiff = {}
         for k in (0, 1, 2):
-            pen = sp.diags(self.wr * (k * k) * inv_r2)
+            pen = sp.diags(wr * (k * k) * inv_r2)
             self.stiff[k] = (2.0 * np.pi * (a_seg + pen)).tocsc()
-        self.mass = 2.0 * np.pi * self.wr  # diagonal, vanishes at r = 0
+        self.mass = 2.0 * np.pi * wr  # diagonal, vanishes at r = 0
         self.interior = np.arange(1, self.n - 1)
 
     def grad_sq(self, f0, f1, f2) -> np.ndarray:
         """|grad u|^2 along the profile (finite limit on the axis)."""
-        d0 = self.grad @ f0
-        d1 = self.grad @ f1
-        d2 = self.grad @ f2
+        d0, d1, d2 = (np.gradient(f, self.r, edge_order=2) for f in (f0, f1, f2))
         g = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
         g[1:] += (np.abs(f1[1:]) ** 2 + 4.0 * np.abs(f2[1:]) ** 2) / self.r[1:] ** 2
         g[0] += np.abs(d1[0]) ** 2 + 4.0 * np.abs(d2[0]) ** 2
         return g
-
-    def dirichlet_quad(self, f0, f1, f2) -> float:
-        """pi * int (|f'|^2 + (|f1|^2 + 4 |f2|^2)/r^2) r dr, segment form."""
-        acc = 0.0
-        for f in (f0, f1, f2):
-            df = np.abs(np.diff(f)) ** 2
-            acc += float(np.sum(self.seg_coef * df))
-        pen = (np.abs(f1) ** 2 + 4.0 * np.abs(f2) ** 2) * self.inv_r2
-        acc += float(np.sum(self.wr * pen))
-        return np.pi * acc
 
 
 _DISC_CACHE: dict[bytes, _Discretization] = {}
@@ -202,22 +150,21 @@ def _disc_for(r: np.ndarray) -> _Discretization:
 
 
 def radial_energy(profile: RadialProfile, lam: float):
-    """(total, dirichlet, potential) by the module's quadrature.
+    """(total, dirichlet, potential): the discrete energy the descent decreases.
 
-    total = dirichlet + lam * potential, with potential the integral of
-    2 W over the disc by composite trapezoid (the 1/r^2 integrand is
-    evaluated as 0 at r = 0: the r weight vanishes and f1, f2 vanish
-    there) and the derivative term in segment-midpoint form.  This is
-    the exact objective the projected descent decreases.
+    dirichlet is `descent.energy` of the profile's Problem at lambda = 0:
+    pi times the segment form sum_i r_{i+1/2} |df_i|^2 / h_i plus the
+    trapezoid sum of (|f1|^2 + 4 |f2|^2)/r^2 r (0 on the axis, where the
+    r weight vanishes).  potential = sum_i mass_i W(f_i), the trapezoid
+    rule for pi * int 2 W r dr, and total = dirichlet + lam * potential.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     profile.validate()
-    d = _disc_for(profile.grid)
+    p = _problem_for(profile.grid, 0.0, profile.f0[0])
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
-    dirichlet = d.dirichlet_quad(f0, f1, f2)
-    wdens = 2.0 * potential_w_arrays(f0, f1, f2)
-    potential = np.pi * float(np.sum(d.wr * wdens))
+    dirichlet = descent.energy(p, f0, f1, f2)
+    potential = float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
     return dirichlet + lam * potential, dirichlet, potential
 
 
@@ -252,7 +199,7 @@ def el_residual_2d(profile: RadialProfile, lam: float) -> float:
     gw0, gw1, gw2 = grad_w_tan_arrays(profile.f0, f1, f2)
     res_max = 0.0
     for k, (f, gw) in enumerate(((f0, gw0), (f1, gw1), (f2, gw2))):
-        d1 = d.grad @ f
+        d1 = np.gradient(f, r, edge_order=2)
         d2v = _second_deriv_interior(f, r)
         res = (
             d2v

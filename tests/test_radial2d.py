@@ -1,7 +1,8 @@
 """2D minimizer tests (fast grids; the acceptance suite runs the big ones).
 
 Groups:
- 1. radial_energy: structure, error paths, O(h^2) quadrature.
+ 1. radial_energy: structure, error paths, the segment-form reference,
+    O(h^2) quadrature.
  2. Euler-Lagrange residual examples, including the boundary-mismatch flag.
  3. minimize_2d: gap recovery, class handling, monotone descent, explicit
     stepper cross-check, determinism.
@@ -54,6 +55,18 @@ def test_radial_energy_examples():
     total, _, pot = r2.radial_energy(gh, 5.0)
     assert total == pytest.approx(SIX_PI, abs=1e-3)
     assert abs(pot) < 1e-6
+
+
+@pytest.mark.parametrize("solution", [cf.small_solution_us, cf.g_hbar])
+def test_radial_dirichlet_is_the_segment_form(solution):
+    r = uniform_grid(513)
+    p = profile_from_map(solution, r)
+    dr = np.diff(r)
+    wr = r * np.concatenate(([dr[0]], dr[:-1] + dr[1:], [dr[-1]])) / 2.0
+    seg_coef = 0.5 * (r[:-1] + r[1:]) / dr
+    seg = sum(np.sum(seg_coef * np.abs(np.diff(f)) ** 2) for f in (p.f0, p.f1, p.f2))
+    pen = np.sum(wr[1:] * (np.abs(p.f1[1:]) ** 2 + 4.0 * np.abs(p.f2[1:]) ** 2) / r[1:] ** 2)
+    assert r2.radial_energy(p, 0.0)[1] == pytest.approx(np.pi * (seg + pen), rel=1e-11)
 
 
 def test_el_residual_us():
