@@ -43,6 +43,11 @@ diagonal slots, over A_ff's own index arrays.
 
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
 alpha ladder and is kept for cross-checks.
+
+`SolveOptions` is the one solver configuration: `descend` reads it
+directly, and the radial and meridian front ends pass it through (the
+radial one re-exports it as `radial2d.SolveOptions`).  A stepper other than
+"semi_implicit" or "explicit" raises ValueError when the options are made.
 """
 
 from __future__ import annotations
@@ -152,12 +157,29 @@ class Problem:
 
 
 @dataclass
-class DescentOptions:
+class SolveOptions:
+    """The one solver configuration: `descend` and both front ends read it.
+
+    step, max_iters, grad_tol, energy_tol and stepper drive `descend`;
+    cascade (coarse-to-fine levels) belongs to the 2D and 3D front ends, and
+    seed is the noise seed the experiments give their noisy preset inits.
+    """
+
     step: float = 0.1
     max_iters: int = 20000
     grad_tol: float = 1e-5
     energy_tol: float = 1e-13
+    seed: int = 0
     stepper: str = "semi_implicit"
+    cascade: bool = True
+
+    def __post_init__(self):
+        if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
+            raise ValueError("solver options must be positive")
+        if self.stepper not in ("semi_implicit", "explicit"):
+            raise ValueError(
+                f"unknown stepper {self.stepper!r}: expected 'semi_implicit' or 'explicit'"
+            )
 
 
 def stiffness_products(p: Problem, f0, f1, f2):
@@ -280,7 +302,7 @@ def flip_sweep(p: Problem, f0, f1, f2, max_flips: int = 64):
 def descend(
     p: Problem,
     fields,
-    opts: DescentOptions,
+    opts: SolveOptions,
     max_iters: int | None = None,
     on_accept: Callable[[int, float], None] | None = None,
 ):

@@ -29,16 +29,6 @@ from .profiles import RadialProfile, profile_from_map, uniform_grid
 
 VERSION = "artifact-0.1.0"
 
-KINDS = (
-    "verify-closed-forms",
-    "gap-2d",
-    "escape-sweep",
-    "lambda-star",
-    "cigar",
-    "pancake",
-    "shape-sweep",
-)
-
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 SIX_PI = 6.0 * math.pi
@@ -200,7 +190,7 @@ def _solve_opts(config: ExperimentConfig) -> r2.SolveOptions:
 # ---------------------------------------------------------------------------
 
 
-def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope):
+def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     n = int(config.get("grid", 2049))
     grid = uniform_grid(n)
     mu_list = [0.0, 1.0, math.sqrt(3.0), 5.0, 10.0 + 10.0j]
@@ -639,27 +629,25 @@ def _find_coexistence(rows, h, rho, lam, th, opts, env):
 # ---------------------------------------------------------------------------
 
 
+#: The experiment body of each kind, called as body(config, env, out_dir).
+_RUNNERS = {
+    "verify-closed-forms": _run_verify_closed_forms,
+    "gap-2d": _run_gap_2d,
+    "escape-sweep": _run_escape_sweep,
+    "lambda-star": _run_lambda_star,
+    "cigar": _run_cigar,
+    "pancake": _run_pancake,
+    "shape-sweep": _run_shape_sweep,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run(config: ExperimentConfig) -> dict:
     """Execute an experiment; writes artifacts and returns the envelope."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env = _Envelope(config)
-    if config.kind == "verify-closed-forms":
-        _run_verify_closed_forms(config, env)
-    elif config.kind == "gap-2d":
-        _run_gap_2d(config, env, out_dir)
-    elif config.kind == "escape-sweep":
-        _run_escape_sweep(config, env, out_dir)
-    elif config.kind == "lambda-star":
-        _run_lambda_star(config, env, out_dir)
-    elif config.kind == "cigar":
-        _run_cigar(config, env, out_dir)
-    elif config.kind == "pancake":
-        _run_pancake(config, env, out_dir)
-    elif config.kind == "shape-sweep":
-        _run_shape_sweep(config, env, out_dir)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ValueError(config.kind)
+    _RUNNERS[config.kind](config, env, out_dir)
     return env.finish(out_dir)
 
 

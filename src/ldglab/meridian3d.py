@@ -275,6 +275,18 @@ def homeotropic_data(geom: CylinderGeometry, normalized: bool = True):
     return f0, f1, f2
 
 
+def _impose(geom: CylinderGeometry, f0, f1, f2, data=None) -> None:
+    """Write the data layer (default `geom.boundary_data`) and the axis rules
+    f1 = f2 = 0, f0 = +/-1 into (nz, nr) arrays, in place."""
+    bf0, bf1, bf2 = geom.boundary_data if data is None else data
+    dm = geom.dirichlet
+    f1[:, 0] = 0.0
+    f2[:, 0] = 0.0
+    # Unit norm on the axis forces the trace values +/-1.
+    f0[:, 0] = np.where(f0[:, 0] >= 0, 1.0, -1.0)
+    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
+
+
 # ---------------------------------------------------------------------------
 # Discrete energy: masked segment/trapezoid quadrature.
 # ---------------------------------------------------------------------------
@@ -344,24 +356,12 @@ class _MeridianDisc:
 def _problem_for(field: MeridianField, lam: float) -> descent.Problem:
     geom = field.geom
     d = geom.disc
-    bf0, bf1, bf2 = field.f0.copy(), field.f1.copy(), field.f2.copy()
-    dir_mask = geom.dirichlet
-    axis = np.zeros_like(dir_mask)
-    axis[:, 0] = True
+    data = (field.f0.copy(), field.f1.copy(), field.f2.copy())
     nz, nr = geom.nz, geom.nr
 
     def project(v0, v1, v2):
-        v0 = v0.reshape(nz, nr)
-        v1 = v1.reshape(nz, nr)
-        v2 = v2.reshape(nz, nr)
-        v0[dir_mask] = bf0[dir_mask]
-        v1[dir_mask] = bf1[dir_mask]
-        v2[dir_mask] = bf2[dir_mask]
-        v1[axis] = 0.0
-        v2[axis] = 0.0
-        # Unit norm on the axis forces the trace values +/-1.
-        v0[:, 0] = np.where(v0[:, 0] >= 0, 1.0, -1.0)
-        v0[dir_mask] = bf0[dir_mask]
+        v0, v1, v2 = (v.reshape(nz, nr) for v in (v0, v1, v2))
+        _impose(geom, v0, v1, v2, data)
         return v0.ravel(), v1.ravel(), v2.ravel()
 
     axis_flat = np.nonzero(geom.interior[:, 0])[0] * nr
@@ -420,44 +420,24 @@ def seed_field(geom: CylinderGeometry, lam: float, kind: str,
                opts: SolveOptions | None = None) -> MeridianField:
     """'split-seed' (vertical extension of the 2D class-S minimizer) or
     'torus-seed' (constant E0 interior), glued to the homeotropic layer."""
-    bf0, bf1, bf2 = geom.boundary_data
     f0 = np.ones((geom.nz, geom.nr))
     f1 = np.zeros((geom.nz, geom.nr), dtype=complex)
     f2 = np.zeros((geom.nz, geom.nr), dtype=complex)
-    if kind == "torus-seed":
-        pass
-    elif kind == "split-seed":
-        lam2d = lam * geom.ell**2
-        res = minimize_2d(lam2d, "S", "uS", opts or SolveOptions(), grid=uniform_grid(513))
-        prof = res.profile
-        s = np.clip(geom.r / geom.ell, 0.0, 1.0)
-        p0 = np.interp(s, prof.grid, prof.f0)
-        p1 = np.interp(s, prof.grid, prof.f1.real) + 1j * np.interp(s, prof.grid, prof.f1.imag)
-        p2 = np.interp(s, prof.grid, prof.f2.real) + 1j * np.interp(s, prof.grid, prof.f2.imag)
-        nr_ = np.sqrt(p0**2 + np.abs(p1) ** 2 + np.abs(p2) ** 2)
-        f0[:] = (p0 / nr_)[None, :]
-        f1[:] = (p1 / nr_)[None, :]
-        f2[:] = (p2 / nr_)[None, :]
-    else:
+    if kind == "split-seed":
+        res = minimize_2d(lam * geom.ell**2, "S", "uS", opts or SolveOptions(),
+                          grid=uniform_grid(513))
+        row = res.profile.interp_to(np.clip(geom.r / geom.ell, 0.0, 1.0))
+        f0[:], f1[:], f2[:] = row.f0, row.f1, row.f2
+    elif kind != "torus-seed":
         raise ValueError(f"unknown seed kind {kind!r}")
-    dm = geom.dirichlet
-    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
-    f1[:, 0] = 0.0
-    f2[:, 0] = 0.0
-    f0[:, 0] = np.where(f0[:, 0] >= 0, 1.0, -1.0)
-    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
-    fld = MeridianField(geom, f0, f1, f2)
-    return fld
+    _impose(geom, f0, f1, f2)
+    return MeridianField(geom, f0, f1, f2)
 
 
 def el_residual_3d(field: MeridianField, lam: float) -> float:
     """Mass-weighted L2 residual of the meridian EL system at interior nodes."""
     p = _problem_for(field, lam)
-    g0, g1, g2 = descent.riemannian_gradient(
-        p, field.f0.ravel(), field.f1.ravel(), field.f2.ravel()
-    )
-    total = sum(float(np.sum(p.mass * np.abs(gg) ** 2)) for gg in (g0, g1, g2))
-    return math.sqrt(total / float(np.sum(p.mass)))
+    return descent.gradient_norm(p, field.f0.ravel(), field.f1.ravel(), field.f2.ravel())
 
 
 def interp_field(src: MeridianField, geom: CylinderGeometry, lam: float = 0.0) -> MeridianField:
@@ -476,13 +456,7 @@ def interp_field(src: MeridianField, geom: CylinderGeometry, lam: float = 0.0) -
     n = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
     n = np.where(n > 1e-9, n, 1.0)
     f0, f1, f2 = f0 / n, f1 / n, f2 / n
-    bf0, bf1, bf2 = geom.boundary_data
-    dm = geom.dirichlet
-    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
-    f1[:, 0] = 0.0
-    f2[:, 0] = 0.0
-    f0[:, 0] = np.where(f0[:, 0] >= 0, 1.0, -1.0)
-    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
+    _impose(geom, f0, f1, f2)
     return MeridianField(geom, f0, f1, f2)
 
 
@@ -527,7 +501,7 @@ def minimize_seeds(
         fields = {name: seed_field(coarse, lam, name, opts) for name in seeds}
         pre = _minimize_level(
             coarse, lam, fields,
-            replace(opts, cascade=False, max_iters=max(500, opts.max_iters // 3)),
+            replace(opts, max_iters=max(500, opts.max_iters // 3)),
         )
         fields = {name: interp_field(res.field, geom, lam) for name, res in pre.items()}
         descent.trim_heap()
@@ -571,17 +545,8 @@ def minimize_3d(
     init.validate()
     if problem is None:
         problem = _problem_for(init, lam)
-    dopts = descent.DescentOptions(
-        step=opts.step,
-        max_iters=opts.max_iters,
-        grad_tol=opts.grad_tol,
-        energy_tol=opts.energy_tol,
-        stepper=opts.stepper,
-    )
     fields, iters, converged = descent.descend(
-        problem,
-        (init.f0.ravel(), init.f1.ravel(), init.f2.ravel()),
-        dopts,
+        problem, (init.f0.ravel(), init.f1.ravel(), init.f2.ravel()), opts
     )
     nz, nr = geom.nz, geom.nr
     out = MeridianField(

@@ -25,13 +25,14 @@ harmonic solutions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import closed_forms, descent
+from .descent import SolveOptions
 from .profiles import BOUNDARY_F, RadialProfile, profile_from_map, uniform_grid
 from .tensor_core import (
     SQRT2,
@@ -48,20 +49,6 @@ SIX_PI = 6.0 * np.pi
 #: Paper-certified bracket for the biaxial-escape threshold lambda_*.
 LAMBDA_STAR_LOWER = 24.0 * SQRT2 / (2.0 * np.pi - 3.0 * SQRT3)
 LAMBDA_STAR_UPPER = 3.0**8 * (SQRT6 / 4.0) * np.pi**2
-
-@dataclass
-class SolveOptions:
-    step: float = 0.1
-    max_iters: int = 20000
-    grad_tol: float = 1e-5
-    energy_tol: float = 1e-13
-    seed: int = 0
-    stepper: str = "semi_implicit"  # or "explicit"
-    cascade: bool = True
-
-    def __post_init__(self):
-        if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
-            raise ValueError("solver options must be positive")
 
 
 @dataclass
@@ -299,7 +286,7 @@ def minimize_2d(
     if isinstance(init, str):
         if grid is None:
             raise ValueError("preset init requires a grid")
-        init = preset_profile(init, grid, seed=opts.seed)
+        init = preset_profile(init, grid)
     init.validate()
     if init.class_tag != class_tag:
         raise ValueError(
@@ -349,16 +336,10 @@ def minimize_2d(
 def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, max_iters: int):
     pin = 1.0 if prof.f0[0] > 0 else -1.0
     problem = _problem_for(prof.grid, lam, pin)
-    step = opts.step if opts.stepper == "semi_implicit" else opts.step * prof.grid[1] ** 2
-    dopts = descent.DescentOptions(
-        step=step,
-        max_iters=max_iters,
-        grad_tol=opts.grad_tol,
-        energy_tol=opts.energy_tol,
-        stepper=opts.stepper,
-    )
+    if opts.stepper == "explicit":
+        opts = replace(opts, step=opts.step * prof.grid[1] ** 2)
     fields, it, converged = descent.descend(
-        problem, (prof.f0, prof.f1, prof.f2), dopts
+        problem, (prof.f0, prof.f1, prof.f2), opts, max_iters
     )
     out = RadialProfile(prof.grid.copy(), *fields)
     _impose_pins(out, pin)

@@ -186,7 +186,7 @@ def test_stationary_state_is_a_fixed_point(value, lam):
         step = increment_step(p, fields, ladder)
         moved = p.project(*renormalize_arrays(*step))
         assert rel_diff(moved, fields) < 1e-13
-    out, _, converged = descent.descend(p, fields, descent.DescentOptions(max_iters=30))
+    out, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=30))
     assert converged
     assert rel_diff(out, fields) < 1e-13
 
@@ -234,7 +234,7 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
     monkeypatch.setattr(descent, "gradient_norm", checked_gradient_norm)
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
     fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
-    _, _, converged = descent.descend(p, fields, descent.DescentOptions(max_iters=3000))
+    _, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=3000))
     assert converged and sum(flips) > 0
     assert seen and all(seen)
 
@@ -269,7 +269,7 @@ def test_one_stiffness_product_per_component_per_candidate(monkeypatch):
         return energy(*args, **kwargs)
 
     monkeypatch.setattr(descent, "energy", counting_energy)
-    _, iters, _ = descent.descend(p, fields, descent.DescentOptions(max_iters=120))
+    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=120))
     # The initial state plus one candidate per iteration; no flip sweeps here.
     assert len(candidates) == iters + 1
     assert [a.products for a in counted] == [iters + 1] * 3
@@ -304,7 +304,7 @@ def test_a_descent_factors_one_matrix_per_component(monkeypatch):
     monkeypatch.setattr(descent, "_free_block", counting_free_block)
     monkeypatch.setattr(descent, "energy", every_tenth_rises)
     accepted = []
-    _, iters, _ = descent.descend(p, fields, descent.DescentOptions(max_iters=200),
+    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=200),
                                   on_accept=lambda it, e: accepted.append(it))
     # Many accepts, so the ladder climbs, and many rejections, so it falls,
     # yet one factorization and one free-node block per component.
@@ -315,12 +315,12 @@ def test_a_descent_factors_one_matrix_per_component(monkeypatch):
 
 def test_descents_with_different_steps_share_one_problem():
     p, fields = meridian_case()
-    shared = [descent.descend(p, fields, descent.DescentOptions(step=step, max_iters=60))
+    shared = [descent.descend(p, fields, descent.SolveOptions(step=step, max_iters=60))
               for step in (0.1, 0.05, 0.1)]
     assert p.factors
     for step, got in zip((0.1, 0.05, 0.1), shared):
         fresh, _ = meridian_case()
-        want = descent.descend(fresh, fields, descent.DescentOptions(step=step, max_iters=60))
+        want = descent.descend(fresh, fields, descent.SolveOptions(step=step, max_iters=60))
         assert got[1:] == want[1:]
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
     assert rel_diff(shared[0][0], shared[1][0]) > 1e-8
@@ -378,7 +378,7 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     monkeypatch.setattr(descent, "_force", checked_force)
     monkeypatch.setattr(descent, "_semi_implicit", rising_step)
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
-    out, _, _ = descent.descend(p, (f0, f1, f2), descent.DescentOptions(max_iters=40),
+    out, _, _ = descent.descend(p, (f0, f1, f2), descent.SolveOptions(max_iters=40),
                                 on_accept=on_accept)
     # The planted node was flipped back before any step was accepted, that
     # is, by the flip sweep of the deep-backtracking branch.
@@ -433,7 +433,7 @@ def test_accepted_energies_never_rise(n, lam, noise, seed, stepper):
     # exercises the rejection of rising candidates.
     step = 0.1 if stepper == "semi_implicit" else 0.5 * grid[1] ** 2
     energies = [descent.energy(p, *fields)]
-    opts = descent.DescentOptions(step=step, max_iters=300, stepper=stepper)
+    opts = descent.SolveOptions(step=step, max_iters=300, stepper=stepper)
     descent.descend(p, fields, opts, on_accept=lambda it, e: energies.append(e))
     assert len(energies) > 1
     for before, after in zip(energies, energies[1:]):

@@ -98,14 +98,46 @@ def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
 
     monkeypatch.setattr(m3, "homeotropic_data", counted)
     fields = [m3.seed_field(g, 1.0, kind, OPTS) for kind in ("torus-seed", "split-seed")]
-    fields.append(m3.interp_field(fields[0], g))
+    fields.append(m3.interp_field(fields[1], g))
+    # The descent's projection of a random state onto the split seed's constraints.
+    p = m3._problem_for(fields[1], 1.0)
+    rng = np.random.default_rng(3)
+    shape = g.nz * g.nr
+    noisy = (rng.standard_normal(shape),
+             rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr) for v in p.project(*noisy))))
     assert len(calls) == 1
     for got, ref in zip(g.boundary_data, want):
         assert np.array_equal(got, ref) and not got.flags.writeable
     dm = g.dirichlet
     for fld in fields:
-        assert np.array_equal(fld.f0[dm], want[0][dm])
-        assert fld.f0.flags.writeable
+        for got, ref in zip((fld.f0, fld.f1, fld.f2), want):
+            assert np.array_equal(got[dm], ref[dm])
+            assert got.flags.writeable
+        assert np.all(fld.f1[:, 0] == 0.0) and np.all(fld.f2[:, 0] == 0.0)
+        assert np.all(np.abs(fld.f0[:, 0]) == 1.0)
+    # The axis keeps the sign of the projected state off the data layer.
+    axis = ~dm[:, 0]
+    assert np.array_equal(fields[3].f0[axis, 0], np.where(noisy[0][::g.nr][axis] >= 0, 1.0, -1.0))
+
+
+def test_split_seed_rows_are_the_interpolated_2d_minimizer():
+    g = small_cigar(target_h=0.1)
+    lam = 1.0
+    fld = m3.seed_field(g, lam, "split-seed", OPTS)
+    # Reference: the 2D minimizer interpolated onto the radii and normalized inline.
+    prof = r2.minimize_2d(lam * g.ell**2, "S", "uS", OPTS, grid=uniform_grid(513)).profile
+    s = np.clip(g.r / g.ell, 0.0, 1.0)
+    p0 = np.interp(s, prof.grid, prof.f0)
+    p1 = np.interp(s, prof.grid, prof.f1.real) + 1j * np.interp(s, prof.grid, prof.f1.imag)
+    p2 = np.interp(s, prof.grid, prof.f2.real) + 1j * np.interp(s, prof.grid, prof.f2.imag)
+    nr_ = np.sqrt(p0**2 + np.abs(p1) ** 2 + np.abs(p2) ** 2)
+    inner = g.interior.copy()
+    inner[:, 0] = False  # the axis column carries the axis rules instead
+    rows = np.nonzero(inner)
+    for got, ref in zip((fld.f0, fld.f1, fld.f2), (p0 / nr_, p1 / nr_, p2 / nr_)):
+        assert got[rows].tobytes() == ref[rows[1]].tobytes()
 
 
 def test_normal_query_outside_layer_raises():

@@ -119,7 +119,7 @@ def test_monotone_descent_and_explicit_stepper():
         history = []
         prob = r2._problem_for(grid, 0.5, -1.0)
         step = 0.1 if stepper == "semi_implicit" else 0.1 * grid[1] ** 2
-        dopts = descent.DescentOptions(step=step, max_iters=800, stepper=stepper)
+        dopts = descent.SolveOptions(step=step, max_iters=800, stepper=stepper)
         fields, _, _ = descent.descend(
             prob, (init.f0, init.f1, init.f2), dopts,
             on_accept=lambda it, e: history.append(e),
@@ -333,3 +333,6 @@ def test_solve_options_validation():
         r2.SolveOptions(step=-1.0)
     with pytest.raises(ValueError):
         r2.SolveOptions(max_iters=0)
+    # A misspelled stepper must not fall through to the explicit stepper.
+    with pytest.raises(ValueError, match="semi-implicit"):
+        r2.SolveOptions(stepper="semi-implicit")
