@@ -136,28 +136,21 @@ def tangent_map(alpha: float, sign: int, x) -> np.ndarray:
     return sign * (r @ m @ r.T)
 
 
-def tangent_map_scaled_energy(
-    rho: float,
-    alpha: float = 0.0,
-    sign: int = 1,
-    n_s: int = 64,
-    n_theta: int = 64,
-    fd_rel_step: float = 1e-4,
-) -> float:
+def tangent_map_scaled_energy(rho: float, alpha: float = 0.0, sign: int = 1) -> float:
     """(1/rho) * Dirichlet energy of the tangent map over the ball B_rho.
 
     The gradient is measured by central finite differences of the matrix
-    entries (relative step), then integrated on a spherical midpoint grid;
-    the exact answer is 4 pi for every rho.
+    entries (relative step 1e-4), then integrated on a 64 x 64 spherical
+    midpoint grid in (s, theta); the exact answer is 4 pi for every rho.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    s = (np.arange(n_s) + 0.5) * rho / n_s
-    th = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    ds, dth = rho / n_s, np.pi / n_theta
+    s = (np.arange(64) + 0.5) * rho / 64
+    th = (np.arange(64) + 0.5) * np.pi / 64
+    ds, dth = rho / 64, np.pi / 64
     total = 0.0
     for si in s:
-        eps = fd_rel_step * si
+        eps = 1e-4 * si
         for tj in th:
             # The energy density is phi-independent; sample the meridian.
             p = np.array([si * np.sin(tj), 0.0, si * np.cos(tj)])
@@ -297,16 +290,17 @@ def harmonic_ode_residual(profile: RadialProfile) -> float:
     return res_max
 
 
-def bubble_energy(radius: float = 100.0, n: int = 8001, theta: float = 0.0) -> float:
+def bubble_energy(radius: float = 100.0) -> float:
     """Dirichlet energy of the bubble over D_radius by radial quadrature.
 
-    Tends to 4 pi as the radius grows; the profile is sampled on a
-    geometric grid and differentiated with second-order stencils.
+    Tends to 4 pi as the radius grows; the profile is sampled at r = 0 and
+    on an 8000-node geometric grid of [1e-6, radius] and differentiated
+    with second-order stencils.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    r = np.concatenate(([0.0], np.geomspace(1e-6, radius, n - 1)))
-    u0, u1, _ = bubble(r.astype(complex), theta)
+    r = np.concatenate(([0.0], np.geomspace(1e-6, radius, 8000)))
+    u0, u1, _ = bubble(r.astype(complex))
     d0 = np.gradient(u0, r, edge_order=2)
     d1 = np.gradient(u1, r, edge_order=2)
     dens = d0**2 + np.abs(d1) ** 2

@@ -44,10 +44,12 @@ diagonal slots, over A_ff's own index arrays.
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
 alpha ladder and is kept for cross-checks.
 
-`SolveOptions` is the one solver configuration: `descend` reads it
-directly, and the radial and meridian front ends pass it through (the
-radial one re-exports it as `radial2d.SolveOptions`).  A stepper other than
-"semi_implicit" or "explicit" raises ValueError when the options are made.
+`SolveOptions` is the one solver configuration: `descend` reads all five
+fields (step, max_iters, grad_tol, energy_tol, stepper).  The radial and
+meridian front ends (the radial one re-exports it as `radial2d.SolveOptions`)
+always run their cascade and lower only max_iters on its coarse levels.  A
+stepper other than "semi_implicit" or "explicit" raises ValueError when the
+options are made.
 """
 
 from __future__ import annotations
@@ -158,20 +160,17 @@ class Problem:
 
 @dataclass
 class SolveOptions:
-    """The one solver configuration: `descend` and both front ends read it.
+    """The one solver configuration: every field drives `descend`.
 
-    step, max_iters, grad_tol, energy_tol and stepper drive `descend`;
-    cascade (coarse-to-fine levels) belongs to the 2D and 3D front ends, and
-    seed is the noise seed the experiments give their noisy preset inits.
+    The 2D and 3D front ends pass it through; their coarse cascade levels
+    run on a copy with a smaller max_iters.
     """
 
     step: float = 0.1
     max_iters: int = 20000
     grad_tol: float = 1e-5
     energy_tol: float = 1e-13
-    seed: int = 0
     stepper: str = "semi_implicit"
-    cascade: bool = True
 
     def __post_init__(self):
         if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
@@ -267,14 +266,14 @@ _W_PLUS = float(potential_w_arrays(1.0, 0.0, 0.0))
 _W_MINUS = float(potential_w_arrays(-1.0, 0.0, 0.0))
 
 
-def flip_sweep(p: Problem, f0, f1, f2, max_flips: int = 64):
+def flip_sweep(p: Problem, f0, f1, f2):
     """Greedy energy-decreasing sign flips on the two-point-constraint nodes.
 
     The energy is quadratic in a single node value with everything else
     frozen, so the exact change for s -> -s at node a is
     -2 s * ((A0 f0)_a - A0[a,a] s) + lam * mass_a * (W(-s) - W(s)).
     Flips one node at a time (the most negative), recomputing couplings,
-    so every flip strictly decreases the energy.
+    so every flip strictly decreases the energy; at most 64 flips.
     """
     if p.snap_nodes is None or p.snap_nodes.size == 0:
         return f0, 0
@@ -282,7 +281,7 @@ def flip_sweep(p: Problem, f0, f1, f2, max_flips: int = 64):
     diag = a0.diagonal()
     nodes = p.snap_nodes
     flips = 0
-    for _ in range(max_flips):
+    for _ in range(64):
         coupling = (a0 @ f0)[nodes] - diag[nodes] * f0[nodes]
         d_e = -2.0 * f0[nodes] * coupling
         if p.lam != 0.0:
@@ -303,7 +302,6 @@ def descend(
     p: Problem,
     fields,
     opts: SolveOptions,
-    max_iters: int | None = None,
     on_accept: Callable[[int, float], None] | None = None,
 ):
     """Monotone projected descent; returns (fields, iterations, converged)."""
@@ -311,7 +309,6 @@ def descend(
     f0 = np.asarray(f0, dtype=float).copy()
     f1 = np.asarray(f1, dtype=complex).copy()
     f2 = np.asarray(f2, dtype=complex).copy()
-    max_iters = max_iters if max_iters is not None else opts.max_iters
     af = stiffness_products(p, f0, f1, f2)
     e = energy(p, f0, f1, f2, af)
     tau0 = opts.step * 2.0**LADDER_MAX
@@ -320,7 +317,7 @@ def descend(
     grow = 0
     converged = False
     it = 0
-    while it < max_iters:
+    while it < opts.max_iters:
         it += 1
         if delta is None:
             if gw is None:

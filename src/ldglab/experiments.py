@@ -45,8 +45,11 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for key in ("tol", "grad_tol", "energy_tol"):
-            if key in self.params and not self.params[key] > 0:
-                raise ValueError(f"tolerance {key} must be positive")
+            if key not in self.params:
+                continue
+            val = self.params[key]
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+                raise ValueError(f"tolerance {key} must be a positive number")
 
     def get(self, key, default=None):
         return self.params.get(key, default)
@@ -74,6 +77,8 @@ def parse_config_file(path, overrides=None) -> ExperimentConfig:
 def _parse_value(val: str):
     if "," in val:
         return [_parse_value(v.strip()) for v in val.split(",") if v.strip()]
+    if val.lower() in ("true", "false"):
+        return val.lower() == "true"
     for cast in (int, float):
         try:
             return cast(val)
@@ -181,7 +186,6 @@ def _solve_opts(config: ExperimentConfig) -> r2.SolveOptions:
         max_iters=int(config.get("max_iters", 20000)),
         grad_tol=config.get("grad_tol", 1e-5),
         energy_tol=config.get("energy_tol", 1e-13),
-        seed=int(config.get("seed", 0)),
     )
 
 
@@ -259,15 +263,16 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
 def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     n = int(config.get("grid", 2049))
     noise = config.get("noise", 0.01)
+    seed = int(config.get("seed", 0))
     opts = _solve_opts(config)
     grid = uniform_grid(n)
 
-    res_s = r2.minimize_2d(0.0, "S", r2.preset_profile("uS", grid, noise=noise, seed=opts.seed), opts)
+    res_s = r2.minimize_2d(0.0, "S", r2.preset_profile("uS", grid, noise=noise, seed=seed), opts)
     rid_s = env.add_run("gap2d/classS", _report_2d(res_s))
     # Class N carries a flat direction (the mu1 family) at lambda = 0, so the
     # perturbation must stay small for the flow to settle near g_hbar itself.
     res_n = r2.minimize_2d(
-        0.0, "N", r2.preset_profile("ghbar", grid, noise=noise / 5.0, seed=opts.seed + 1), opts
+        0.0, "N", r2.preset_profile("ghbar", grid, noise=noise / 5.0, seed=seed + 1), opts
     )
     rid_n = env.add_run("gap2d/classN", _report_2d(res_n))
 

@@ -254,7 +254,7 @@ def homeotropic_tensor(normal3, normalized: bool = True) -> np.ndarray:
     return q
 
 
-def homeotropic_data(geom: CylinderGeometry, normalized: bool = True):
+def homeotropic_data(geom: CylinderGeometry):
     """(f0, f1, f2) arrays holding the outward-normal data on the layer.
 
     The normal is rotated into 3D in the meridian plane (phi = 0), the
@@ -268,7 +268,7 @@ def homeotropic_data(geom: CylinderGeometry, normalized: bool = True):
     idx = np.argwhere(g.dirichlet)
     for i, j in idx:
         n2 = g.normals[i, j]
-        u = q_to_u(homeotropic_tensor([n2[0], 0.0, n2[1]], normalized))
+        u = q_to_u(homeotropic_tensor([n2[0], 0.0, n2[1]]))
         f0[i, j] = u.u0
         f1[i, j] = u.u1
         f2[i, j] = u.u2
@@ -440,7 +440,7 @@ def el_residual_3d(field: MeridianField, lam: float) -> float:
     return descent.gradient_norm(p, field.f0.ravel(), field.f1.ravel(), field.f2.ravel())
 
 
-def interp_field(src: MeridianField, geom: CylinderGeometry, lam: float = 0.0) -> MeridianField:
+def interp_field(src: MeridianField, geom: CylinderGeometry) -> MeridianField:
     """Bilinear transfer of a field onto another grid of the same cylinder."""
     sg = src.geom
 
@@ -487,32 +487,27 @@ def minimize_seeds(
 ) -> dict[str, MinResult3D]:
     """Minimize from each named seed; returns the results keyed by seed name.
 
-    The seeds run level by level: with opts.cascade, every seed's descent
-    on a twice-coarser mask first, then every seed's descent on `geom` from
-    the transferred fields.  The seeds of one level share one Problem and
-    so its LU factors; each level's Problem is dropped, and its pages are
-    handed back to the system, before the next level factors anything.
-    A result's iterations count the descents of both levels.
+    The seeds run level by level: every seed's descent on a twice-coarser
+    mask first, with a third of the iteration budget (at least 500), then
+    every seed's descent on `geom` from the transferred fields.  The seeds
+    of one level share one Problem and so its LU factors; each level's
+    Problem is dropped, and its pages are handed back to the system, before
+    the next level factors anything.  A result's iterations count the
+    descents of both levels.
     """
     opts = opts or SolveOptions()
-    pre = {}
-    if opts.cascade:
-        coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
-        fields = {name: seed_field(coarse, lam, name, opts) for name in seeds}
-        pre = _minimize_level(
-            coarse, lam, fields,
-            replace(opts, max_iters=max(500, opts.max_iters // 3)),
-        )
-        fields = {name: interp_field(res.field, geom, lam) for name, res in pre.items()}
-        descent.trim_heap()
-    else:
-        fields = {name: seed_field(geom, lam, name, opts) for name in seeds}
+    coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
+    fields = {name: seed_field(coarse, lam, name, opts) for name in seeds}
+    pre = _minimize_level(
+        coarse, lam, fields, replace(opts, max_iters=max(500, opts.max_iters // 3))
+    )
+    fields = {name: interp_field(res.field, geom) for name, res in pre.items()}
+    descent.trim_heap()
     results = _minimize_level(geom, lam, fields, opts)
     descent.trim_heap()
     for name, res in results.items():
         res.seed_name = name
-        if name in pre:
-            res.iterations += pre[name].iterations
+        res.iterations += pre[name].iterations
     return results
 
 
@@ -534,7 +529,7 @@ def minimize_3d(
     """Projected gradient descent for the meridian energy; monotone.
 
     init is a MeridianField or one of the named seeds; a named seed is a
-    one-seed `minimize_seeds` call, so opts.cascade applies to it.  Returns
+    one-seed `minimize_seeds` call, so it runs the coarse level first.  Returns
     the field with its energy split, residual, axis trace singularity list,
     and torus/split classification.  `problem` lets the seeds of one
     cascade level share their Problem; its boundary data must be init's.
@@ -584,36 +579,41 @@ class UnresolvedAxisError(RuntimeError):
     """The axis trace is ambiguous over a span; refine the grid."""
 
 
-def axis_trace(field: MeridianField, threshold: float = 0.9):
+#: |f0| above which an axis node is tagged with its sign.
+AXIS_TAG = 0.9
+
+#: Most consecutive untagged axis nodes accepted without a sign change.
+MAX_UNRESOLVED_SPAN = 3
+
+
+def axis_trace(field: MeridianField):
     """(z values, f0 values, tags) along the axis; tags are +/-1 or 0."""
     g = field.geom
     act = g.active[:, 0]
     zs = g.z[act]
     vals = field.f0[act, 0]
-    tags = np.where(np.abs(vals) > threshold, np.sign(vals).astype(int), 0)
+    tags = np.where(np.abs(vals) > AXIS_TAG, np.sign(vals).astype(int), 0)
     return zs, vals, tags
 
 
-def detect_singularities(
-    field: MeridianField, threshold: float = 0.9, max_unresolved_span: int = 3
-) -> list[SingularityRecord]:
+def detect_singularities(field: MeridianField) -> list[SingularityRecord]:
     """Sign changes of the axis trace, positioned by linear interpolation.
 
-    A run of more than max_unresolved_span consecutive untagged nodes
+    A run of more than MAX_UNRESOLVED_SPAN consecutive untagged nodes
     without a sign change raises UnresolvedAxisError.
     """
-    zs, vals, tags = axis_trace(field, threshold)
+    zs, vals, tags = axis_trace(field)
     records: list[SingularityRecord] = []
     tagged = np.nonzero(tags != 0)[0]
     if tagged.size == 0:
         raise UnresolvedAxisError("no resolved axis values at all")
     # Untagged margins at the ends count as unresolved spans.
-    if tagged[0] > max_unresolved_span or (zs.size - 1 - tagged[-1]) > max_unresolved_span:
+    if tagged[0] > MAX_UNRESOLVED_SPAN or (zs.size - 1 - tagged[-1]) > MAX_UNRESOLVED_SPAN:
         raise UnresolvedAxisError("unresolved axis region at the axis ends")
     for a, b in zip(tagged[:-1], tagged[1:]):
         gap = b - a - 1
         if tags[a] == tags[b]:
-            if gap > max_unresolved_span:
+            if gap > MAX_UNRESOLVED_SPAN:
                 raise UnresolvedAxisError(
                     f"unresolved axis region of {gap} nodes near z={zs[a]:.3f}"
                 )
@@ -834,14 +834,14 @@ def _energy_density(field: MeridianField, lam: float) -> np.ndarray:
     return dens.reshape(g.nz, g.nr)
 
 
-def _in_ball(g: CylinderGeometry, radius: float, z0: float = 0.0) -> np.ndarray:
-    return g.r[None, :] ** 2 + (g.z[:, None] - z0) ** 2 < radius**2
+def _in_ball(g: CylinderGeometry, radius: float) -> np.ndarray:
+    return g.r[None, :] ** 2 + g.z[:, None] ** 2 < radius**2
 
 
-def energy_in_ball(field: MeridianField, lam: float, radius: float, z0: float = 0.0) -> float:
+def energy_in_ball(field: MeridianField, lam: float, radius: float) -> float:
     """The share of `meridian_energy` held by the nodes within `radius` of
-    (0, z0): the whole energy once the ball covers the lattice."""
-    return float(np.sum(_energy_density(field, lam)[_in_ball(field.geom, radius, z0)]))
+    the origin: the whole energy once the ball covers the lattice."""
+    return float(np.sum(_energy_density(field, lam)[_in_ball(field.geom, radius)]))
 
 
 def energy_in_cylinder(field: MeridianField, lam: float, r_max: float, z_max: float) -> float:
@@ -868,12 +868,11 @@ def _meridian_gradients(field: MeridianField):
     )
 
 
-def radial_identity_residual(
-    field: MeridianField, lam: float, r1: float, r2: float, n_quad: int = 48
-) -> float:
+def radial_identity_residual(field: MeridianField, lam: float, r1: float, r2: float) -> float:
     """Relative mismatch of the radial energy identity between r1 < r2.
 
-    Valid for ell <= r1 < r2 <= h - rho on a cigar-type geometry.
+    Valid for ell <= r1 < r2 <= h - rho on a cigar-type geometry.  The
+    integrals over the radius use the trapezoid rule on 48 nodes.
     """
     g = field.geom
     if not (g.ell <= r1 < r2 <= g.h - g.rho):
@@ -895,8 +894,8 @@ def radial_identity_residual(
 
     # Potential double integral.
     wdens = 2.0 * lam * mass * potential_w_arrays(field.f0, field.f1, field.f2)
-    radii = np.linspace(r1, r2, n_quad)
-    wq = np.full(n_quad, (r2 - r1) / (n_quad - 1))
+    radii = np.linspace(r1, r2, 48)
+    wq = np.full(48, (r2 - r1) / 47)
     wq[0] = wq[-1] = wq[0] / 2
     pot_term = 0.0
     wall_term = 0.0
@@ -914,33 +913,28 @@ def radial_identity_residual(
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 
-def energy_identity_residuals(
-    field: MeridianField,
-    lam: float,
-    r1: float | None = None,
-    r2: float | None = None,
-    s: float | None = None,
-    t1: float = 0.0,
-    t2: float | None = None,
-):
-    """(radial, horizontal, vertical) relative residuals with sane defaults."""
+def energy_identity_residuals(field: MeridianField, lam: float):
+    """(radial, horizontal, vertical) relative residuals.
+
+    With a = h - rho: the radial identity between r1 = 1.05 ell and
+    r2 = 0.95 a (NaN unless a > ell), the horizontal one at s = 0.8 a, and
+    the vertical one between the slices t1 = 0 and t2 = 0.5 a (NaN when
+    either lies within 4 h_z of an axis singularity).
+    """
     g = field.geom
     sing_z = [rec.position for rec in detect_singularities(field)]
 
     def clear_of_sing(t):
         return all(abs(t - zs) > 4 * g.hz for zs in sing_z)
 
+    a = g.h - g.rho
     out = {}
-    if g.h - g.rho > g.ell:
-        r1 = r1 if r1 is not None else g.ell * 1.05
-        r2 = r2 if r2 is not None else (g.h - g.rho) * 0.95
-        out["radial"] = radial_identity_residual(field, lam, r1, r2)
+    if a > g.ell:
+        out["radial"] = radial_identity_residual(field, lam, g.ell * 1.05, a * 0.95)
     else:
         out["radial"] = math.nan
-    s = s if s is not None else (g.h - g.rho) * 0.8
-    out["horizontal"] = horizontal_identity_residual(field, lam, s)
-    if t2 is None:
-        t2 = (g.h - g.rho) * 0.5
+    out["horizontal"] = horizontal_identity_residual(field, lam, a * 0.8)
+    t1, t2 = 0.0, a * 0.5
     if clear_of_sing(t1) and clear_of_sing(t2):
         out["vertical"] = vertical_identity_residual(field, lam, t1, t2)
     else:
@@ -1013,9 +1007,12 @@ class EtaSpec:
         out = np.where(low, self._core(self.s_min) / self.s_min, out)
         return out
 
-    def hardy_deficit(self, n: int = 20000) -> float:
-        """4 pi int (eta'^2 - 2 eta^2 / s^2) s^2 ds; must be negative."""
-        s = np.linspace(1e-9, 1.0 - 1e-9, n)
+    def hardy_deficit(self) -> float:
+        """4 pi int (eta'^2 - 2 eta^2 / s^2) s^2 ds; must be negative.
+
+        Trapezoid rule on 20000 nodes of [1e-9, 1 - 1e-9].
+        """
+        s = np.linspace(1e-9, 1.0 - 1e-9, 20000)
         e = self.value(s)
         de = self.derivative(s)
         integrand = (de**2 - 2.0 * e**2 / s**2) * s**2
@@ -1029,13 +1026,13 @@ def instability_form(
     r_ball: float,
     eta: EtaSpec | None = None,
     vbar: complex = 1.0 + 0.0j,
-    n_phi: int = 32,
 ) -> float:
     """Second variation along Phi(x) = r^-1/2 eta(|x-p|/r) vbar, vbar in L2.
 
     Evaluates int |grad Phi_T|^2 - |grad Q|^2 |Phi_T|^2
     + lam D^2W(Q) Phi_T : Phi_T over the ball by meridian quadrature with
-    an exact phi reduction (the integrand is a trigonometric polynomial).
+    an exact phi reduction (the integrand is a trigonometric polynomial,
+    summed over 32 equispaced angles).
     Raises if eta fails the Hardy-deficit admissibility check or the ball
     pokes out of the domain.
     """
@@ -1081,8 +1078,8 @@ def instability_form(
     d2r = dfr[2][idx]
     d2z = dfz[2][idx]
     rv = rr[idx]
-    vol = 2.0 * np.pi / n_phi * g.hr * g.hz * rv
-    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    vol = 2.0 * np.pi / 32 * g.hr * g.hz * rv
+    phis = np.arange(32) * 2.0 * np.pi / 32
 
     total = 0.0
     for phi in phis:

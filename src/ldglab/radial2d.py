@@ -50,6 +50,11 @@ SIX_PI = 6.0 * np.pi
 LAMBDA_STAR_LOWER = 24.0 * SQRT2 / (2.0 * np.pi - 3.0 * SQRT3)
 LAMBDA_STAR_UPPER = 3.0**8 * (SQRT6 / 4.0) * np.pi**2
 
+#: Eigenvalues returned by `second_variation_spectrum`, and the largest EL
+#: residual of a profile it accepts as stationary.
+SPECTRUM_MODES = 4
+STATIONARY_RESIDUAL = 0.05
+
 
 @dataclass
 class MinResult2D:
@@ -276,6 +281,9 @@ def minimize_2d(
     """Projected gradient descent within a class; monotone in energy.
 
     init may be a RadialProfile or a preset name; a preset requires grid.
+    On a uniform grid of at least 257 nodes the descent first runs on up to
+    three successively halved grids, each with a quarter of the iteration
+    budget (at least 500).
     The initial profile must carry the requested class pin and the
     boundary datum.  Returns the converged state with its energy split,
     EL residual, and beta range; class escape is flagged, not fatal.
@@ -294,7 +302,7 @@ def minimize_2d(
         )
 
     grids = [init.grid]
-    if opts.cascade and init.n >= 257:
+    if init.n >= 257:
         n = init.n
         levels = []
         while n >= 257:
@@ -333,14 +341,13 @@ def minimize_2d(
     )
 
 
-def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, max_iters: int):
+def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, budget: int):
     pin = 1.0 if prof.f0[0] > 0 else -1.0
     problem = _problem_for(prof.grid, lam, pin)
+    opts = replace(opts, max_iters=budget)
     if opts.stepper == "explicit":
         opts = replace(opts, step=opts.step * prof.grid[1] ** 2)
-    fields, it, converged = descent.descend(
-        problem, (prof.f0, prof.f1, prof.f2), opts, max_iters
-    )
+    fields, it, converged = descent.descend(problem, (prof.f0, prof.f1, prof.f2), opts)
     out = RadialProfile(prof.grid.copy(), *fields)
     _impose_pins(out, pin)
     return out, it, converged
@@ -360,9 +367,6 @@ class CurveRow:
     beta_max: float
     global_class: str
     valid: bool
-    estar_fine: float = math.nan
-    potential: float = math.nan
-    multi_start_spread: float = math.nan
     #: (name, message) of each solve that raised: a class-S init ('warm',
     #: 'uS', 'bubbled'), or 'row' for the error that invalidated the row.
     failures: tuple[tuple[str, str], ...] = ()
@@ -371,16 +375,13 @@ class CurveRow:
 def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
     """Lowest-energy class-S solve over warm start and canonical inits.
 
-    Also returns the spread (max - min) of the converged energies, the
-    empirical multi-start disagreement used to report on uniqueness, and
-    the (init name, message) of every init whose solve raised.
+    Also returns the (init name, message) of every init whose solve raised.
     """
     inits: list[RadialProfile | str] = []
     if warm is not None:
         inits.append(warm.interp_to(grid) if warm.n != grid.size else warm)
     inits += ["uS", "bubbled"]
     best = None
-    energies = []
     failures = []
     for ini in inits:
         try:
@@ -388,14 +389,11 @@ def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
         except RuntimeError as exc:
             failures.append((ini if isinstance(ini, str) else "warm", str(exc)))
             continue
-        if res.converged:
-            energies.append(res.energy)
         if best is None or res.energy < best.energy:
             best = res
     if best is None:
         raise RuntimeError(f"all class-S solves failed at lambda={lam}: {failures}")
-    spread = max(energies) - min(energies) if len(energies) > 1 else math.nan
-    return best, spread, tuple(failures)
+    return best, tuple(failures)
 
 
 def energy_curve(
@@ -420,25 +418,19 @@ def energy_curve(
     warm = None
     for lam in lambdas:
         try:
-            res, spread, failures = _best_class_s(lam, grid_c, opts, warm)
+            res, failures = _best_class_s(lam, grid_c, opts, warm)
             warm = res.profile
             estar = res.energy
-            estar_fine = math.nan
             if richardson:
                 res_f = minimize_2d(lam, "S", res.profile.interp_to(grid_f), opts)
-                estar_fine = res_f.energy
-                estar = (4.0 * estar_fine - res.energy) / 3.0
+                estar = (4.0 * res_f.energy - res.energy) / 3.0
             e = min(SIX_PI, estar)
             if estar <= SIX_PI:
-                bmin, bmax, gclass, pot = res.beta_min, res.beta_max, "S", res.potential
+                bmin, bmax, gclass = res.beta_min, res.beta_max, "S"
             else:
                 gh = minimize_2d(lam, "N", "ghbar", opts, grid=grid_c)
-                bmin, bmax, gclass, pot = gh.beta_min, gh.beta_max, "N", gh.potential
-            rows.append(
-                CurveRow(
-                    lam, estar, e, bmin, bmax, gclass, True, estar_fine, pot, spread, failures
-                )
-            )
+                bmin, bmax, gclass = gh.beta_min, gh.beta_max, "N"
+            rows.append(CurveRow(lam, estar, e, bmin, bmax, gclass, True, failures))
         except RuntimeError as exc:
             rows.append(
                 CurveRow(
@@ -485,7 +477,7 @@ def estimate_lambda_star(
     failures: list[tuple[float, str, str]] = []
 
     def g(lam, side):
-        res, _, failed = _best_class_s(lam, grid, opts, warm[side])
+        res, failed = _best_class_s(lam, grid, opts, warm[side])
         failures.extend((lam, name, message) for name, message in failed)
         warm[side] = res.profile
         return res.energy - SIX_PI
@@ -558,23 +550,19 @@ def second_variation_form(profile: RadialProfile, lam: float, phi) -> float:
     return quad
 
 
-def second_variation_spectrum(
-    profile: RadialProfile,
-    lam: float,
-    modes: int = 6,
-    residual_threshold: float = 0.05,
-):
+def second_variation_spectrum(profile: RadialProfile, lam: float):
     """Smallest eigenvalue of the projected Hessian at a converged minimizer.
 
     Assembles the quadratic form over nodewise-tangent equivariant fields
     vanishing at r = 0 and r = 1 and solves the generalized eigenproblem
-    against the L2(pi r dr) mass; returns (smallest, eigenvalue array).
-    Raises if the profile is not stationary enough.
+    against the L2(pi r dr) mass; returns (smallest, the SPECTRUM_MODES
+    lowest eigenvalues).  Raises if the EL residual exceeds
+    STATIONARY_RESIDUAL.
     """
     res = el_residual_2d(profile, lam)
-    if res > residual_threshold:
+    if res > STATIONARY_RESIDUAL:
         raise ValueError(
-            f"profile is not stationary (EL residual {res:.3g} > {residual_threshold})"
+            f"profile is not stationary (EL residual {res:.3g} > {STATIONARY_RESIDUAL})"
         )
     d = _disc_for(profile.grid)
     n = profile.n
@@ -605,7 +593,7 @@ def second_variation_spectrum(
     t = sp.csr_matrix((frames.ravel(), (rows, cols)), shape=(5 * n, 4 * interior.size))
     h_t = (t.T @ big @ t).tocsc()
     m_t = sp.diags(np.repeat(d.mass[interior], 4)).tocsc()
-    k = min(modes, h_t.shape[0] - 2)
+    k = min(SPECTRUM_MODES, h_t.shape[0] - 2)
     vals = spla.eigsh(h_t, k=k, M=m_t, sigma=-2.0, which="LM", return_eigenvectors=False)
     vals = np.sort(vals)
     return float(vals[0]), vals

@@ -98,14 +98,15 @@ def u_to_q(u: UVector) -> np.ndarray:
     )
 
 
-def q_to_u(q: np.ndarray, tol: float = 1e-12) -> UVector:
-    """Inverse of u_to_q; rejects non-symmetric or non-traceless input."""
+def q_to_u(q: np.ndarray) -> UVector:
+    """Inverse of u_to_q; rejects input that is not symmetric and traceless
+    within TENSOR_TOL."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if np.max(np.abs(q - q.T)) > tol:
+    if np.max(np.abs(q - q.T)) > TENSOR_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
-    if abs(np.trace(q)) > tol:
+    if abs(np.trace(q)) > TENSOR_TOL:
         raise ValueError("matrix is not traceless within tolerance")
     u0 = float(np.sum(q * E0))
     u1 = complex(np.sum(q * E11), np.sum(q * E12))

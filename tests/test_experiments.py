@@ -61,6 +61,16 @@ def test_invalid_tolerance_rejected():
         experiments.ExperimentConfig("gap-2d", {"tol": -1.0}, "out")
 
 
+def test_parse_booleans(tmp_path):
+    # `_run_escape_sweep` takes bool() of `richardson`, so a config's "false"
+    # must arrive as False, not as a (truthy) string.
+    assert experiments._parse_value("false") is False
+    assert experiments._parse_value("False") is False
+    assert experiments._parse_value("TRUE") is True
+    path = write_config(tmp_path, "kind = escape-sweep\nrichardson = false\n")
+    assert experiments.parse_config_file(path).params["richardson"] is False
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("LDGLAB_OUT", str(tmp_path / "rootdir"))
     path = write_config(tmp_path, "kind = gap-2d\n")
@@ -162,6 +172,31 @@ def test_cli_bad_config(tmp_path, capsys):
     bad.write_text("kind = nonsense\n")
     rc = cli.main(["run", str(bad)])
     assert rc == 2
+
+
+def test_cli_non_numeric_tolerance(tmp_path, capsys):
+    cfg = write_config(tmp_path, "kind = gap-2d\n")
+    rc = cli.main(["run", str(cfg), "--set", "grad_tol=abc"])
+    assert rc == 2
+    assert "error: tolerance grad_tol must be a positive number" in capsys.readouterr().err
+
+
+def test_gap2d_seeds_the_preset_inits(tmp_path, monkeypatch):
+    from ldglab import radial2d as r2
+
+    preset = r2.preset_profile
+    calls = []
+
+    def recording(name, grid, noise=0.0, seed=0):
+        calls.append((name, seed))
+        return preset(name, grid, noise=noise, seed=seed)
+
+    monkeypatch.setattr(r2, "preset_profile", recording)
+    cfg = experiments.ExperimentConfig(
+        "gap-2d", {"grid": 129, "seed": 5, "max_iters": 200}, str(tmp_path)
+    )
+    experiments.run(cfg)
+    assert calls == [("uS", 5), ("ghbar", 6)]
 
 
 def test_cli_dump_field(tmp_path, capsys):

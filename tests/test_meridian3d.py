@@ -388,10 +388,6 @@ def test_minimize_seeds_matches_single_seed_solves():
     assert list(shared) == list(SEEDS)
     for seed in SEEDS:
         assert_same_result(shared[seed], m3.minimize_3d(g, 1.0, seed, OPTS))
-    flat = r2.SolveOptions(max_iters=6000, cascade=False)
-    shared = m3.minimize_seeds(g, 1.0, SEEDS, flat)
-    for seed in SEEDS:
-        assert_same_result(shared[seed], m3.minimize_3d(g, 1.0, seed, flat))
 
 
 class FactorLog:

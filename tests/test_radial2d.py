@@ -128,7 +128,7 @@ def test_monotone_descent_and_explicit_stepper():
         assert all(b <= a + 1e-10 + 1e-12 * abs(a) for a, b in zip(history, history[1:]))
     res_si = r2.minimize_2d(0.5, "S", init, r2.SolveOptions(max_iters=3000))
     res_ex = r2.minimize_2d(
-        0.5, "S", init, r2.SolveOptions(stepper="explicit", step=0.2, max_iters=60000, cascade=False)
+        0.5, "S", init, r2.SolveOptions(stepper="explicit", step=0.2, max_iters=60000)
     )
     assert res_si.energy == pytest.approx(res_ex.energy, abs=2e-3)
 
@@ -206,7 +206,7 @@ def test_lambda_star_bad_bracket_raises():
 
 def test_second_variation_positive_at_us():
     p = us_profile(513)
-    smallest, vals = r2.second_variation_spectrum(p, 0.0, modes=4)
+    smallest, vals = r2.second_variation_spectrum(p, 0.0)
     assert smallest > 0
     assert np.all(np.diff(vals) >= -1e-9)
 
@@ -294,7 +294,7 @@ def test_second_variation_spectrum_matches_nodewise_reference():
     h_t = (t.T @ big.tocsr() @ t).tocsc()
     m_t = sp.diags(np.repeat(d.mass[1:-1], 4)).tocsc()
     ref = np.sort(spla.eigsh(h_t, k=4, M=m_t, sigma=-2.0, which="LM", return_eigenvectors=False))
-    _, vals = r2.second_variation_spectrum(p, lam, modes=4)
+    _, vals = r2.second_variation_spectrum(p, lam)
     assert vals == pytest.approx(ref, rel=1e-8)
 
 
