@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -173,6 +174,11 @@ class SolveOptions:
     stepper: str = "semi_implicit"
 
     def __post_init__(self):
+        for name in ("step", "max_iters", "grad_tol", "energy_tol"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+                raise ValueError(f"solver option {name} must be a finite number, not {val!r}")
+        self.max_iters = int(self.max_iters)
         if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("solver options must be positive")
         if self.stepper not in ("semi_implicit", "explicit"):

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,9 @@ class ExperimentConfig:
     kind: str
     params: dict
     output_dir: str
+    # The solver options built from `params` when the config is made, so a
+    # bad solver value is a config error and not a solver failure.
+    opts: r2.SolveOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -50,6 +53,14 @@ class ExperimentConfig:
             val = self.params[key]
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
                 raise ValueError(f"tolerance {key} must be a positive number")
+        if self.params.get("richardson", True) not in (True, False):
+            raise ValueError("richardson must be true or false")
+        self.opts = r2.SolveOptions(
+            step=self.params.get("step", 0.1),
+            max_iters=self.params.get("max_iters", 20000),
+            grad_tol=self.params.get("grad_tol", 1e-5),
+            energy_tol=self.params.get("energy_tol", 1e-13),
+        )
 
     def get(self, key, default=None):
         return self.params.get(key, default)
@@ -180,15 +191,6 @@ def _report_3d(res: m3.MinResult3D) -> dict:
     }
 
 
-def _solve_opts(config: ExperimentConfig) -> r2.SolveOptions:
-    return r2.SolveOptions(
-        step=config.get("step", 0.1),
-        max_iters=int(config.get("max_iters", 20000)),
-        grad_tol=config.get("grad_tol", 1e-5),
-        energy_tol=config.get("energy_tol", 1e-13),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Experiment bodies.
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     n = int(config.get("grid", 2049))
     noise = config.get("noise", 0.01)
     seed = int(config.get("seed", 0))
-    opts = _solve_opts(config)
+    opts = config.opts
     grid = uniform_grid(n)
 
     res_s = r2.minimize_2d(0.0, "S", r2.preset_profile("uS", grid, noise=noise, seed=seed), opts)
@@ -308,8 +310,8 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
         count = int(config.get("count", 20))
         lambdas = list(np.linspace(0.0, lam_max, count))
     n = int(config.get("grid", 1025))
-    opts = _solve_opts(config)
-    rows = r2.energy_curve(lambdas, opts, n=n, richardson=bool(config.get("richardson", True)))
+    richardson = bool(config.get("richardson", True))
+    rows = r2.energy_curve(lambdas, config.opts, n=n, richardson=richardson)
 
     csv_path = out_dir / "escape_sweep.csv"
     with open(csv_path, "w") as fh:
@@ -339,17 +341,18 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     rid = "sweep/all"
     env.add_run(rid, {"count": len(rows)})
     env.check("all rows valid", valid, "True", valid, rid)
-    env.check(
-        "e* nondecreasing", float(np.min(np.diff(est))), ">= -5e-3",
-        bool(np.all(np.diff(est) >= -5e-3)), rid,
-    )
+    if len(rows) >= 2:
+        env.check(
+            "e* nondecreasing", float(np.min(np.diff(est))), ">= -5e-3",
+            bool(np.all(np.diff(est) >= -5e-3)), rid,
+        )
     env.check(
         "e* within [2pi, 10pi]", (float(est.min()), float(est.max())),
         "within [2pi-5e-3, 10pi+5e-3]",
         bool(est.min() >= TWO_PI - 5e-3 and est.max() <= TEN_PI + 5e-3), rid,
     )
-    lam_arr = np.array([row.lam for row in rows])
-    if np.allclose(np.diff(lam_arr), np.diff(lam_arr)[0]):
+    dlam = np.diff([row.lam for row in rows])
+    if len(rows) >= 3 and np.allclose(dlam, dlam[0]):
         d2 = est[:-2] - 2.0 * est[1:-1] + est[2:]
         env.check("e* concavity (second differences)", float(np.max(d2)), "<= 1e-3",
                   bool(np.max(d2) <= 1e-3), rid)
@@ -364,7 +367,7 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     tol = config.get("tol", 0.5)
     n = int(config.get("grid", 1025))
-    opts = _solve_opts(config)
+    opts = config.opts
     est = r2.estimate_lambda_star(tol=tol, opts=opts, n=n)
     lo, hi, pt = est
     rid = env.add_run(
@@ -426,7 +429,7 @@ def _dual_seed_solve(geom, lam, opts):
 
 def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     h, ell, rho, lam, th = _cigar_defaults(config)
-    opts = _solve_opts(config)
+    opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
     best, results = _dual_seed_solve(geom, lam, opts)
     for seed, res in results.items():
@@ -477,7 +480,7 @@ def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     rho = config.get("rho", 0.2)
     lam = config.get("lambda", 1.0)
     th = config.get("target_h", 0.025)
-    opts = _solve_opts(config)
+    opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
     best, results = _dual_seed_solve(geom, lam, opts)
     for seed, res in results.items():
@@ -541,7 +544,7 @@ def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     th = config.get("target_h", 0.04)
     ells = config.get("ells") or [0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0]
     workers = int(config.get("workers", 1))
-    opts = _solve_opts(config)
+    opts = config.opts
 
     tasks = [(ell, h, rho, lam, th, opts) for ell in ells]
     if workers > 1:

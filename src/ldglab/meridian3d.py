@@ -698,72 +698,55 @@ def _label_components(mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_full(geom: CylinderGeometry, i: int) -> bool:
-    return bool(np.all(geom.active[i, :]))
+def _meridian_gradients(field: MeridianField):
+    """(d/dr, d/dz) lists of (f0, f1, f2) by np.gradient, f0 taken complex.
+
+    Second order inside and one-sided second order at the edges, so the
+    last column of d/dr is the wall's (3 f_J - 4 f_{J-1} + f_{J-2}) / 2 h_r.
+    """
+    g = field.geom
+    fs = (field.f0.astype(complex), field.f1, field.f2)
+    return (
+        [np.gradient(f, g.r, axis=1, edge_order=2) for f in fs],
+        [np.gradient(f, g.z, axis=0, edge_order=2) for f in fs],
+    )
+
+
+def _wall_integrand(dr, ell: float) -> np.ndarray:
+    """|grad_tan Q_b|^2 / 2 - |d_n Q|^2 / 2 per row on the lateral wall.
+
+    |grad_tan Q_b|^2 = 3/ell^2 on the wall, and W(Q_b) = 0 there.
+    """
+    return 1.5 / ell**2 - 0.5 * sum(np.abs(d[:, -1]) ** 2 for d in dr)
 
 
 def _slice_energy_2d(field: MeridianField, i: int, lam: float) -> float:
     """2D energy of the horizontal slice at row i over the disc D_ell."""
     g = field.geom
     r = g.r
-    w = _trapezoid_weights(r)
-    out = 0.0
-    for k, f in enumerate((field.f0[i].astype(complex), field.f1[i], field.f2[i])):
-        df = np.gradient(f, r, edge_order=2)
-        dens = np.abs(df) ** 2
-        if k:
-            dens[1:] += (k * k) * np.abs(f[1:]) ** 2 / r[1:] ** 2
-        out += float(np.sum(w * r * dens))
-    wpot = 2.0 * lam * potential_w_arrays(field.f0[i], field.f1[i], field.f2[i])
-    out += float(np.sum(w * r * wpot))
-    return np.pi * out
-
-
-def _dz_row(field: MeridianField, i: int):
-    """Central z-derivatives of (f0, f1, f2) along row i."""
-    hz = field.geom.hz
-    out = []
-    for f in (field.f0, field.f1, field.f2):
-        out.append((f[i + 1, :] - f[i - 1, :]) / (2.0 * hz))
-    return out
-
-
-def _vertical_lhs(field: MeridianField, lam: float, t: float) -> tuple[float, float]:
-    g = field.geom
-    i = int(round((t + g.h) / g.hz))
-    if not (0 < i < g.nz - 1 and _row_full(g, i)):
-        raise ValueError(f"slice at x3={t} is not an interior full row")
-    e2d = _slice_energy_2d(field, i, lam)
-    d0, d1, d2 = _dz_row(field, i)
-    dens = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
-    r = g.r
-    w = _trapezoid_weights(r)
-    dz_term = 2.0 * np.pi * float(np.sum(w * r * dens))
-    return e2d, dz_term
+    dr, _ = _meridian_gradients(field)
+    dens = sum(np.abs(d[i]) ** 2 for d in dr)
+    dens[1:] += (np.abs(field.f1[i, 1:]) ** 2 + 4.0 * np.abs(field.f2[i, 1:]) ** 2) / r[1:] ** 2
+    dens += 2.0 * lam * potential_w_arrays(field.f0[i], field.f1[i], field.f2[i])
+    return np.pi * float(np.sum(_trapezoid_weights(r) * r * dens))
 
 
 def vertical_identity_residual(field: MeridianField, lam: float, t1: float, t2: float) -> float:
     """Relative mismatch of the vertical energy identity between two slices."""
-    e1, dz1 = _vertical_lhs(field, lam, t1)
-    e2, dz2 = _vertical_lhs(field, lam, t2)
-    lhs = e1 - 0.5 * dz1
-    rhs = e2 - 0.5 * dz2
-    return abs(lhs - rhs) / max(abs(e1), abs(e2), 1e-12)
-
-
-def _wall_j(geom: CylinderGeometry) -> int:
-    return geom.nr - 1
-
-
-def _wall_normal_derivative(field: MeridianField):
-    """One-sided second-order d/dr of (f0, f1, f2) at the lateral wall."""
     g = field.geom
-    hr = g.hr
-    j = _wall_j(g)
-    out = []
-    for f in (field.f0, field.f1, field.f2):
-        out.append((3.0 * f[:, j] - 4.0 * f[:, j - 1] + f[:, j - 2]) / (2.0 * hr))
-    return out
+    _, dz = _meridian_gradients(field)
+    wr = _trapezoid_weights(g.r) * g.r
+
+    def side(t):
+        i = int(round((t + g.h) / g.hz))
+        if not (0 < i < g.nz - 1 and np.all(g.active[i])):
+            raise ValueError(f"slice at x3={t} is not an interior full row")
+        e2d = _slice_energy_2d(field, i, lam)
+        dz_term = 2.0 * np.pi * float(np.sum(wr * sum(np.abs(d[i]) ** 2 for d in dz)))
+        return e2d, e2d - 0.5 * dz_term
+
+    (e1, lhs), (e2, rhs) = side(t1), side(t2)
+    return abs(lhs - rhs) / max(abs(e1), abs(e2), 1e-12)
 
 
 def horizontal_identity_residual(field: MeridianField, lam: float, s: float) -> float:
@@ -773,41 +756,23 @@ def horizontal_identity_residual(field: MeridianField, lam: float, s: float) -> 
         raise ValueError("need 0 < s <= h - rho")
     i_lo = int(round((-s + g.h) / g.hz))
     i_hi = int(round((s + g.h) / g.hz))
-    ell = g.ell
-    dn0, dn1, dn2 = _wall_normal_derivative(field)
-    dn2sum = np.abs(dn0) ** 2 + np.abs(dn1) ** 2 + np.abs(dn2) ** 2
-    rows = np.arange(i_lo, i_hi + 1)
-    wz = np.full(rows.size, g.hz)
+    dr, dz = _meridian_gradients(field)
+    rows = slice(i_lo, i_hi + 1)
+    wz = np.full(i_hi + 1 - i_lo, g.hz)
     wz[0] = wz[-1] = g.hz / 2
-    # |grad_tan Q_b|^2 = 3/ell^2 on the wall; W(Q_b) = 0 there.
-    wall_term = 2.0 * np.pi * ell**2 * float(
-        np.sum(wz * (1.5 / ell**2 - 0.5 * dn2sum[rows]))
-    )
+    wall_term = 2.0 * np.pi * g.ell**2 * float(np.sum(wz * _wall_integrand(dr, g.ell)[rows]))
 
     # Volume term over the interior cylinder rows.
-    r = g.r
-    wr = _trapezoid_weights(r)
-    vol = 0.0
-    for i in rows:
-        d0, d1, d2 = _dz_row(field, i)
-        dens = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
-        dens = dens + 2.0 * lam * potential_w_arrays(field.f0[i], field.f1[i], field.f2[i])
-        vol += float(np.sum(wr * r * dens)) * (wz[i - i_lo])
-    vol *= 2.0 * np.pi
+    wr = _trapezoid_weights(g.r) * g.r
+    dens = sum(np.abs(d[rows]) ** 2 for d in dz)
+    dens = dens + 2.0 * lam * potential_w_arrays(field.f0[rows], field.f1[rows], field.f2[rows])
+    vol = 2.0 * np.pi * float(wz @ (dens @ wr))
 
     # Cap term: (x'.grad_x' Q) : dQ/dn over the two horizontal caps.
     cap = 0.0
     for i, sign in ((i_hi, +1.0), (i_lo, -1.0)):
-        d0z, d1z, d2z = _dz_row(field, i)
-        acc = np.zeros_like(r)
-        for f, dz in (
-            (field.f0[i].astype(complex), d0z.astype(complex)),
-            (field.f1[i], d1z),
-            (field.f2[i], d2z),
-        ):
-            dr = np.gradient(f, r, edge_order=2)
-            acc += (dr * np.conj(dz)).real
-        cap += sign * 2.0 * np.pi * float(np.sum(wr * r * r * acc))
+        acc = sum((a[i] * np.conj(b[i])).real for a, b in zip(dr, dz))
+        cap += sign * 2.0 * np.pi * float(np.sum(wr * g.r * acc))
     lhs = wall_term
     rhs = vol + cap
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
@@ -858,16 +823,6 @@ def radial_monotonicity(field: MeridianField, lam: float, radii) -> np.ndarray:
     return np.array([float(np.sum(dens[_in_ball(field.geom, r)])) / r for r in radii])
 
 
-def _meridian_gradients(field: MeridianField):
-    """(d/dr, d/dz) lists of (f0, f1, f2) by np.gradient, f0 taken complex."""
-    g = field.geom
-    fs = (field.f0.astype(complex), field.f1, field.f2)
-    return (
-        [np.gradient(f, g.r, axis=1, edge_order=2) for f in fs],
-        [np.gradient(f, g.z, axis=0, edge_order=2) for f in fs],
-    )
-
-
 def radial_identity_residual(field: MeridianField, lam: float, r1: float, r2: float) -> float:
     """Relative mismatch of the radial energy identity between r1 < r2.
 
@@ -899,15 +854,13 @@ def radial_identity_residual(field: MeridianField, lam: float, r1: float, r2: fl
     wq[0] = wq[-1] = wq[0] / 2
     pot_term = 0.0
     wall_term = 0.0
-    dn0, dn1, dn2 = _wall_normal_derivative(field)
-    dn2sum = np.abs(dn0) ** 2 + np.abs(dn1) ** 2 + np.abs(dn2) ** 2
+    wall = _wall_integrand(dr_, g.ell)
     for rad, wgt in zip(radii, wq):
         pot_term += wgt / rad**2 * float(np.sum(wdens[rr < rad]))
         # Lateral wall portion inside B_rad: |z| < sqrt(rad^2 - ell^2).
         zmax = math.sqrt(max(rad**2 - g.ell**2, 0.0))
         rows = np.abs(g.z) < zmax
-        integrand = 1.5 / g.ell**2 - 0.5 * dn2sum[rows]
-        wall_term += wgt / rad**2 * 2.0 * np.pi * g.ell**2 * float(np.sum(integrand) * g.hz)
+        wall_term += wgt / rad**2 * 2.0 * np.pi * g.ell**2 * float(np.sum(wall[rows]) * g.hz)
     lhs = e_ball(r1) / r1 + mid_term + pot_term
     rhs = e_ball(r2) / r2 + wall_term
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)

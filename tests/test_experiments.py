@@ -62,8 +62,8 @@ def test_invalid_tolerance_rejected():
 
 
 def test_parse_booleans(tmp_path):
-    # `_run_escape_sweep` takes bool() of `richardson`, so a config's "false"
-    # must arrive as False, not as a (truthy) string.
+    # A config's "false" must arrive as False: any other word is rejected as
+    # a `richardson` value.
     assert experiments._parse_value("false") is False
     assert experiments._parse_value("False") is False
     assert experiments._parse_value("TRUE") is True
@@ -123,6 +123,18 @@ def test_escape_sweep_small(tmp_path):
     csv = Path(doc["artifacts"]["sweep_csv"]).read_text().splitlines()
     assert csv[0] == "lambda,estar,e,beta_min,beta_max"
     assert len(csv) == 4
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_escape_sweep_with_fewer_than_three_lambdas(tmp_path, count):
+    # "e* nondecreasing" needs two rows and the concavity check three.
+    cfg = write_config(tmp_path, f"kind = escape-sweep\ngrid = 33\ncount = {count}\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 0
+    doc = json.loads((tmp_path / "res" / "escape-sweep.json").read_text())
+    rows = [run for run in doc["runs"] if run["id"].startswith("sweep/lam=")]
+    assert len(rows) == count and all(run["valid"] for run in rows)
+    csv = Path(doc["artifacts"]["sweep_csv"]).read_text().splitlines()
+    assert len(csv) == count + 1
 
 
 def test_report_richardson_rows():
@@ -267,3 +279,19 @@ def test_lambda_star_payload_records_failed_inits(tmp_path, monkeypatch):
     failures = run["failures"]
     assert failures and all(f[1:] == ["bubbled", "no bubbled"] for f in failures)
     assert failures[0][0] == pytest.approx(r2.LAMBDA_STAR_LOWER)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("step=abc", "solver option step must be a finite number"),
+        ("max_iters=1.5e3x", "solver option max_iters must be a finite number"),
+        ("max_iters=0", "solver options must be positive"),
+        ("richardson=no", "richardson must be true or false"),
+    ],
+)
+def test_cli_bad_solver_value_is_a_config_error(tmp_path, capsys, setting, message):
+    cfg = write_config(tmp_path, "kind = escape-sweep\ngrid = 33\ncount = 3\n")
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err

@@ -9,7 +9,9 @@ Groups:
     and the unresolved-span error.
  5. Minimization on a small cigar: split structure, monotone descent,
     classification, multi-start ordering.
- 6. Energy identities on an x3-independent field and a converged state.
+ 6. Energy identities on an x3-independent field and a converged state;
+    their one gradient pass against the row and wall stencils, and the
+    horizontal identity against a row-by-row reference.
  7. Instability form: admissibility check, zero at zero, negativity on the
     synthetic singular field, the finite-difference reference.
  8. CSV output against the node-by-node writer; shape validation.
@@ -243,6 +245,53 @@ def test_vertical_identity_x3_independent_field():
     fld = m3.seed_field(g, 0.7, "split-seed", OPTS)
     res = m3.vertical_identity_residual(fld, 0.7, -1.0, 1.5)
     assert res < 1e-10
+
+
+def test_meridian_gradients_match_the_row_and_wall_stencils():
+    # Reference stencils: the central z-difference on each interior row and
+    # the one-sided second-order r-difference at the wall column.
+    g = small_cigar()
+    fld = m3.tangent_map_field(g, 0.5123)
+    dr, dz = m3._meridian_gradients(fld)
+    for k, f in enumerate((fld.f0, fld.f1, fld.f2)):
+        row = (f[2:] - f[:-2]) / (2.0 * g.hz)
+        assert np.max(np.abs(dz[k][1:-1] - row)) <= 1e-12 * np.max(np.abs(dz[k]))
+        wall = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * g.hr)
+        assert np.max(np.abs(dr[k][:, -1] - wall)) <= 1e-12 * np.max(np.abs(dr[k]))
+
+
+def _horizontal_identity_reference(fld, lam, s):
+    # Row by row with the central z-difference and the one-sided wall
+    # difference: the reference for the one-pass horizontal identity.
+    g = fld.geom
+    fs = (fld.f0.astype(complex), fld.f1, fld.f2)
+    i_lo, i_hi = (int(round((t + g.h) / g.hz)) for t in (-s, s))
+    wz = np.full(i_hi + 1 - i_lo, g.hz)
+    wz[0] = wz[-1] = g.hz / 2
+    wr = r2._trapezoid_weights(g.r) * g.r
+    dn2 = sum(np.abs((3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * g.hr)) ** 2 for f in fs)
+    wall = vol = cap = 0.0
+    for w, i in zip(wz, range(i_lo, i_hi + 1)):
+        wall += 2.0 * np.pi * g.ell**2 * w * (1.5 / g.ell**2 - 0.5 * dn2[i])
+        dz = [(f[i + 1] - f[i - 1]) / (2.0 * g.hz) for f in fs]
+        dens = sum(np.abs(d) ** 2 for d in dz)
+        dens = dens + 2.0 * lam * tc.potential_w_arrays(fld.f0[i], fld.f1[i], fld.f2[i])
+        vol += 2.0 * np.pi * w * np.sum(wr * dens)
+        if i in (i_lo, i_hi):
+            acc = sum(
+                (np.gradient(f[i], g.r, edge_order=2) * np.conj(d)).real for f, d in zip(fs, dz)
+            )
+            cap += (1.0 if i == i_hi else -1.0) * 2.0 * np.pi * np.sum(wr * g.r * acc)
+    return abs(wall - vol - cap) / max(abs(wall), abs(vol + cap))
+
+
+def test_horizontal_identity_matches_the_row_by_row_reference():
+    g = small_cigar()
+    fld = m3.tangent_map_field(g, 0.5123)
+    s = 0.8 * (g.h - g.rho)
+    for lam in (0.0, 2.0):
+        res = m3.horizontal_identity_residual(fld, lam, s)
+        assert res == pytest.approx(_horizontal_identity_reference(fld, lam, s), rel=1e-12)
 
 
 def test_identity_parameter_validation():
