@@ -10,7 +10,8 @@ The explicit objects the numerics is checked against:
     the origin along class-boundary sequences;
   * hedgehog tensors and 0-homogeneous tangent maps with their 4 pi scaled
     singularity cost;
-  * conformality / isotropy / harmonic-ODE residual diagnostics;
+  * fourth-order conformality / isotropy residual diagnostics (the
+    harmonic-ODE residual is `radial2d.el_residual_2d` at lambda = 0);
   * the three-zone bubble insertion turning a class-N profile into a
     class-S profile at the cost of 4 pi + o(1).
 
@@ -35,7 +36,7 @@ __all__ = [
     "tangent_map_scaled_energy",
     "conformality_residual",
     "isotropy_residual",
-    "harmonic_ode_residual",
+    "bubble_energy",
     "bubble_insert",
 ]
 
@@ -180,114 +181,53 @@ def _sample_square(u_of_z, n: int):
     )  # (5, n, n) real components
 
 
-def conformality_residual(u_of_z, n: int, order: int = 2) -> float:
-    """Max over disc nodes of |d_z u . d_z u| by central differences."""
+def _taps(u, axis):
+    """The shifted views u_{-2}, ..., u_{+2} along `axis`, 2 nodes dropped per side."""
+    m = u.shape[axis] - 4
+    return [u[(slice(None),) * axis + (slice(k, k + m),)] for k in range(5)]
+
+
+def _d1_o4(u, h, axis):
+    """Fourth-order central first difference along `axis`."""
+    m2, m1, _, p1, p2 = _taps(u, axis)
+    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+
+
+def _d2_o4(u, h, axis):
+    """Fourth-order central second difference along `axis`."""
+    m2, m1, c, p1, p2 = _taps(u, axis)
+    return (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h**2)
+
+
+def _max_on_disc(val, x) -> float:
+    xi = x[2:-2]
+    rr = np.sqrt(xi[None, :] ** 2 + xi[:, None] ** 2)
+    return float(np.max(val[rr <= 1.0]))
+
+
+def conformality_residual(u_of_z, n: int) -> float:
+    """Max over disc nodes of |d_z u . d_z u| by fourth-order differences."""
     if n < 5:
         raise ValueError("grid too small")
     x, u = _sample_square(u_of_z, n)
     h = x[1] - x[0]
-    if order == 2:
-        ux = (u[:, :, 2:] - u[:, :, :-2])[:, 1:-1, :] / (2.0 * h)
-        uy = (u[:, 2:, :] - u[:, :-2, :])[:, :, 1:-1] / (2.0 * h)
-        inner = slice(1, -1)
-    elif order == 4:
-        ux = (
-            -u[:, :, 4:] + 8.0 * u[:, :, 3:-1] - 8.0 * u[:, :, 1:-3] + u[:, :, :-4]
-        )[:, 2:-2, :] / (12.0 * h)
-        uy = (
-            -u[:, 4:, :] + 8.0 * u[:, 3:-1, :] - 8.0 * u[:, 1:-3, :] + u[:, :-4, :]
-        )[:, :, 2:-2] / (12.0 * h)
-        inner = slice(2, -2)
-    else:
-        raise ValueError("order must be 2 or 4")
+    ux = _d1_o4(u, h, axis=2)[:, 2:-2, :]
+    uy = _d1_o4(u, h, axis=1)[:, :, 2:-2]
     uz = 0.5 * (ux - 1j * uy)
-    val = np.abs(np.sum(uz * uz, axis=0))
-    xi = x[inner]
-    rr = np.sqrt(xi[None, :] ** 2 + xi[:, None] ** 2)
-    return float(np.max(val[rr <= 1.0]))
+    return _max_on_disc(np.abs(np.sum(uz * uz, axis=0)), x)
 
 
-def _d1_o4(u, h, axis):
-    s = [slice(None)] * u.ndim
-
-    def sl(a, b):
-        s2 = list(s)
-        s2[axis] = slice(a, b if b != 0 else None)
-        return u[tuple(s2)]
-
-    return (-sl(4, 0) + 8.0 * sl(3, -1) - 8.0 * sl(1, -3) + sl(0, -4)) / (12.0 * h)
-
-
-def isotropy_residual(u_of_z, n: int, order: int = 2) -> float:
-    """Max over disc nodes of |d2_z u . d2_z u| by central differences."""
+def isotropy_residual(u_of_z, n: int) -> float:
+    """Max over disc nodes of |d2_z u . d2_z u| by fourth-order differences."""
     if n < 9:
         raise ValueError("grid too small")
     x, u = _sample_square(u_of_z, n)
     h = x[1] - x[0]
-    if order == 2:
-        uxx = (u[:, :, 2:] - 2.0 * u[:, :, 1:-1] + u[:, :, :-2])[:, 1:-1, :] / h**2
-        uyy = (u[:, 2:, :] - 2.0 * u[:, 1:-1, :] + u[:, :-2, :])[:, :, 1:-1] / h**2
-        uxy = (u[:, 2:, 2:] - u[:, 2:, :-2] - u[:, :-2, 2:] + u[:, :-2, :-2]) / (
-            4.0 * h**2
-        )
-        inner = slice(1, -1)
-    elif order == 4:
-        uxx = (
-            -u[:, :, 4:]
-            + 16.0 * u[:, :, 3:-1]
-            - 30.0 * u[:, :, 2:-2]
-            + 16.0 * u[:, :, 1:-3]
-            - u[:, :, :-4]
-        )[:, 2:-2, :] / (12.0 * h**2)
-        uyy = (
-            -u[:, 4:, :]
-            + 16.0 * u[:, 3:-1, :]
-            - 30.0 * u[:, 2:-2, :]
-            + 16.0 * u[:, 1:-3, :]
-            - u[:, :-4, :]
-        )[:, :, 2:-2] / (12.0 * h**2)
-        uxy = _d1_o4(_d1_o4(u, h, axis=1), h, axis=2)
-        inner = slice(2, -2)
-    else:
-        raise ValueError("order must be 2 or 4")
+    uxx = _d2_o4(u, h, axis=2)[:, 2:-2, :]
+    uyy = _d2_o4(u, h, axis=1)[:, :, 2:-2]
+    uxy = _d1_o4(_d1_o4(u, h, axis=1), h, axis=2)
     uzz = 0.25 * (uxx - uyy) - 0.5j * uxy
-    val = np.abs(np.sum(uzz * uzz, axis=0))
-    xi = x[inner]
-    rr = np.sqrt(xi[None, :] ** 2 + xi[:, None] ** 2)
-    return float(np.max(val[rr <= 1.0]))
-
-
-def harmonic_ode_residual(profile: RadialProfile) -> float:
-    """Max-norm residual of the harmonic ODE system at interior nodes.
-
-    The system is f_k'' + f_k'/r + |grad u|^2 f_k - k^2 f_k / r^2 = 0 with
-    |grad u|^2 = |f'|^2 + (|f1|^2 + 4 |f2|^2)/r^2; requires a uniform grid
-    with f1(0) = f2(0) = 0 and unit node norms (tol 1e-6).
-    """
-    r = profile.grid
-    h = r[1] - r[0]
-    if np.max(np.abs(np.diff(r) - h)) > 1e-12 * max(1.0, 1.0 / h):
-        raise ValueError("harmonic_ode_residual expects a uniform grid")
-    if np.max(np.abs(profile.node_norms() - 1.0)) > 1e-6:
-        raise ValueError("profile norms deviate from 1 beyond 1e-6")
-    res_max = 0.0
-    comps = (profile.f0.astype(complex), profile.f1, profile.f2)
-    dcomps = [np.gradient(f, r, edge_order=2) for f in comps]
-    grad2 = sum(np.abs(df) ** 2 for df in dcomps)
-    grad2[1:] += (np.abs(comps[1][1:]) ** 2 + 4.0 * np.abs(comps[2][1:]) ** 2) / r[
-        1:
-    ] ** 2
-    for k, f in enumerate(comps):
-        d1 = dcomps[k]
-        d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-        res = (
-            d2
-            + d1[1:-1] / r[1:-1]
-            + grad2[1:-1] * f[1:-1]
-            - (k**2) * f[1:-1] / r[1:-1] ** 2
-        )
-        res_max = max(res_max, float(np.max(np.abs(res))))
-    return res_max
+    return _max_on_disc(np.abs(np.sum(uzz * uzz, axis=0)), x)
 
 
 def bubble_energy(radius: float = 100.0) -> float:

@@ -250,8 +250,8 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
     n2 = int(config.get("conformality_grid", 257))
     for mu in (0.0, 1.0, math.sqrt(3.0), 1.7 + 0.3j):
         fmap = lambda z: cf.large_solution(mu, z)
-        c = cf.conformality_residual(fmap, n2, order=4)
-        iso = cf.isotropy_residual(fmap, n2, order=4)
+        c = cf.conformality_residual(fmap, n2)
+        iso = cf.isotropy_residual(fmap, n2)
         rid = env.add_run(f"closed/conf-mu={mu}", {"conformality": c, "isotropy": iso})
         env.check(f"conformality (mu1={mu})", c, "< 1e-4", c < 1e-4, rid)
         env.check(f"isotropy (mu1={mu})", iso, "< 1e-4", iso < 1e-4, rid)
@@ -317,9 +317,8 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     with open(csv_path, "w") as fh:
         fh.write("lambda,estar,e,beta_min,beta_max\n")
         for row in rows:
-            fh.write(
-                f"{row.lam!r},{row.estar!r},{row.e!r},{row.beta_min!r},{row.beta_max!r}\n"
-            )
+            cells = (row.lam, row.estar, row.e, row.beta_min, row.beta_max)
+            fh.write(",".join(repr(float(x)) for x in cells) + "\n")
     env.artifact("sweep_csv", csv_path)
 
     for row in rows:

@@ -640,7 +640,8 @@ def classify(field: MeridianField, ring_eps: float = 1e-2):
     """'Split' iff the axis trace has singularities, else 'Torus'.
 
     Torus results also report the deep-biaxiality ring: the connected
-    off-axis region where beta < -1 + ring_eps (None when absent).
+    off-axis region where beta <= -1 + ring_eps, the largest such region
+    when there are several (None when absent).
     """
     sing = detect_singularities(field)
     if sing:
@@ -651,46 +652,30 @@ def classify(field: MeridianField, ring_eps: float = 1e-2):
     deep[:, 0] = False
     if not np.any(deep):
         return "Torus", [], None
-    # Connected components by flood fill; keep those avoiding the axis.
-    labels = _label_components(deep)
-    best = None
-    for lab in range(1, labels.max() + 1):
-        cells = np.nonzero(labels == lab)
-        rmin = g.r[cells[1].min()]
-        if rmin <= g.hr / 2:
-            continue
-        ring = {
-            "r_range": (float(g.r[cells[1].min()]), float(g.r[cells[1].max()])),
-            "z_range": (float(g.z[cells[0].min()]), float(g.z[cells[0].max()])),
-            "cells": int(cells[0].size),
-        }
-        if best is None or ring["cells"] > best["cells"]:
-            best = ring
-    return "Torus", [], best
+    # Imported here: only a torus with a deep region needs it, and at module
+    # level it would add to every import of the package.
+    from scipy.sparse.csgraph import connected_components
 
-
-def _label_components(mask: np.ndarray) -> np.ndarray:
-    labels = np.zeros(mask.shape, dtype=int)
-    cur = 0
-    for i0, j0 in zip(*np.nonzero(mask)):
-        if labels[i0, j0]:
-            continue
-        cur += 1
-        stack = [(i0, j0)]
-        labels[i0, j0] = cur
-        while stack:
-            i, j = stack.pop()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                a, b = i + di, j + dj
-                if (
-                    0 <= a < mask.shape[0]
-                    and 0 <= b < mask.shape[1]
-                    and mask[a, b]
-                    and not labels[a, b]
-                ):
-                    labels[a, b] = cur
-                    stack.append((a, b))
-    return labels
+    # Components of the 4-neighbour graph on the deep cells, numbered in
+    # raster order.  The largest wins; on a tie, the one that starts first.
+    n = int(np.count_nonzero(deep))
+    node = np.full(deep.shape, -1)
+    node[deep] = np.arange(n)
+    across = deep[:, :-1] & deep[:, 1:]
+    along = deep[:-1] & deep[1:]
+    a = np.concatenate([node[:, :-1][across], node[:-1][along]])
+    b = np.concatenate([node[:, 1:][across], node[1:][along]])
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    k = np.lexsort((first, -sizes))[0]
+    zi, ri = (ix[labels == k] for ix in np.nonzero(deep))
+    ring = {
+        "r_range": (float(g.r[ri.min()]), float(g.r[ri.max()])),
+        "z_range": (float(g.z[zi.min()]), float(g.z[zi.max()])),
+        "cells": int(sizes[k]),
+    }
+    return "Torus", [], ring
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +856,11 @@ def energy_identity_residuals(field: MeridianField, lam: float):
 
     With a = h - rho: the radial identity between r1 = 1.05 ell and
     r2 = 0.95 a (NaN unless a > ell), the horizontal one at s = 0.8 a, and
-    the vertical one between the slices t1 = 0 and t2 = 0.5 a (NaN when
-    either lies within 4 h_z of an axis singularity).
+    the vertical one between the slices t1 = 0 and t2 = 0.98 a (NaN when
+    either lies within 4 h_z of an axis singularity).  The vertical slab
+    spans nearly all of the straight wall, where the field varies in x3; a
+    shorter one can lie where a tall cigar's field is still x3-independent
+    and read 0 trivially.  The identity fails in the rounded corners.
     """
     g = field.geom
     sing_z = [rec.position for rec in detect_singularities(field)]
@@ -887,7 +875,7 @@ def energy_identity_residuals(field: MeridianField, lam: float):
     else:
         out["radial"] = math.nan
     out["horizontal"] = horizontal_identity_residual(field, lam, a * 0.8)
-    t1, t2 = 0.0, a * 0.5
+    t1, t2 = 0.0, a * 0.98
     if clear_of_sing(t1) and clear_of_sing(t2):
         out["vertical"] = vertical_identity_residual(field, lam, t1, t2)
     else:

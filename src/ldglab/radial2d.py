@@ -517,6 +517,27 @@ def _tangent_frames(f0, f1, f2):
     return np.swapaxes(vh[:, 1:, :], 1, 2)
 
 
+def _second_variation_operator(profile: RadialProfile, lam: float) -> sp.csr_matrix:
+    """The second variation as a 5n x 5n matrix on real-5 node values.
+
+    Unknowns are ordered component-major: real-5 component a at node i is
+    index a * n + i.  Tangency and pinning are left to the caller.
+    """
+    d = _disc_for(profile.grid)
+    n = profile.n
+    f0, f1, f2 = profile.f0, profile.f1, profile.f2
+    big = sp.block_diag([d.stiff[k] for k in (0, 1, 1, 2, 2)], format="csr")
+    big = big - sp.diags(np.tile(d.mass * d.grad_sq(f0, f1, f2), 5))
+    if lam != 0.0:
+        comp = np.arange(5)
+        h = lam * d.mass[:, None, None] * hessian_w_homog(real5_arrays(f0, f1, f2))
+        node = np.arange(n)[:, None, None]
+        rows = np.broadcast_to(comp[:, None] * n + node, h.shape).ravel()
+        cols = np.broadcast_to(comp[None, :] * n + node, h.shape).ravel()
+        big = big + sp.csr_matrix((h.ravel(), (rows, cols)), shape=(5 * n, 5 * n))
+    return big
+
+
 def second_variation_form(profile: RadialProfile, lam: float, phi) -> float:
     """Value of the second-variation quadratic form at an equivariant field.
 
@@ -524,39 +545,24 @@ def second_variation_form(profile: RadialProfile, lam: float, phi) -> float:
     tangentially projected along the profile and forced to vanish at the
     pinned nodes before evaluation.
     """
-    d = _disc_for(profile.grid)
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
-    p0 = np.asarray(phi[0], dtype=float).copy()
-    p1 = np.asarray(phi[1], dtype=complex).copy()
-    p2 = np.asarray(phi[2], dtype=complex).copy()
+    p0 = np.asarray(phi[0], dtype=float)
+    p1 = np.asarray(phi[1], dtype=complex)
+    p2 = np.asarray(phi[2], dtype=complex)
     dot = p0 * f0 + (p1 * np.conj(f1)).real + (p2 * np.conj(f2)).real
-    p0, p1, p2 = p0 - dot * f0, p1 - dot * f1, p2 - dot * f2
-    for p in (p0, p1, p2):
-        p[0] = 0.0
-        p[-1] = 0.0
-    quad = (
-        float(p0 @ (d.stiff[0] @ p0))
-        + float((np.conj(p1) @ (d.stiff[1] @ p1)).real)
-        + float((np.conj(p2) @ (d.stiff[2] @ p2)).real)
-    )
-    g2 = d.grad_sq(f0, f1, f2)
-    quad -= float(
-        np.sum(d.mass * g2 * (p0**2 + np.abs(p1) ** 2 + np.abs(p2) ** 2))
-    )
-    if lam != 0.0:
-        h = hessian_w_homog(real5_arrays(f0, f1, f2))
-        p5 = real5_arrays(p0, p1, p2)
-        quad += lam * float(np.einsum("i,ia,iab,ib->", d.mass, p5, h, p5))
-    return quad
+    x = real5_arrays(p0 - dot * f0, p1 - dot * f1, p2 - dot * f2)
+    x[[0, -1]] = 0.0
+    x = x.T.ravel()
+    return float(x @ (_second_variation_operator(profile, lam) @ x))
 
 
 def second_variation_spectrum(profile: RadialProfile, lam: float):
     """Smallest eigenvalue of the projected Hessian at a converged minimizer.
 
-    Assembles the quadratic form over nodewise-tangent equivariant fields
-    vanishing at r = 0 and r = 1 and solves the generalized eigenproblem
-    against the L2(pi r dr) mass; returns (smallest, the SPECTRUM_MODES
-    lowest eigenvalues).  Raises if the EL residual exceeds
+    Restricts `_second_variation_operator` to nodewise-tangent equivariant
+    fields vanishing at r = 0 and r = 1 and solves the generalized
+    eigenproblem against the L2(pi r dr) mass; returns (smallest, the
+    SPECTRUM_MODES lowest eigenvalues).  Raises if the EL residual exceeds
     STATIONARY_RESIDUAL.
     """
     res = el_residual_2d(profile, lam)
@@ -566,27 +572,10 @@ def second_variation_spectrum(profile: RadialProfile, lam: float):
         )
     d = _disc_for(profile.grid)
     n = profile.n
-    f0, f1, f2 = profile.f0, profile.f1, profile.f2
-    comp_pen = [0, 1, 1, 2, 2]
-    blocks = [d.stiff[comp_pen[c]] for c in range(5)]
-    big = sp.block_diag(blocks, format="csr")
-
-    g2 = d.grad_sq(f0, f1, f2)
-    diag_term = np.concatenate([d.mass * g2 for _ in range(5)])
-    big = big - sp.diags(diag_term)
-
-    # Unknowns are ordered component-major: real-5 component a at node i is
-    # index a * n + i.
-    comp = np.arange(5)
-    if lam != 0.0:
-        h = lam * d.mass[:, None, None] * hessian_w_homog(real5_arrays(f0, f1, f2))
-        node = np.arange(n)[:, None, None]
-        rows = np.broadcast_to(comp[:, None] * n + node, h.shape).ravel()
-        cols = np.broadcast_to(comp[None, :] * n + node, h.shape).ravel()
-        big = big + sp.csr_matrix((h.ravel(), (rows, cols)), shape=(5 * n, 5 * n))
-
+    big = _second_variation_operator(profile, lam)
     interior = np.arange(1, n - 1)
-    frames = _tangent_frames(f0, f1, f2)[interior]
+    frames = _tangent_frames(profile.f0, profile.f1, profile.f2)[interior]
+    comp = np.arange(5)
     rows = np.broadcast_to(comp[:, None] * n + interior[:, None, None], frames.shape).ravel()
     cols = 4 * np.arange(interior.size)[:, None, None] + np.arange(4)
     cols = np.broadcast_to(cols, frames.shape).ravel()

@@ -147,8 +147,8 @@ def test_criterion_03_conformality_isotropy():
     details = []
     for mu in (0.0, 1.0, math.sqrt(3.0), 1.7 + 0.3j):
         fmap = lambda z: cf.large_solution(mu, z)
-        c = cf.conformality_residual(fmap, 257, order=4)
-        i = cf.isotropy_residual(fmap, 257, order=4)
+        c = cf.conformality_residual(fmap, 257)
+        i = cf.isotropy_residual(fmap, 257)
         ok &= c < 1e-4 and i < 1e-4
         details.append(f"mu={mu}: conf {c:.1e} iso {i:.1e}")
     control = lambda z: (np.cos(z.real), np.sin(z.real).astype(complex), np.zeros_like(z))

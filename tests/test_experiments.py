@@ -8,6 +8,7 @@ Groups:
  5. CLI entry point round trips.
 """
 
+import csv
 import json
 import copy
 from pathlib import Path
@@ -135,6 +136,20 @@ def test_escape_sweep_with_fewer_than_three_lambdas(tmp_path, count):
     assert len(rows) == count and all(run["valid"] for run in rows)
     csv = Path(doc["artifacts"]["sweep_csv"]).read_text().splitlines()
     assert len(csv) == count + 1
+
+
+def test_escape_sweep_csv_is_numeric(tmp_path):
+    # The lambdas come from np.linspace; every cell must still read back as a
+    # plain float literal.
+    cfg = write_config(tmp_path, "kind = escape-sweep\ngrid = 33\ncount = 3\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 0
+    doc = json.loads((tmp_path / "res" / "escape-sweep.json").read_text())
+    with open(doc["artifacts"]["sweep_csv"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "estar", "e", "beta_min", "beta_max"]
+    assert len(rows) == 4
+    for row in rows[1:]:
+        assert len([float(cell) for cell in row]) == 5
 
 
 def test_report_richardson_rows():

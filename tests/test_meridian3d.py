@@ -239,6 +239,44 @@ def test_constant_e0_classifies_torus_without_ring():
     assert cls == "Torus" and sing == [] and ring is None
 
 
+def ring_of_blocks(g, blocks):
+    """classify's ring for +E0 everywhere except -E0 on the given (z, r) blocks."""
+    f0 = np.ones((g.nz, g.nr))
+    for zs, rs in blocks:
+        f0[zs, rs] = -1.0
+    zero = np.zeros((g.nz, g.nr), complex)
+    cls, sing, ring = m3.classify(m3.MeridianField(g, f0, zero, zero.copy()))
+    assert cls == "Torus" and sing == []
+    return ring
+
+
+def test_classify_reports_the_largest_ring():
+    g = small_pancake()
+    small = (slice(4, 7), slice(10, 14))
+    large = (slice(9, 13), slice(30, 40))
+    for blocks in ((small, large), (large, small)):
+        ring = ring_of_blocks(g, blocks)
+        assert ring == {
+            "r_range": (float(g.r[30]), float(g.r[39])),
+            "z_range": (float(g.z[9]), float(g.z[12])),
+            "cells": 40,
+        }
+
+
+def test_classify_ring_tie_keeps_the_first_in_raster_order():
+    # Raster order runs along r within a z row, so the lower block comes
+    # first although it lies farther from the axis.
+    g = small_pancake()
+    lower = (slice(3, 6), slice(30, 34))
+    upper = (slice(9, 12), slice(10, 14))
+    ring = ring_of_blocks(g, (upper, lower))
+    assert ring == {
+        "r_range": (float(g.r[30]), float(g.r[33])),
+        "z_range": (float(g.z[3]), float(g.z[5])),
+        "cells": 12,
+    }
+
+
 def test_vertical_identity_x3_independent_field():
     # For an x3-independent field both sides reduce to the slice energy.
     g = m3.build_geometry(4.0, 1.0, 0.2, target_h=0.02)
