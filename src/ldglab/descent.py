@@ -27,11 +27,16 @@ with s = (A f) . conj(f) the mass times the nodal multiplier (zero where
 the mass is zero).  The shifted matrices are SPD, so SuperLU factors them
 in symmetric mode with a minimum-degree ordering of A^T + A; the real and
 imaginary parts of a complex right-hand side go through one 2-column
-solve.  The products A f of the accepted state are carried forward: each
-candidate costs one stiffness product per component, and those products
-give both its energy and, once it is accepted, the next multiplier.  The
-tangential potential gradient of the accepted state is likewise computed
-once and shared by the increment and the gradient-norm check.
+solve.  Fields whose f1 and f2 enter with no nonzero imaginary part are
+iterated in real arithmetic: the stiffness, the data and grad W_tan are
+real, so the real subspace is invariant under the step.  The products A f
+of the accepted state are carried forward: each candidate costs one
+stiffness product per component, and those products give both its energy
+and, once it is accepted, the next multiplier.  The signed biaxiality beta
+is computed once per state, for the candidate's energy and then for its
+grad W_tan; a flip drops it, since beta depends on f0.  The tangential
+potential gradient of the accepted state is likewise computed once and
+shared by the increment and the gradient-norm check.
 
 The LU factors belong to the Problem, keyed by (component, tau0), so every
 descent on one Problem reuses them: the 3D solver runs the seeds of one
@@ -64,7 +69,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .tensor_core import grad_w_tan_arrays, potential_w_arrays, renormalize_arrays
+from .tensor_core import (
+    beta_arrays,
+    grad_w_tan_arrays,
+    potential_w_from_beta,
+    renormalize_arrays,
+)
 
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
 STAB_C = 4.0
@@ -192,20 +202,28 @@ def stiffness_products(p: Problem, f0, f1, f2):
     return p.stiff[0] @ f0, p.stiff[1] @ f1, p.stiff[2] @ f2
 
 
-def energy(p: Problem, f0, f1, f2, af=None) -> float:
-    """Discrete energy; af optionally carries the stiffness products of f."""
+def _beta(p: Problem, f0, f1, f2):
+    """Signed biaxiality at every node, or None when lam = 0 (W unused)."""
+    return beta_arrays(f0, f1, f2) if p.lam != 0.0 else None
+
+
+def energy(p: Problem, f0, f1, f2, af=None, beta=None) -> float:
+    """Discrete energy; af and beta optionally carry the stiffness products
+    and the signed biaxiality (`beta_arrays`) of f."""
     a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
     quad = 0.5 * float(f0 @ a0)
-    quad += 0.5 * float((np.conj(f1) @ a1).real)
-    quad += 0.5 * float((np.conj(f2) @ a2).real)
+    quad += 0.5 * float((f1.conj() @ a1).real)
+    quad += 0.5 * float((f2.conj() @ a2).real)
     if p.lam != 0.0:
-        quad += p.lam * float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
+        if beta is None:
+            beta = beta_arrays(f0, f1, f2)
+        quad += p.lam * float(np.sum(p.mass * potential_w_from_beta(beta)))
     return quad
 
 
-def _grad_w(p: Problem, f0, f1, f2):
+def _grad_w(p: Problem, f0, f1, f2, beta=None):
     """Tangential gradient of W at every node; zeros when lam = 0."""
-    return grad_w_tan_arrays(f0, f1, f2) if p.lam != 0.0 else (0.0, 0.0, 0.0)
+    return grad_w_tan_arrays(f0, f1, f2, beta) if p.lam != 0.0 else (0.0, 0.0, 0.0)
 
 
 def riemannian_gradient(p: Problem, f0, f1, f2, af=None, gw=None):
@@ -220,7 +238,7 @@ def riemannian_gradient(p: Problem, f0, f1, f2, af=None, gw=None):
     g0 = a0 / mass_safe + p.lam * gw0
     g1 = a1 / mass_safe + p.lam * gw1
     g2 = a2 / mass_safe + p.lam * gw2
-    dot = g0 * f0 + (g1 * np.conj(f1)).real + (g2 * np.conj(f2)).real
+    dot = g0 * f0 + (g1 * f1.conj()).real + (g2 * f2.conj()).real
     g0, g1, g2 = g0 - dot * f0, g1 - dot * f1, g2 - dot * f2
     for c, g in enumerate((g0, g1, g2)):
         m = np.zeros(g.shape, dtype=bool)
@@ -237,7 +255,7 @@ def gradient_norm(p: Problem, f0, f1, f2, af=None, gw=None) -> float:
 
 def _force(p: Problem, f0, f1, f2, af, gw):
     """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
-    s = af[0] * f0 + (af[1] * np.conj(f1)).real + (af[2] * np.conj(f2)).real
+    s = af[0] * f0 + (af[1] * f1.conj()).real + (af[2] * f2.conj()).real
     s = np.where(p.mass > 0, s, 0.0)
     out = [s * f - a for f, a in zip((f0, f1, f2), af)]
     if p.lam != 0.0:
@@ -253,7 +271,7 @@ def _semi_implicit(p: Problem, fields, force, tau):
         fac = p.factor(c, tau)
         rhs = tau * r[idx]
         delta = np.zeros_like(f)
-        if np.any(rhs.imag):
+        if np.iscomplexobj(rhs) and np.any(rhs.imag):
             sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
             delta[idx] = sol[:, 0] + 1j * sol[:, 1]
         else:
@@ -267,9 +285,9 @@ def _explicit(p: Problem, f0, f1, f2, tau, af, gw):
     return [-tau * g for g in riemannian_gradient(p, f0, f1, f2, af, gw)]
 
 
-# Potential values at the two axis states (+E0 and -E0).
-_W_PLUS = float(potential_w_arrays(1.0, 0.0, 0.0))
-_W_MINUS = float(potential_w_arrays(-1.0, 0.0, 0.0))
+# Potential values at the two axis states +E0 and -E0, where beta = +1 and -1.
+_W_PLUS = float(potential_w_from_beta(1.0))
+_W_MINUS = float(potential_w_from_beta(-1.0))
 
 
 def flip_sweep(p: Problem, f0, f1, f2):
@@ -310,13 +328,21 @@ def descend(
     opts: SolveOptions,
     on_accept: Callable[[int, float], None] | None = None,
 ):
-    """Monotone projected descent; returns (fields, iterations, converged)."""
+    """Monotone projected descent; returns (fields, iterations, converged).
+
+    The dtype is chosen once: real arrays when f1 and f2 have no nonzero
+    imaginary part, complex ones otherwise.  f1 and f2 come back complex.
+    """
     f0, f1, f2 = fields
     f0 = np.asarray(f0, dtype=float).copy()
-    f1 = np.asarray(f1, dtype=complex).copy()
-    f2 = np.asarray(f2, dtype=complex).copy()
+    f1, f2 = np.asarray(f1), np.asarray(f2)
+    real = not (np.any(f1.imag) or np.any(f2.imag))
+    f1, f2 = (f.real.astype(float) if real else f.astype(complex) for f in (f1, f2))
     af = stiffness_products(p, f0, f1, f2)
-    e = energy(p, f0, f1, f2, af)
+    # beta of the current state, carried from its energy into its grad W_tan;
+    # None after a flip, which changes f0.
+    beta = _beta(p, f0, f1, f2)
+    e = energy(p, f0, f1, f2, af, beta)
     tau0 = opts.step * 2.0**LADDER_MAX
     gw = delta = None
     ladder = 0
@@ -327,7 +353,7 @@ def descend(
         it += 1
         if delta is None:
             if gw is None:
-                gw = _grad_w(p, f0, f1, f2)
+                gw = _grad_w(p, f0, f1, f2, beta)
             if opts.stepper == "semi_implicit":
                 delta = _semi_implicit(p, (f0, f1, f2), _force(p, f0, f1, f2, af, gw), tau0)
             else:
@@ -336,7 +362,8 @@ def descend(
         v0, v1, v2 = renormalize_arrays(*(f + alpha * d for f, d in zip((f0, f1, f2), delta)))
         v0, v1, v2 = p.project(v0, v1, v2)
         av = stiffness_products(p, v0, v1, v2)
-        e_new = energy(p, v0, v1, v2, av)
+        bv = _beta(p, v0, v1, v2)
+        e_new = energy(p, v0, v1, v2, av, bv)
         # The acceptance slack carries an absolute floor: near stationarity
         # the solve/renormalize round-trip has a small roundoff noise floor
         # amplified by the stiff 1/r^2 rows, independent of the step size.
@@ -349,7 +376,7 @@ def descend(
                 if nflips:
                     f0 = f0c
                     af = (p.stiff[0] @ f0, af[1], af[2])
-                    gw = delta = None
+                    gw = delta = beta = None
                     e = energy(p, f0, f1, f2, af)
                     ladder = 0
                     continue
@@ -362,7 +389,7 @@ def descend(
             continue
         decrement = e - e_new
         f0, f1, f2 = v0, v1, v2
-        af = av
+        af, beta = av, bv
         gw = delta = None
         e = e_new
         if on_accept is not None:
@@ -376,13 +403,14 @@ def descend(
             if nflips:
                 f0 = f0c
                 af = (p.stiff[0] @ f0, af[1], af[2])
+                beta = None
                 e = energy(p, f0, f1, f2, af)
                 if on_accept is not None:
                     on_accept(it, e)
                 grow = 0
                 continue
-            gw = _grad_w(p, f0, f1, f2)
+            gw = _grad_w(p, f0, f1, f2, beta)
             if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
                 converged = True
                 break
-    return (f0, f1, f2), it, converged
+    return (f0, f1.astype(complex, copy=False), f2.astype(complex, copy=False)), it, converged

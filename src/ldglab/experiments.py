@@ -421,8 +421,11 @@ SEEDS = ("split-seed", "torus-seed")
 
 def _dual_seed_solve(geom, lam, opts):
     results = m3.minimize_seeds(geom, lam, SEEDS, opts)
-    # min keeps the first of equal energies: the split seed wins a tie.
-    best = min(results.values(), key=lambda res: res.energy)
+    # Energies that agree to the descent's own resolution tie, and a tie
+    # goes to the first seed in SEEDS order: the split seed.
+    low = min(res.energy for res in results.values())
+    best = next(res for res in results.values()
+                if res.energy - low <= opts.energy_tol * max(1.0, abs(low)))
     return best, results
 
 

@@ -124,6 +124,11 @@ class CylinderGeometry:
         return _MeridianDisc(self)
 
     @cached_property
+    def data_nodes(self) -> np.ndarray:
+        """Flat (row-major) indices of the data layer."""
+        return np.flatnonzero(self.dirichlet)
+
+    @cached_property
     def boundary_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only `homeotropic_data` of this lattice, shared by every seed."""
         arrays = homeotropic_data(self)
@@ -278,13 +283,13 @@ def homeotropic_data(geom: CylinderGeometry):
 def _impose(geom: CylinderGeometry, f0, f1, f2, data=None) -> None:
     """Write the data layer (default `geom.boundary_data`) and the axis rules
     f1 = f2 = 0, f0 = +/-1 into (nz, nr) arrays, in place."""
-    bf0, bf1, bf2 = geom.boundary_data if data is None else data
-    dm = geom.dirichlet
     f1[:, 0] = 0.0
     f2[:, 0] = 0.0
     # Unit norm on the axis forces the trace values +/-1.
     f0[:, 0] = np.where(f0[:, 0] >= 0, 1.0, -1.0)
-    f0[dm], f1[dm], f2[dm] = bf0[dm], bf1[dm], bf2[dm]
+    k = geom.data_nodes
+    for f, b in zip((f0, f1, f2), geom.boundary_data if data is None else data):
+        np.put(f, k, np.take(b, k))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +361,10 @@ class _MeridianDisc:
 def _problem_for(field: MeridianField, lam: float) -> descent.Problem:
     geom = field.geom
     d = geom.disc
-    data = (field.f0.copy(), field.f1.copy(), field.f2.copy())
+    # The data layer of a real field is kept real, so it can be written into
+    # the real arrays of a real descent.
+    data = tuple(f.copy() if np.any(f.imag) else f.real.copy()
+                 for f in (field.f0, field.f1, field.f2))
     nz, nr = geom.nz, geom.nr
 
     def project(v0, v1, v2):

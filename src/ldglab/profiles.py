@@ -16,8 +16,9 @@ import numpy as np
 
 from .tensor_core import SQRT3, beta_arrays
 
-#: Boundary value (f0, f1, f2) at r = 1 shared by every admissible profile.
-BOUNDARY_F = (-0.5, 0.0 + 0.0j, SQRT3 / 2.0 + 0.0j)
+#: Boundary value (f0, f1, f2) at r = 1 shared by every admissible profile;
+#: real, so it can be written into real and complex fields alike.
+BOUNDARY_F = (-0.5, 0.0, SQRT3 / 2.0)
 
 NODE_NORM_TOL = 1e-9
 

@@ -583,6 +583,9 @@ def second_variation_spectrum(profile: RadialProfile, lam: float):
     h_t = (t.T @ big @ t).tocsc()
     m_t = sp.diags(np.repeat(d.mass[interior], 4)).tocsc()
     k = min(SPECTRUM_MODES, h_t.shape[0] - 2)
-    vals = spla.eigsh(h_t, k=k, M=m_t, sigma=-2.0, which="LM", return_eigenvectors=False)
+    # A fixed start vector makes the eigenvalues reproducible to the last bit.
+    v0 = np.random.default_rng(0).standard_normal(h_t.shape[0])
+    vals = spla.eigsh(h_t, k=k, M=m_t, sigma=-2.0, which="LM", v0=v0,
+                      return_eigenvectors=False)
     vals = np.sort(vals)
     return float(vals[0]), vals

@@ -15,8 +15,9 @@ Conventions:
   * The reduced potential on the unit sphere is
     W(u) = (1 - beta(u)) / (3 sqrt 6) >= 0, zero exactly on the vacuum
     manifold (an embedded RP^2).
-  * All vectorized helpers accept arrays f0 (real), f1, f2 (complex) of
-    a common shape and broadcast elementwise.
+  * All vectorized helpers accept arrays f0 (real), f1, f2 (complex, or
+    real on the real subspace Im f1 = Im f2 = 0) of a common shape and
+    broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -162,20 +163,28 @@ def beta_arrays(f0, f1, f2):
 
 def potential_w_arrays(f0, f1, f2):
     """Reduced potential W of unit-norm samples, elementwise."""
-    return (1.0 - beta_arrays(f0, f1, f2)) / (3.0 * SQRT6)
+    return potential_w_from_beta(beta_arrays(f0, f1, f2))
 
 
-def grad_w_tan_arrays(f0, f1, f2):
+def potential_w_from_beta(beta):
+    """Reduced potential W = (1 - beta)/(3 sqrt6) from the signed biaxiality."""
+    return (1.0 - beta) / (3.0 * SQRT6)
+
+
+def grad_w_tan_arrays(f0, f1, f2, beta=None):
     """Tangential gradient of W at unit-norm samples, elementwise.
 
     Components match the zero-order terms of the Euler-Lagrange systems:
         g0 = (|f2|^2 - f0^2 - |f1|^2/2 + beta f0) / sqrt6
         g1 = (-sqrt3 f2 conj(f1) - f0 f1 + beta f1) / sqrt6
         g2 = (-(sqrt3/2) f1^2 + 2 f0 f2 + beta f2) / sqrt6
+    beta optionally carries `beta_arrays` of the samples.  Real f1, f2 give
+    real components.
     """
-    beta = beta_arrays(f0, f1, f2)
+    if beta is None:
+        beta = beta_arrays(f0, f1, f2)
     g0 = (np.abs(f2) ** 2 - f0**2 - 0.5 * np.abs(f1) ** 2 + beta * f0) / SQRT6
-    g1 = (-SQRT3 * f2 * np.conj(f1) - f0 * f1 + beta * f1) / SQRT6
+    g1 = (-SQRT3 * f2 * f1.conj() - f0 * f1 + beta * f1) / SQRT6
     g2 = (-(SQRT3 / 2.0) * f1**2 + 2.0 * f0 * f2 + beta * f2) / SQRT6
     return g0, g1, g2
 

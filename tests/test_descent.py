@@ -12,8 +12,11 @@ Groups:
     on the Problem, keyed by tau, so descents with different step sizes
     can share one Problem.
  5. The flip sweep of the deep-backtracking branch refreshes the carried
-    products.
- 6. Properties (hypothesis): the energy is invariant under the circle
+    products and signed biaxiality.
+ 6. Real fields: the step's pieces agree on real arrays and on the same
+    values held in complex ones; a real field descends in real arrays, a
+    complex one keeps its imaginary part, and both come back complex.
+ 7. Properties (hypothesis): the energy is invariant under the circle
     action, and the accepted energies of a descent never rise.
 """
 
@@ -31,7 +34,7 @@ from ldglab import descent
 from ldglab import meridian3d as m3
 from ldglab import radial2d as r2
 from ldglab.profiles import uniform_grid
-from ldglab.tensor_core import grad_w_tan_arrays, renormalize_arrays
+from ldglab.tensor_core import beta_arrays, grad_w_tan_arrays, renormalize_arrays
 
 
 def radial_case(lam=20.0, n=129):
@@ -206,20 +209,29 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
     p, fld = meridian_split_seed()
     flips = []
     seen = []
+    carried = []
 
-    def fresh(f0, f1, f2, af, gw=None):
+    def fresh(f0, f1, f2, af, gw=None, beta=None):
         if af is not None:
             ref = descent.stiffness_products(p, f0, f1, f2)
             seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
         if gw is not None:
             ref = grad_w_tan_arrays(f0, f1, f2)
             seen.append(all(np.array_equal(a, b) for a, b in zip(gw, ref)))
+        if beta is not None:
+            seen.append(np.array_equal(beta, beta_arrays(f0, f1, f2)))
 
     energy, gradient_norm, flip_sweep = descent.energy, descent.gradient_norm, descent.flip_sweep
+    grad_w = descent.grad_w_tan_arrays
 
-    def checked_energy(p, f0, f1, f2, af=None):
-        fresh(f0, f1, f2, af)
-        return energy(p, f0, f1, f2, af)
+    def checked_energy(p, f0, f1, f2, af=None, beta=None):
+        fresh(f0, f1, f2, af, beta=beta)
+        return energy(p, f0, f1, f2, af, beta)
+
+    def checked_grad_w(f0, f1, f2, beta=None):
+        fresh(f0, f1, f2, None, beta=beta)
+        carried.append(beta is not None)
+        return grad_w(f0, f1, f2, beta)
 
     def checked_gradient_norm(p, f0, f1, f2, af=None, gw=None):
         fresh(f0, f1, f2, af, gw)
@@ -233,10 +245,13 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
     monkeypatch.setattr(descent, "energy", checked_energy)
     monkeypatch.setattr(descent, "gradient_norm", checked_gradient_norm)
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
+    monkeypatch.setattr(descent, "grad_w_tan_arrays", checked_grad_w)
     fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
     _, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=3000))
     assert converged and sum(flips) > 0
     assert seen and all(seen)
+    # beta is carried into grad W_tan, and recomputed after each flip.
+    assert any(carried) and not all(carried)
 
 
 class CountingStiffness:
@@ -336,20 +351,26 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     state = {"accepted": 0, "deep_flips": 0}
     seen = []
 
-    def fresh(g0, g1, g2, af, gw=None):
-        ref = descent.stiffness_products(p, g0, g1, g2)
-        seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
+    def fresh(g0, g1, g2, af, gw=None, beta=None):
+        if af is not None:
+            ref = descent.stiffness_products(p, g0, g1, g2)
+            seen.append(all(np.array_equal(a, b) for a, b in zip(af, ref)))
         if gw is not None:
             ref = grad_w_tan_arrays(g0, g1, g2)
             seen.append(all(np.array_equal(a, b) for a, b in zip(gw, ref)))
+        if beta is not None:
+            seen.append(np.array_equal(beta, beta_arrays(g0, g1, g2)))
 
     energy, force, semi_implicit = descent.energy, descent._force, descent._semi_implicit
-    flip_sweep = descent.flip_sweep
+    flip_sweep, grad_w = descent.flip_sweep, descent.grad_w_tan_arrays
 
-    def checked_energy(p, g0, g1, g2, af=None):
-        if af is not None:
-            fresh(g0, g1, g2, af)
-        return energy(p, g0, g1, g2, af)
+    def checked_energy(p, g0, g1, g2, af=None, beta=None):
+        fresh(g0, g1, g2, af, beta=beta)
+        return energy(p, g0, g1, g2, af, beta)
+
+    def checked_grad_w(g0, g1, g2, beta=None):
+        fresh(g0, g1, g2, None, beta=beta)
+        return grad_w(g0, g1, g2, beta)
 
     def checked_force(p, g0, g1, g2, af, gw):
         fresh(g0, g1, g2, af, gw)
@@ -378,6 +399,7 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     monkeypatch.setattr(descent, "_force", checked_force)
     monkeypatch.setattr(descent, "_semi_implicit", rising_step)
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
+    monkeypatch.setattr(descent, "grad_w_tan_arrays", checked_grad_w)
     out, _, _ = descent.descend(p, (f0, f1, f2), descent.SolveOptions(max_iters=40),
                                 on_accept=on_accept)
     # The planted node was flipped back before any step was accepted, that
@@ -385,6 +407,62 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     assert state["deep_flips"] > 0 and state["accepted"] > 0
     assert out[0][planted] == fld.f0.ravel()[planted]
     assert seen and all(seen)
+
+
+def real_meridian_case(lam=1.0):
+    """A meridian state off the seed with Im f1 = Im f2 = 0, in real arrays."""
+    prob, fld = meridian_split_seed(lam)
+    rng = np.random.default_rng(7)
+    f = [fld.f0.ravel().copy(), fld.f1.ravel().real.copy(), fld.f2.ravel().real.copy()]
+    for c in range(3):
+        f[c][prob.free[c]] += 0.1 * rng.standard_normal(prob.free[c].size)
+    return prob, prob.project(*renormalize_arrays(*f))
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def test_real_and_complex_arrays_give_the_same_step():
+    p, real = real_meridian_case()
+    held = (real[0], real[1].astype(complex), real[2].astype(complex))
+    assert real[1].dtype == float and np.any(real[1] != 0.0)
+    out = {}
+    for name, f in (("real", real), ("complex", held)):
+        af = descent.stiffness_products(p, *f)
+        gw = grad_w_tan_arrays(*f)
+        force = descent._force(p, *f, af, gw)
+        out[name] = {
+            "energy": [descent.energy(p, *f)],
+            "grad_w": gw,
+            "force": force,
+            "step": descent._semi_implicit(p, f, force, 0.2),
+            "gradient": descent.riemannian_gradient(p, *f),
+        }
+    for key, got in out["real"].items():
+        for a, b in zip(got, out["complex"][key]):
+            assert np.isrealobj(a), key
+            assert rel_err(a, b) <= 1e-14, key
+
+
+def test_descend_keeps_the_dtype_of_its_fields(monkeypatch):
+    for case, real_path in ((real_meridian_case, True), (meridian_case, False)):
+        p, fields = case()
+        project = p.project
+        kinds = set()
+
+        def recording(v0, v1, v2):
+            kinds.add((v1.dtype, v2.dtype))
+            return project(v0, v1, v2)
+
+        p.project = recording
+        out, _, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=20))
+        want = np.dtype(float) if real_path else np.dtype(complex)
+        assert kinds == {(want, want)}
+        # Either way f1 and f2 come back complex, and a complex field keeps
+        # its imaginary part.
+        assert out[0].dtype == float and out[1].dtype == out[2].dtype == complex
+        assert np.any(out[1].imag != 0.0) != real_path
 
 
 @functools.lru_cache(maxsize=None)

@@ -310,3 +310,30 @@ def test_cli_bad_solver_value_is_a_config_error(tmp_path, capsys, setting, messa
     rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "split_gap, winner",
+    [
+        (0.0, "split-seed"),
+        (np.spacing(646.2463257777018), "split-seed"),  # 1 ulp above: a tie
+        (1e-6, "torus-seed"),
+        (-1e-6, "split-seed"),
+    ],
+)
+def test_dual_seed_solve_ties_within_the_energy_tolerance(monkeypatch, split_gap, winner):
+    from types import SimpleNamespace
+
+    from ldglab import descent
+    from ldglab import meridian3d as m3
+
+    e = 646.2463257777018
+
+    def fake_seeds(geom, lam, seeds, opts):
+        energies = {"split-seed": e + split_gap, "torus-seed": e}
+        return {s: SimpleNamespace(seed_name=s, energy=energies[s]) for s in seeds}
+
+    monkeypatch.setattr(m3, "minimize_seeds", fake_seeds)
+    best, results = experiments._dual_seed_solve(None, 1.0, descent.SolveOptions())
+    assert list(results) == list(experiments.SEEDS)
+    assert best.seed_name == winner

@@ -211,6 +211,14 @@ def test_second_variation_positive_at_us():
     assert np.all(np.diff(vals) >= -1e-9)
 
 
+def test_second_variation_spectrum_is_reproducible():
+    res = r2.minimize_2d(5.0, "S", "uS", grid=uniform_grid(129))
+    runs = [r2.second_variation_spectrum(res.profile, 5.0) for _ in range(3)]
+    for smallest, vals in runs[1:]:
+        assert smallest == runs[0][0]
+        assert vals.tobytes() == runs[0][1].tobytes()
+
+
 def test_second_variation_zero_at_zero():
     p = us_profile(257)
     z = np.zeros(257)
