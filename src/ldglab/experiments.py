@@ -333,6 +333,8 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
                 "global_class": row.global_class,
                 "valid": row.valid,
                 "failures": [list(f) for f in row.failures],
+                "converged": row.converged,
+                "fine_converged": row.fine_converged,
             },
         )
     est = np.array([row.estar for row in rows])
@@ -340,6 +342,9 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     rid = "sweep/all"
     env.add_run(rid, {"count": len(rows)})
     env.check("all rows valid", valid, "True", valid, rid)
+    slow = [float(row.lam) for row in rows
+            if row.valid and not (row.converged and row.fine_converged is not False)]
+    env.check("winning class-S solves converged", slow, "none unconverged", not slow, rid)
     if len(rows) >= 2:
         env.check(
             "e* nondecreasing", float(np.min(np.diff(est))), ">= -5e-3",
@@ -371,7 +376,11 @@ def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     lo, hi, pt = est
     rid = env.add_run(
         "lambda-star/bisection",
-        {"lo": lo, "hi": hi, "point": pt, "failures": [list(f) for f in est.failures]},
+        {
+            "lo": lo, "hi": hi, "point": pt,
+            "failures": [list(f) for f in est.failures],
+            "unconverged": [list(u) for u in est.unconverged],
+        },
     )
     env.scalar("lambda_star_lo", lo, rid)
     env.scalar("lambda_star_hi", hi, rid)

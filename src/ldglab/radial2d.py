@@ -277,13 +277,18 @@ def minimize_2d(
     init: RadialProfile | str,
     opts: SolveOptions | None = None,
     grid: np.ndarray | None = None,
+    *,
+    cascade: bool = True,
 ) -> MinResult2D:
     """Projected gradient descent within a class; monotone in energy.
 
     init may be a RadialProfile or a preset name; a preset requires grid.
-    On a uniform grid of at least 257 nodes the descent first runs on up to
-    three successively halved grids, each with a quarter of the iteration
-    budget (at least 500).
+    With cascade=True, on a uniform grid of at least 257 nodes the descent
+    first runs on up to three successively halved grids, each with a
+    quarter of the iteration budget (at least 500): nested iteration that
+    builds a starting guess for a cold init.  With cascade=False it runs
+    only on the init's own grid, for a warm start (a converged profile at
+    a nearby lambda or on a coarser grid) that restriction would spoil.
     The initial profile must carry the requested class pin and the
     boundary datum.  Returns the converged state with its energy split,
     EL residual, and beta range; class escape is flagged, not fatal.
@@ -302,7 +307,7 @@ def minimize_2d(
         )
 
     grids = [init.grid]
-    if init.n >= 257:
+    if cascade and init.n >= 257:
         n = init.n
         levels = []
         while n >= 257:
@@ -370,12 +375,19 @@ class CurveRow:
     #: (name, message) of each solve that raised: a class-S init ('warm',
     #: 'uS', 'bubbled'), or 'row' for the error that invalidated the row.
     failures: tuple[tuple[str, str], ...] = ()
+    #: Whether the winning class-S solve converged, and whether its
+    #: Richardson partner on the fine grid did (None without Richardson).
+    converged: bool = False
+    fine_converged: bool | None = None
 
 
 def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
     """Lowest-energy class-S solve over warm start and canonical inits.
 
-    Also returns the (init name, message) of every init whose solve raised.
+    The warm start is a converged profile, so it descends on `grid` alone
+    (cascade=False); the named presets 'uS' and 'bubbled' run the cascade.
+    Also returns the (init name, message) of every init whose solve raised,
+    and the name of every init whose solve returned unconverged.
     """
     inits: list[RadialProfile | str] = []
     if warm is not None:
@@ -383,17 +395,21 @@ def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
     inits += ["uS", "bubbled"]
     best = None
     failures = []
+    unconverged = []
     for ini in inits:
+        name = ini if isinstance(ini, str) else "warm"
         try:
-            res = minimize_2d(lam, "S", ini, opts, grid=grid)
+            res = minimize_2d(lam, "S", ini, opts, grid=grid, cascade=name != "warm")
         except RuntimeError as exc:
-            failures.append((ini if isinstance(ini, str) else "warm", str(exc)))
+            failures.append((name, str(exc)))
             continue
+        if not res.converged:
+            unconverged.append(name)
         if best is None or res.energy < best.energy:
             best = res
     if best is None:
         raise RuntimeError(f"all class-S solves failed at lambda={lam}: {failures}")
-    return best, tuple(failures)
+    return best, tuple(failures), tuple(unconverged)
 
 
 def energy_curve(
@@ -406,7 +422,10 @@ def energy_curve(
 
     Ascends the sorted lambda values with warm starts, also trying the
     canonical inits at every point and keeping the lowest energy.  With
-    richardson=True each e* is extrapolated from grids (n, 2n-1).
+    richardson=True each e* is extrapolated from grids (n, 2n-1); the
+    fine solve starts from the winning n-grid profile and descends on the
+    fine grid alone (cascade=False).  Each row records whether both solves
+    converged.
     """
     opts = opts or SolveOptions()
     lambdas = list(lambdas)
@@ -418,19 +437,28 @@ def energy_curve(
     warm = None
     for lam in lambdas:
         try:
-            res, failures = _best_class_s(lam, grid_c, opts, warm)
+            res, failures, _ = _best_class_s(lam, grid_c, opts, warm)
             warm = res.profile
             estar = res.energy
+            fine_converged = None
             if richardson:
-                res_f = minimize_2d(lam, "S", res.profile.interp_to(grid_f), opts)
+                res_f = minimize_2d(
+                    lam, "S", res.profile.interp_to(grid_f), opts, cascade=False
+                )
                 estar = (4.0 * res_f.energy - res.energy) / 3.0
+                fine_converged = res_f.converged
             e = min(SIX_PI, estar)
             if estar <= SIX_PI:
                 bmin, bmax, gclass = res.beta_min, res.beta_max, "S"
             else:
                 gh = minimize_2d(lam, "N", "ghbar", opts, grid=grid_c)
                 bmin, bmax, gclass = gh.beta_min, gh.beta_max, "N"
-            rows.append(CurveRow(lam, estar, e, bmin, bmax, gclass, True, failures))
+            rows.append(
+                CurveRow(
+                    lam, estar, e, bmin, bmax, gclass, True, failures,
+                    converged=res.converged, fine_converged=fine_converged,
+                )
+            )
         except RuntimeError as exc:
             rows.append(
                 CurveRow(
@@ -445,12 +473,15 @@ class LambdaStar(tuple):
     """(lo, hi, point) of the lambda_* bisection.
 
     `.failures` holds (lambda, init name, message) for every class-S init
-    whose solve raised at one of the bisection's evaluation points.
+    whose solve raised at one of the bisection's evaluation points, and
+    `.unconverged` the (lambda, init name) of every one that returned
+    converged=False.
     """
 
-    def __new__(cls, lo: float, hi: float, point: float, failures=()):
+    def __new__(cls, lo: float, hi: float, point: float, failures=(), unconverged=()):
         self = super().__new__(cls, (lo, hi, point))
         self.failures = tuple(failures)
+        self.unconverged = tuple(unconverged)
         return self
 
 
@@ -463,9 +494,10 @@ def estimate_lambda_star(
     """Bisection for lambda_*: the unique solution of e*_lam = 6 pi.
 
     Returns (lo, hi, point_estimate) as a LambdaStar, which also carries
-    the failed inits.  The seed bracket defaults to the certified interval
-    [24 sqrt2/(2 pi - 3 sqrt3), 3^8 (sqrt6/4) pi^2]; a missing sign change
-    there is reported as an error with both endpoint energies.
+    the failed and the unconverged inits.  The seed bracket defaults to the
+    certified interval [24 sqrt2/(2 pi - 3 sqrt3), 3^8 (sqrt6/4) pi^2]; a
+    missing sign change there is reported as an error with both endpoint
+    energies.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -475,10 +507,12 @@ def estimate_lambda_star(
 
     warm: dict[str, RadialProfile | None] = {"lo": None, "hi": None}
     failures: list[tuple[float, str, str]] = []
+    unconverged: list[tuple[float, str]] = []
 
     def g(lam, side):
-        res, failed = _best_class_s(lam, grid, opts, warm[side])
+        res, failed, slow = _best_class_s(lam, grid, opts, warm[side])
         failures.extend((lam, name, message) for name, message in failed)
+        unconverged.extend((lam, name) for name in slow)
         warm[side] = res.profile
         return res.energy - SIX_PI
 
@@ -499,7 +533,7 @@ def estimate_lambda_star(
         raise RuntimeError(
             f"bisection result [{lo}, {hi}] escaped the certified interval"
         )
-    return LambdaStar(lo, hi, 0.5 * (lo + hi), failures)
+    return LambdaStar(lo, hi, 0.5 * (lo + hi), failures, unconverged)
 
 
 # ---------------------------------------------------------------------------

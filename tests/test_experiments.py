@@ -294,6 +294,43 @@ def test_lambda_star_payload_records_failed_inits(tmp_path, monkeypatch):
     failures = run["failures"]
     assert failures and all(f[1:] == ["bubbled", "no bubbled"] for f in failures)
     assert failures[0][0] == pytest.approx(r2.LAMBDA_STAR_LOWER)
+    assert run["unconverged"] == []
+
+
+def test_unconverged_solves_show_in_the_envelopes(tmp_path, monkeypatch):
+    from ldglab import radial2d as r2
+
+    def checks(doc):
+        return {c["name"]: c for c in doc["summary"]["checks"]}
+
+    sweep = {"lambdas": [0.0, 15.0], "grid": 65}
+    doc = experiments.run(experiments.ExperimentConfig("escape-sweep", sweep, str(tmp_path / "a")))
+    assert checks(doc)["winning class-S solves converged"]["passed"]
+
+    step = r2._descend
+
+    def unconverged(prof, *args):
+        out, it, _ = step(prof, *args)
+        return out, it, False
+
+    monkeypatch.setattr(r2, "_descend", unconverged)
+    doc = experiments.run(experiments.ExperimentConfig("escape-sweep", sweep, str(tmp_path / "b")))
+    check = checks(doc)["winning class-S solves converged"]
+    assert not check["passed"] and check["value"] == [0.0, 15.0]
+    rows = [r for r in doc["runs"] if r["id"].startswith("sweep/lam=")]
+    assert all(r["valid"] and not r["converged"] and r["fine_converged"] is False for r in rows)
+
+    # A small budget keeps the strong-coupling solves short.
+    lstar = {"grid": 129, "tol": 5000.0, "max_iters": 300}
+    doc = experiments.run(experiments.ExperimentConfig("lambda-star", lstar, str(tmp_path)))
+    (run,) = [r for r in doc["runs"] if r["id"] == "lambda-star/bisection"]
+    # It records, and checks nothing: the bracket still comes out.
+    assert run["failures"] == []
+    # The two endpoints have no warm start; every midpoint has one.
+    names = [name for _, name in run["unconverged"]]
+    assert names[:4] == ["uS", "bubbled"] * 2 and names[4:7] == ["warm", "uS", "bubbled"]
+    assert len(names) % 3 == 1
+    assert run["unconverged"][0][0] == pytest.approx(r2.LAMBDA_STAR_LOWER)
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,62 @@ def test_energy_curve_records_failed_inits(monkeypatch):
     assert name == "row" and "no uS" in message and "no bubbled" in message
 
 
+def test_warm_starts_descend_on_their_own_grid(monkeypatch):
+    # A continuation warm start and a Richardson fine solve begin from a
+    # converged profile: one descent, on the init's own grid.  The named
+    # presets and a cold noisy profile still descend on 129 nodes first.
+    solve, step = r2.minimize_2d, r2._descend
+    calls = []
+
+    def labelled(lam, class_tag, init, *args, **kwargs):
+        calls.append((init if isinstance(init, str) else init.n, []))
+        return solve(lam, class_tag, init, *args, **kwargs)
+
+    def recording(prof, *args):
+        calls[-1][1].append(prof.n)
+        return step(prof, *args)
+
+    monkeypatch.setattr(r2, "minimize_2d", labelled)
+    monkeypatch.setattr(r2, "_descend", recording)
+    rows = r2.energy_curve([0.0, 6.0], n=257, richardson=True)
+    assert all(row.valid for row in rows)
+    assert calls == [
+        ("uS", [129, 257]), ("bubbled", [129, 257]), (513, [513]),
+        (257, [257]), ("uS", [129, 257]), ("bubbled", [129, 257]), (513, [513]),
+    ]
+    # The levels, not the final state, are the subject: a small budget
+    # keeps the class-N descent short.
+    calls.clear()
+    noisy = r2.preset_profile("ghbar", uniform_grid(257), noise=0.005, seed=2)
+    r2.minimize_2d(0.0, "N", noisy, r2.SolveOptions(max_iters=200))
+    assert calls == [(257, [129, 257])]
+
+
+def test_unconverged_solves_are_recorded(monkeypatch):
+    step = r2._descend
+
+    def unconverged(prof, *args):
+        out, it, _ = step(prof, *args)
+        return out, it, False
+
+    clean = r2.energy_curve([0.0, 6.0], n=129, richardson=True)
+    assert all(row.converged and row.fine_converged for row in clean)
+    assert all(row.fine_converged is None for row in r2.energy_curve([0.0], n=129, richardson=False))
+
+    monkeypatch.setattr(r2, "_descend", unconverged)
+    rows = r2.energy_curve([0.0, 6.0], n=129, richardson=True)
+    # Unconverged is not failed: the rows stay valid and keep their energies.
+    assert [row.estar for row in rows] == [row.estar for row in clean]
+    assert all(row.valid and not row.converged and row.fine_converged is False for row in rows)
+    est = r2.estimate_lambda_star(tol=40.0, n=129, bracket=(60.0, 140.0))
+    assert est.failures == ()
+    # Each endpoint has no warm start; the midpoint has one.
+    assert est.unconverged == (
+        (60.0, "uS"), (60.0, "bubbled"), (140.0, "uS"), (140.0, "bubbled"),
+        (100.0, "warm"), (100.0, "uS"), (100.0, "bubbled"),
+    )
+
+
 def test_lambda_star_coarse_bracket():
     lo, hi, pt = r2.estimate_lambda_star(tol=2.0, n=257, bracket=(60.0, 140.0))
     assert hi - lo <= 2.0
