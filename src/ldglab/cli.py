@@ -87,16 +87,20 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "dump-field":
-        data = np.load(args.result)
         from .meridian3d import MeridianField, build_geometry
 
-        # Files written before target_h was stored carry only the r-spacing.
-        th = data["target_h"] if "target_h" in data else data["r"][1] - data["r"][0]
-        geom = build_geometry(
-            float(data["h"]), float(data["ell"]), float(data["rho"]), target_h=float(th)
-        )
         try:
-            fld = MeridianField(geom, data["f0"], data["f1"], data["f2"])
+            with np.load(args.result) as data:
+                # Files written before target_h was stored carry only the r-spacing.
+                th = data["target_h"] if "target_h" in data else data["r"][1] - data["r"][0]
+                shape = (float(data["h"]), float(data["ell"]), float(data["rho"]))
+                fields = [data[key] for key in ("f0", "f1", "f2")]
+        except (OSError, KeyError, ValueError) as exc:
+            print(f"error: cannot read a field from {args.result}: {exc}", file=sys.stderr)
+            return 2
+        geom = build_geometry(*shape, target_h=float(th))
+        try:
+            fld = MeridianField(geom, *fields)
         except ValueError as exc:
             print(f"error: {args.result} does not match its rebuilt mask: {exc}", file=sys.stderr)
             return 2

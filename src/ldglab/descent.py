@@ -2,14 +2,22 @@
 
 Both solvers (radial disc, meridian section) minimize an energy of the form
 
-    E(f) = 1/2 sum_c <f_c, A_c f_c>  +  lam * sum_i mass_i * W(f_i)
+    E(f) = 1/2 sum_k <f_k, A_k f_k>  +  lam * sum_i mass_i * W(f_i),
+    A_k = S + k^2 diag(P),
 
 over fields f = (f0, f1, f2) that are unit norm at every node, with some
-nodes carrying fixed values (boundary data, class pins).  One iteration is
-a semi-implicit increment -- the quadratic part backward-Euler, the
-potential explicit with a convexity-stabilizing shift, and the
-constraint's nodal Lagrange multiplier carried explicitly so that discrete
-stationary points are exact fixed points -- followed by nodewise
+nodes carrying fixed values (boundary data, class pins).  S is the one
+Laplacian the three components share and P the nodal weight of the
+k^2/r^2 term.  The state is one (3, n) array F whose rows are f0, f1, f2,
+so the products A F are one sparse product, with diag(A_0, A_1, A_2)
+applied to the raveled F, and every nodewise quantity (the multiplier, the
+force, the renormalization, the projected gradient) is one whole-array
+operation.
+
+One iteration is a semi-implicit increment -- the quadratic part
+backward-Euler, the potential explicit with a convexity-stabilizing shift,
+and the constraint's nodal Lagrange multiplier carried explicitly so that
+discrete stationary points are exact fixed points -- followed by nodewise
 renormalization.  The increment is solved once per accepted state at one
 fixed step tau0 = step * 2**LADDER_MAX; the candidates are f + alpha delta,
 renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
@@ -19,32 +27,33 @@ component.  delta solves an SPD system with the negative tangential
 gradient on the right, so it is a descent direction and a small enough
 alpha decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
 
-The increment is, on the free nodes,
+The increment is, on the free nodes of each component,
 
-    (M (1 + tau0 lam C) + tau0 A) delta = tau0 (s f - A f - lam M grad W_tan),
+    (M (1 + tau0 lam C) + tau0 A_k) delta_k = tau0 (s f_k - A_k f_k - lam M grad W_tan,k),
 
-with s = (A f) . conj(f) the mass times the nodal multiplier (zero where
-the mass is zero).  The shifted matrices are SPD, so SuperLU factors them
-in symmetric mode with a minimum-degree ordering of A^T + A; the real and
-imaginary parts of a complex right-hand side go through one 2-column
-solve.  Fields whose f1 and f2 enter with no nonzero imaginary part are
-iterated in real arithmetic: the stiffness, the data and grad W_tan are
-real, so the real subspace is invariant under the step.  The products A f
-of the accepted state are carried forward: each candidate costs one
-stiffness product per component, and those products give both its energy
-and, once it is accepted, the next multiplier.  The signed biaxiality beta
-is computed once per state, for the candidate's energy and then for its
-grad W_tan; a flip drops it, since beta depends on f0.  The tangential
-potential gradient of the accepted state is likewise computed once and
-shared by the increment and the gradient-norm check.
+with s = sum_k Re((A_k f_k) conj(f_k)) the mass times the nodal multiplier
+(zero where the mass is zero).  The shifted matrices are SPD, so SuperLU
+factors them in symmetric mode with a minimum-degree ordering of A^T + A;
+the real and imaginary parts of a complex right-hand side go through one
+2-column solve.  Fields whose f1 and f2 enter with no nonzero imaginary part
+are iterated in a real array: the operators, the data and grad W_tan are
+real, so the real subspace is invariant under the step.  The products A F of
+the accepted state are carried forward: each candidate costs one sparse
+product, which gives both its energy and, once it is accepted, the next
+multiplier.  The signed biaxiality beta is computed once per state, for the
+candidate's energy and then for its grad W_tan; a flip drops it, since beta
+depends on f0.  The tangential potential gradient of the accepted state is
+likewise computed once and shared by the increment and the gradient-norm
+check.
 
 The LU factors belong to the Problem, keyed by (component, tau0), so every
 descent on one Problem reuses them: the 3D solver runs the seeds of one
 cascade level on one shared Problem and drops it before the next level.
-A shifted matrix is assembled from the free-node block A_ff of its
-component, extracted once per Problem in CSC with sorted indices: its
-values are tau0 A_ff.data with the shifted masses added at the cached
-diagonal slots, over A_ff's own index arrays.
+A shifted matrix is assembled from the free-node block S_ff of its
+component's free set, extracted once per distinct free set (one in 2D, two
+in 3D) in CSC with sorted indices: its values are tau0 S_ff.data with
+tau0 k^2 P and the shifted masses added at the cached diagonal slots, over
+S_ff's own index arrays.
 
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
 alpha ladder and is kept for cross-checks.
@@ -73,7 +82,6 @@ from .tensor_core import (
     beta_arrays,
     grad_w_tan_arrays,
     potential_w_from_beta,
-    renormalize_arrays,
 )
 
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
@@ -83,6 +91,9 @@ STAB_C = 4.0
 #: 2**LADDER_MAX and scaled by alpha = 2**(ladder - LADDER_MAX), so a descent
 #: starts (ladder 0) at the effective step `step` and never exceeds tau0.
 LADDER_MAX = 1
+
+#: k^2 of the components f0, f1, f2 (their phases are 1, e^{i phi}, e^{2i phi}).
+K2 = np.array([0.0, 1.0, 4.0])
 
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -102,27 +113,81 @@ def trim_heap() -> None:
         _malloc_trim(0)
 
 
-def _free_block(a: sp.spmatrix, mass: np.ndarray, idx: np.ndarray):
-    """(A_ff, diag, mass_f): the free-node block of a in CSC with sorted
-    indices, the slots of its diagonal in A_ff.data, and the free masses."""
-    block = a.tocsr()[idx, :][:, idx].tocsc()
+def stack_fields(f0, f1, f2) -> np.ndarray:
+    """The (3, n) state with rows f0, f1, f2 (raveled): real when f1 and f2
+    have no nonzero imaginary part, complex otherwise.  Always a new array."""
+    f1, f2 = np.ravel(f1), np.ravel(f2)
+    real = not (np.any(f1.imag) or np.any(f2.imag))
+    out = np.empty((3, f1.size), dtype=float if real else complex)
+    out[0] = np.ravel(np.asarray(f0, dtype=float))
+    out[1], out[2] = (f.real if real else f for f in (f1, f2))
+    return out
+
+
+def stack_stiffness(lap: sp.spmatrix, pen: np.ndarray) -> sp.csr_matrix:
+    """diag(A_0, A_1, A_2), A_k = lap + k^2 diag(pen), in CSR: one product
+    with it gives A F for a raveled (3, n) state F.
+
+    Its first block is lap itself (k = 0); `first_block` returns it as a
+    view.  On the pancake mesh (n = 31 265, one thread of a 2-core x86-64
+    host) the product takes 0.63 ms, against 0.84 ms for three stiffness
+    products and 1.4 ms for lap @ F.T + k^2 P F, which copies the
+    transposed state and runs a 3-vector kernel.
+    """
+    blocks = [(lap + k2 * sp.diags(pen)).tocsr() for k2 in K2]
+    n = lap.shape[0]
+    # Joined from the blocks' own arrays: sp.block_diag goes through COO and
+    # raises the peak memory of a 3D solve.
+    starts = np.cumsum([0] + [b.nnz for b in blocks])
+    data = np.concatenate([b.data for b in blocks])
+    indices = np.concatenate([b.indices + c * n for c, b in enumerate(blocks)])
+    indptr = np.concatenate([b.indptr[:-1] + s for b, s in zip(blocks, starts)] + [starts[-1:]])
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
+
+
+def first_block(stiff: sp.csr_matrix) -> sp.csr_matrix:
+    """A_0 = S, the first diagonal block of `stack_stiffness`'s matrix, as a
+    CSR view of its arrays (no copy)."""
+    n = stiff.shape[0] // 3
+    nnz = int(stiff.indptr[n])
+    block = sp.csr_matrix((n, n), dtype=stiff.dtype)
+    # Assigned, not passed to the constructor, which copies short slices.
+    block.data, block.indices, block.indptr = (
+        stiff.data[:nnz], stiff.indices[:nnz], stiff.indptr[: n + 1])
+    return block
+
+
+def components(F: np.ndarray):
+    """(f0, f1, f2) views of a stacked state, with f0 real in either dtype."""
+    return F[0].real, F[1], F[2]
+
+
+def _free_block(lap: sp.spmatrix, idx: np.ndarray):
+    """(S_ff, diag): the free-node block of lap in CSC with sorted indices,
+    and the slots of its diagonal in S_ff.data."""
+    block = lap.tocsr()[idx, :][:, idx].tocsc()
     block.sort_indices()
     cols = np.repeat(np.arange(idx.size), np.diff(block.indptr))
     diag = np.flatnonzero(block.indices == cols)
     if diag.size != idx.size:
         raise ValueError("the stiffness stores no diagonal entry at some free node")
-    return block, diag, mass[idx]
+    return block, diag
 
 
 @dataclass
 class Problem:
     """Discrete constrained-minimization problem fed to the engine.
 
-    stiff: per-component stiffness (full node set); 1/2 f^T A f is the
-        quadratic energy part including couplings to fixed nodes.
+    stiff: diag(A_0, A_1, A_2) (`stack_stiffness`), A_k = S + k^2 diag(pen)
+        with S the Laplacian the components share (full node set); 1/2
+        f_k^T A_k f_k is the quadratic energy part of component k including
+        couplings to fixed nodes.  `lap` is S = A_0, a view of the first
+        block.
+    pen: nodal weight P of the k^2/r^2 term.
     mass: nodal weights of the L2(volume) pairing (zero on weightless rows).
     free: per-component index arrays of unknowns.
-    project: reimposes fixed values after the nodewise renormalization.
+    project: reimposes fixed values on a (3, n) state after the nodewise
+        renormalization, in place; f0 is written through `components`.
     snap_nodes: component-0 nodes whose constraint set is the two-point
         set {+1, -1} (the symmetry axis).  The smooth flow cannot cross
         between the components there, so the engine interleaves a flip
@@ -133,27 +198,64 @@ class Problem:
         and shared by every descent on this Problem: one per component for
         the descents of one step size.  The operators must not change once
         a factor is cached.
-    blocks: per component, the free-node block of A_c (`_free_block`),
-        built at the first factorization and reused by every later one.
-        Like the operators, `free` must not change once a factor is cached.
+    blocks: the free-node block of S (`_free_block`) per distinct free set,
+        keyed by the first component that has it; built at the first
+        factorization and reused by every later one.
+
+    The per-node constants of the iteration (S, lam M, the mass mask, the
+    fixed dofs, the free nodes) are computed once, when the Problem is made;
+    make a new Problem (`dataclasses.replace`) rather than assigning to its
+    fields.
     """
 
-    stiff: Sequence[sp.spmatrix]
+    stiff: sp.csr_matrix
+    pen: np.ndarray
     mass: np.ndarray
     free: Sequence[np.ndarray]
-    project: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    project: Callable[[np.ndarray], None]
     lam: float
     snap_nodes: np.ndarray | None = None
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        n = self.mass.size
+        self.lap = first_block(self.stiff)
+        self.weighted = self.mass > 0
+        self.mass_safe = np.where(self.weighted, self.mass, 1.0)
+        self.lam_mass = self.lam * self.mass
+        self.fixed = np.ones((3, n), dtype=bool)
+        for c in range(3):
+            self.fixed[c, self.free[c]] = False
+        # A contiguous free set indexes as a slice, which copies nothing.
+        self.nodes = tuple(
+            slice(i[0], i[-1] + 1) if i.size and np.array_equal(i, np.arange(i[0], i[-1] + 1))
+            else i
+            for i in self.free
+        )
+        # Components with one free set share its block of S.
+        self.block_of = tuple(
+            next(d for d in range(c + 1) if np.array_equal(self.free[d], self.free[c]))
+            for c in range(3)
+        )
+        if self.snap_nodes is not None and self.snap_nodes.size:
+            self.snap_rows = self.lap[self.snap_nodes]
+            self.snap_diag = self.lap.diagonal()[self.snap_nodes]
+
+    def _block(self, c: int):
+        key = self.block_of[c]
+        if key not in self.blocks:
+            self.blocks[key] = _free_block(self.lap, self.free[key])
+        return self.blocks[key]
+
     def shifted(self, c: int, tau: float) -> sp.csc_matrix:
         """M (1 + tau lam C) + tau A_c on the free nodes, from the cached block."""
-        if c not in self.blocks:
-            self.blocks[c] = _free_block(self.stiff[c], self.mass, self.free[c])
-        block, diag, mass_f = self.blocks[c]
+        block, diag = self._block(c)
+        idx = self.free[c]
         data = tau * block.data
-        data[diag] += mass_f * (1.0 + tau * self.lam * STAB_C)
+        # tau A_c,ii + M_i (1 + tau lam C), with A_c,ii = S_ii + k^2 P_i.
+        data[diag] = tau * (block.data[diag] + K2[c] * self.pen[idx])
+        data[diag] += self.mass[idx] * (1.0 + tau * self.lam * STAB_C)
         return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
 
     def factor(self, c: int, tau: float):
@@ -197,92 +299,102 @@ class SolveOptions:
             )
 
 
-def stiffness_products(p: Problem, f0, f1, f2):
-    """(A0 f0, A1 f1, A2 f2), shared by the energy, multiplier and gradient."""
-    return p.stiff[0] @ f0, p.stiff[1] @ f1, p.stiff[2] @ f2
+def stiffness_products(p: Problem, F: np.ndarray) -> np.ndarray:
+    """A F, row k being A_k f_k: one sparse product."""
+    return (p.stiff @ F.ravel()).reshape(F.shape)
 
 
-def _beta(p: Problem, f0, f1, f2):
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k Re(a_k conj(b_k)) at every node."""
+    prod = (a * b.conj()).real if b.dtype.kind == "c" else a * b
+    return np.add.reduce(prod, axis=0)
+
+
+def _beta(p: Problem, F):
     """Signed biaxiality at every node, or None when lam = 0 (W unused)."""
-    return beta_arrays(f0, f1, f2) if p.lam != 0.0 else None
+    return beta_arrays(*components(F)) if p.lam != 0.0 else None
 
 
-def energy(p: Problem, f0, f1, f2, af=None, beta=None) -> float:
-    """Discrete energy; af and beta optionally carry the stiffness products
-    and the signed biaxiality (`beta_arrays`) of f."""
-    a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
-    quad = 0.5 * float(f0 @ a0)
-    quad += 0.5 * float((f1.conj() @ a1).real)
-    quad += 0.5 * float((f2.conj() @ a2).real)
+def energy(p: Problem, F: np.ndarray, af=None, beta=None) -> float:
+    """Discrete energy of the state F; af and beta optionally carry its
+    stiffness products and signed biaxiality (`beta_arrays`)."""
+    if af is None:
+        af = stiffness_products(p, F)
+    e = 0.5 * float(np.vdot(F, af).real)
     if p.lam != 0.0:
         if beta is None:
-            beta = beta_arrays(f0, f1, f2)
-        quad += p.lam * float(np.sum(p.mass * potential_w_from_beta(beta)))
-    return quad
+            beta = beta_arrays(*components(F))
+        e += float(p.lam_mass @ potential_w_from_beta(beta))
+    return e
 
 
-def _grad_w(p: Problem, f0, f1, f2, beta=None):
-    """Tangential gradient of W at every node; zeros when lam = 0."""
-    return grad_w_tan_arrays(f0, f1, f2, beta) if p.lam != 0.0 else (0.0, 0.0, 0.0)
+def _grad_w(p: Problem, F, beta=None):
+    """Tangential gradient of W at every node as a (3, n) array; 0 when
+    lam = 0."""
+    return np.array(grad_w_tan_arrays(*components(F), beta)) if p.lam != 0.0 else 0.0
 
 
-def riemannian_gradient(p: Problem, f0, f1, f2, af=None, gw=None):
+def riemannian_gradient(p: Problem, F: np.ndarray, af=None, gw=None) -> np.ndarray:
     """Tangentially projected gradient in the mass metric, zero on fixed dofs.
 
     af and gw optionally carry the stiffness products and the tangential
-    potential gradient of f.
+    potential gradient of F.
     """
-    a0, a1, a2 = af if af is not None else stiffness_products(p, f0, f1, f2)
-    mass_safe = np.where(p.mass > 0, p.mass, 1.0)
-    gw0, gw1, gw2 = gw if gw is not None else _grad_w(p, f0, f1, f2)
-    g0 = a0 / mass_safe + p.lam * gw0
-    g1 = a1 / mass_safe + p.lam * gw1
-    g2 = a2 / mass_safe + p.lam * gw2
-    dot = g0 * f0 + (g1 * f1.conj()).real + (g2 * f2.conj()).real
-    g0, g1, g2 = g0 - dot * f0, g1 - dot * f1, g2 - dot * f2
-    for c, g in enumerate((g0, g1, g2)):
-        m = np.zeros(g.shape, dtype=bool)
-        m[p.free[c]] = True
-        g[~m] = 0.0
-    return g0, g1, g2
-
-
-def gradient_norm(p: Problem, f0, f1, f2, af=None, gw=None) -> float:
-    g0, g1, g2 = riemannian_gradient(p, f0, f1, f2, af, gw)
-    total = sum(float(np.sum(p.mass * np.abs(g) ** 2)) for g in (g0, g1, g2))
-    return math.sqrt(total / float(np.sum(p.mass)))
-
-
-def _force(p: Problem, f0, f1, f2, af, gw):
-    """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
-    s = af[0] * f0 + (af[1] * f1.conj()).real + (af[2] * f2.conj()).real
-    s = np.where(p.mass > 0, s, 0.0)
-    out = [s * f - a for f, a in zip((f0, f1, f2), af)]
+    if af is None:
+        af = stiffness_products(p, F)
+    if gw is None:
+        gw = _grad_w(p, F)
+    g = af / p.mass_safe
     if p.lam != 0.0:
-        out = [r - p.lam * p.mass * g for r, g in zip(out, gw)]
-    return out
+        g += p.lam * gw
+    g -= _inner(g, F) * F
+    g[p.fixed] = 0.0
+    return g
 
 
-def _semi_implicit(p: Problem, fields, force, tau):
+def gradient_norm(p: Problem, F: np.ndarray, af=None, gw=None) -> float:
+    g = riemannian_gradient(p, F, af, gw)
+    return math.sqrt(float(p.mass @ _inner(g, g)) / float(np.sum(p.mass)))
+
+
+def _force(p: Problem, F, af, gw):
+    """Increment right-hand side per unit step: s f - A f - lam M grad W_tan."""
+    r = np.where(p.weighted, _inner(af, F), 0.0) * F
+    r -= af
+    if p.lam != 0.0:
+        r -= p.lam_mass * gw
+    return r
+
+
+def _semi_implicit(p: Problem, F, force, tau):
     """Increment delta at step tau, zero on fixed nodes; force from `_force`."""
-    out = []
-    for c, (f, r) in enumerate(zip(fields, force)):
-        idx = p.free[c]
-        fac = p.factor(c, tau)
-        rhs = tau * r[idx]
-        delta = np.zeros_like(f)
-        if np.iscomplexobj(rhs) and np.any(rhs.imag):
-            sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
-            delta[idx] = sol[:, 0] + 1j * sol[:, 1]
-        else:
-            delta[idx] = fac.solve(rhs.real)
-        out.append(delta)
-    return out
+    delta = np.zeros_like(F)
+    for c, nodes in enumerate(p.nodes):
+        delta[c][nodes] = _solve(p.factor(c, tau), tau * force[c][nodes])
+    return delta
 
 
-def _explicit(p: Problem, f0, f1, f2, tau, af, gw):
+def _solve(fac, rhs):
+    """fac^-1 rhs; the real and imaginary parts of a complex rhs go through
+    one 2-column solve."""
+    if rhs.dtype.kind == "c" and np.any(rhs.imag):
+        sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
+        return sol[:, 0] + 1j * sol[:, 1]
+    return fac.solve(rhs.real)
+
+
+def _explicit(p: Problem, F, tau, af, gw):
     """Increment -tau grad, grad the projected gradient (`riemannian_gradient`)."""
-    return [-tau * g for g in riemannian_gradient(p, f0, f1, f2, af, gw)]
+    return -tau * riemannian_gradient(p, F, af, gw)
+
+
+def _renormalize(F: np.ndarray) -> np.ndarray:
+    """Project every node of F to the unit sphere, in place."""
+    norm = np.sqrt(_inner(F, F))
+    if not norm.all():
+        raise ValueError("cannot renormalize a zero sample")
+    F /= norm
+    return F
 
 
 # Potential values at the two axis states +E0 and -E0, where beta = +1 and -1.
@@ -290,36 +402,35 @@ _W_PLUS = float(potential_w_from_beta(1.0))
 _W_MINUS = float(potential_w_from_beta(-1.0))
 
 
-def flip_sweep(p: Problem, f0, f1, f2):
+def flip_sweep(p: Problem, F: np.ndarray):
     """Greedy energy-decreasing sign flips on the two-point-constraint nodes.
 
     The energy is quadratic in a single node value with everything else
     frozen, so the exact change for s -> -s at node a is
-    -2 s * ((A0 f0)_a - A0[a,a] s) + lam * mass_a * (W(-s) - W(s)).
+    -2 s * ((S f0)_a - S[a,a] s) + lam * mass_a * (W(-s) - W(s)).
     Flips one node at a time (the most negative), recomputing couplings,
     so every flip strictly decreases the energy; at most 64 flips.
+    Returns (F, flips), F a new array when any node flipped.
     """
     if p.snap_nodes is None or p.snap_nodes.size == 0:
-        return f0, 0
-    a0 = p.stiff[0]
-    diag = a0.diagonal()
+        return F, 0
     nodes = p.snap_nodes
+    f0 = components(F)[0]
     flips = 0
     for _ in range(64):
-        coupling = (a0 @ f0)[nodes] - diag[nodes] * f0[nodes]
-        d_e = -2.0 * f0[nodes] * coupling
+        s = f0[nodes]
+        d_e = -2.0 * s * (p.snap_rows @ f0 - p.snap_diag * s)
         if p.lam != 0.0:
-            d_e = d_e + p.lam * p.mass[nodes] * (
-                np.where(f0[nodes] > 0, _W_MINUS, _W_PLUS)
-                - np.where(f0[nodes] > 0, _W_PLUS, _W_MINUS)
-            )
+            d_e = d_e + p.lam_mass[nodes] * np.where(s > 0, _W_MINUS - _W_PLUS, _W_PLUS - _W_MINUS)
         k = int(np.argmin(d_e))
         if d_e[k] >= -1e-14:
             break
-        f0 = f0.copy() if flips == 0 else f0
+        if flips == 0:
+            F = F.copy()
+            f0 = components(F)[0]
         f0[nodes[k]] = -f0[nodes[k]]
         flips += 1
-    return f0, flips
+    return F, flips
 
 
 def descend(
@@ -328,21 +439,18 @@ def descend(
     opts: SolveOptions,
     on_accept: Callable[[int, float], None] | None = None,
 ):
-    """Monotone projected descent; returns (fields, iterations, converged).
+    """Monotone projected descent; returns ((f0, f1, f2), iterations, converged).
 
-    The dtype is chosen once: real arrays when f1 and f2 have no nonzero
-    imaginary part, complex ones otherwise.  f1 and f2 come back complex.
+    The dtype of the state is chosen once (`stack_fields`): real when f1 and
+    f2 have no nonzero imaginary part, complex otherwise.  f1 and f2 come
+    back complex.
     """
-    f0, f1, f2 = fields
-    f0 = np.asarray(f0, dtype=float).copy()
-    f1, f2 = np.asarray(f1), np.asarray(f2)
-    real = not (np.any(f1.imag) or np.any(f2.imag))
-    f1, f2 = (f.real.astype(float) if real else f.astype(complex) for f in (f1, f2))
-    af = stiffness_products(p, f0, f1, f2)
+    F = stack_fields(*fields)
+    af = stiffness_products(p, F)
     # beta of the current state, carried from its energy into its grad W_tan;
     # None after a flip, which changes f0.
-    beta = _beta(p, f0, f1, f2)
-    e = energy(p, f0, f1, f2, af, beta)
+    beta = _beta(p, F)
+    e = energy(p, F, af, beta)
     tau0 = opts.step * 2.0**LADDER_MAX
     gw = delta = None
     ladder = 0
@@ -353,17 +461,17 @@ def descend(
         it += 1
         if delta is None:
             if gw is None:
-                gw = _grad_w(p, f0, f1, f2, beta)
+                gw = _grad_w(p, F, beta)
             if opts.stepper == "semi_implicit":
-                delta = _semi_implicit(p, (f0, f1, f2), _force(p, f0, f1, f2, af, gw), tau0)
+                delta = _semi_implicit(p, F, _force(p, F, af, gw), tau0)
             else:
-                delta = _explicit(p, f0, f1, f2, tau0, af, gw)
+                delta = _explicit(p, F, tau0, af, gw)
         alpha = 2.0 ** (ladder - LADDER_MAX)
-        v0, v1, v2 = renormalize_arrays(*(f + alpha * d for f, d in zip((f0, f1, f2), delta)))
-        v0, v1, v2 = p.project(v0, v1, v2)
-        av = stiffness_products(p, v0, v1, v2)
-        bv = _beta(p, v0, v1, v2)
-        e_new = energy(p, v0, v1, v2, av, bv)
+        v = _renormalize(F + alpha * delta)
+        p.project(v)
+        av = stiffness_products(p, v)
+        bv = _beta(p, v)
+        e_new = energy(p, v, av, bv)
         # The acceptance slack carries an absolute floor: near stationarity
         # the solve/renormalize round-trip has a small roundoff noise floor
         # amplified by the stiff 1/r^2 rows, independent of the step size.
@@ -372,15 +480,14 @@ def descend(
             if ladder < -10:
                 # Deep in the backtracking: either we are at a stationary
                 # point (rejections are pure roundoff) or genuinely stuck.
-                f0c, nflips = flip_sweep(p, f0, f1, f2)
+                F, nflips = flip_sweep(p, F)
                 if nflips:
-                    f0 = f0c
-                    af = (p.stiff[0] @ f0, af[1], af[2])
+                    af[0] = p.lap @ F[0]
                     gw = delta = beta = None
-                    e = energy(p, f0, f1, f2, af)
+                    e = energy(p, F, af)
                     ladder = 0
                     continue
-                if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
+                if gradient_norm(p, F, af, gw) < opts.grad_tol:
                     converged = True
                     break
                 if alpha * tau0 < 1e-15:
@@ -388,8 +495,7 @@ def descend(
             ladder -= 1
             continue
         decrement = e - e_new
-        f0, f1, f2 = v0, v1, v2
-        af, beta = av, bv
+        F, af, beta = v, av, bv
         gw = delta = None
         e = e_new
         if on_accept is not None:
@@ -399,18 +505,18 @@ def descend(
             ladder += 1
             grow = 0
         if it % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
-            f0c, nflips = flip_sweep(p, f0, f1, f2)
+            F, nflips = flip_sweep(p, F)
             if nflips:
-                f0 = f0c
-                af = (p.stiff[0] @ f0, af[1], af[2])
+                af[0] = p.lap @ F[0]
                 beta = None
-                e = energy(p, f0, f1, f2, af)
+                e = energy(p, F, af)
                 if on_accept is not None:
                     on_accept(it, e)
                 grow = 0
                 continue
-            gw = _grad_w(p, f0, f1, f2, beta)
-            if gradient_norm(p, f0, f1, f2, af, gw) < opts.grad_tol:
+            gw = _grad_w(p, F, beta)
+            if gradient_norm(p, F, af, gw) < opts.grad_tol:
                 converged = True
                 break
-    return (f0, f1.astype(complex, copy=False), f2.astype(complex, copy=False)), it, converged
+    f0, f1, f2 = components(F)
+    return (np.array(f0), f1.astype(complex), f2.astype(complex)), it, converged

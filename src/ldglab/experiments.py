@@ -53,6 +53,12 @@ class ExperimentConfig:
             val = self.params[key]
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
                 raise ValueError(f"tolerance {key} must be a positive number")
+        for key in ("lambda", "lambda_max", "lambdas"):
+            vals = self.params.get(key, [])
+            for val in vals if isinstance(vals, list) else [vals]:
+                if (isinstance(val, bool) or not isinstance(val, (int, float))
+                        or not math.isfinite(val) or val < 0):
+                    raise ValueError(f"coupling {key} must be a finite number >= 0, not {val!r}")
         if self.params.get("richardson", True) not in (True, False):
             raise ValueError("richardson must be true or false")
         self.opts = r2.SolveOptions(

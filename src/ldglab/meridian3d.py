@@ -155,7 +155,10 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     rr = r[None, :] * np.ones((nz, 1))
     zz = z[:, None] * np.ones((1, nr))
     phi = _four_norm_excess(rr, zz, ell, h, rho)
-    interior = phi < -1e-12 * rho  # roundoff guard for nodes on the boundary
+    # Roundoff guard for nodes on the boundary: phi carries the rounding of
+    # |z| - (h - rho) and |r| - (ell - rho), so the guard scales with the
+    # lattice, not with rho.
+    interior = phi < -1e-12 * max(h, ell)
     shifted = np.zeros_like(interior)
     for ax, d in ((0, 1), (0, -1), (1, 1), (1, -1)):
         shifted |= np.roll(interior, d, axis=ax)
@@ -345,9 +348,10 @@ class _MeridianDisc:
         inv_r2[1:] = 1.0 / geom.r[1:] ** 2
         pen_flat = (m * inv_r2[None, :]).ravel()
 
-        self.stiff = {}
-        for k in (0, 1, 2):
-            self.stiff[k] = (2.0 * np.pi * (lap + sp.diags(k * k * pen_flat))).tocsc()
+        # Component k's stiffness is lap + k^2 diag(pen) (`descent.Problem`).
+        self.pen = 2.0 * np.pi * pen_flat
+        self.stiff = descent.stack_stiffness(2.0 * np.pi * lap, self.pen)
+        self.lap = descent.first_block(self.stiff)
         self.mass = 2.0 * np.pi * m.ravel()
 
         inter_flat = inter.ravel()
@@ -367,14 +371,13 @@ def _problem_for(field: MeridianField, lam: float) -> descent.Problem:
                  for f in (field.f0, field.f1, field.f2))
     nz, nr = geom.nz, geom.nr
 
-    def project(v0, v1, v2):
-        v0, v1, v2 = (v.reshape(nz, nr) for v in (v0, v1, v2))
-        _impose(geom, v0, v1, v2, data)
-        return v0.ravel(), v1.ravel(), v2.ravel()
+    def project(F):
+        _impose(geom, *(v.reshape(nz, nr) for v in descent.components(F)), data)
 
     axis_flat = np.nonzero(geom.interior[:, 0])[0] * nr
     return descent.Problem(
-        stiff=(d.stiff[0], d.stiff[1], d.stiff[2]),
+        stiff=d.stiff,
+        pen=d.pen,
         mass=d.mass,
         free=(d.free0, d.free12, d.free12),
         project=project,
@@ -389,11 +392,9 @@ def meridian_energy(field: MeridianField, lam: float):
         raise ValueError("lambda must be nonnegative")
     field.validate()
     p = _problem_for(field, 0.0)
-    f0 = field.f0.ravel()
-    f1 = field.f1.ravel()
-    f2 = field.f2.ravel()
-    dirichlet = descent.energy(p, f0, f1, f2)
-    potential = float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
+    F = descent.stack_fields(field.f0, field.f1, field.f2)
+    dirichlet = descent.energy(p, F)
+    potential = float(np.sum(p.mass * potential_w_arrays(*descent.components(F))))
     return dirichlet + lam * potential, dirichlet, potential
 
 
@@ -445,7 +446,7 @@ def seed_field(geom: CylinderGeometry, lam: float, kind: str,
 def el_residual_3d(field: MeridianField, lam: float) -> float:
     """Mass-weighted L2 residual of the meridian EL system at interior nodes."""
     p = _problem_for(field, lam)
-    return descent.gradient_norm(p, field.f0.ravel(), field.f1.ravel(), field.f2.ravel())
+    return descent.gradient_norm(p, descent.stack_fields(field.f0, field.f1, field.f2))
 
 
 def interp_field(src: MeridianField, geom: CylinderGeometry) -> MeridianField:
@@ -776,19 +777,19 @@ def _energy_density(field: MeridianField, lam: float) -> np.ndarray:
 
     Half of every edge term of the stiffness goes to each end of the edge;
     the k^2/r^2 term and lam * mass * W stay at the node.  With the edge
-    weights diag(A) - A and the penalty A 1, component f's share at node i
-    is 1/2 Re(conj f_i (A f)_i) + 1/4 (|f_i|^2 (A 1)_i - (A |f|^2)_i), so
-    the shares are nonnegative (up to round-off) and sum to the energy.
+    weights diag(S) - S of the shared Laplacian, the components' share at
+    node i is 1/2 sum_k Re(conj f_k,i (A_k f_k)_i) + 1/4 (q_i (S 1)_i - (S q)_i),
+    q = sum_k |f_k|^2, so the shares are nonnegative (up to round-off) and
+    sum to the energy.
     """
     g = field.geom
     d = g.disc
-    ones = np.ones(g.nz * g.nr)
-    dens = lam * d.mass * potential_w_arrays(field.f0, field.f1, field.f2).ravel()
-    for k, f in enumerate((field.f0, field.f1, field.f2)):
-        a = d.stiff[k]
-        f = f.ravel()
-        f2 = np.abs(f) ** 2
-        dens += 0.5 * (np.conj(f) * (a @ f)).real + 0.25 * (f2 * (a @ ones) - a @ f2)
+    F = descent.stack_fields(field.f0, field.f1, field.f2)
+    af = descent.stiffness_products(_problem_for(field, lam), F)
+    q = np.sum(np.abs(F) ** 2, axis=0)
+    dens = lam * d.mass * potential_w_arrays(*descent.components(F))
+    dens += 0.5 * np.sum((F.conj() * af).real, axis=0)
+    dens += 0.25 * (q * (d.lap @ np.ones(q.size)) - d.lap @ q)
     return dens.reshape(g.nz, g.nr)
 
 

@@ -106,10 +106,10 @@ class _Discretization:
         main[:-1] += seg_coef
         main[1:] += seg_coef
         a_seg = sp.diags([-seg_coef, main, -seg_coef], offsets=(-1, 0, 1))
-        self.stiff = {}
-        for k in (0, 1, 2):
-            pen = sp.diags(wr * (k * k) * inv_r2)
-            self.stiff[k] = (2.0 * np.pi * (a_seg + pen)).tocsc()
+        # Component k's stiffness is lap + k^2 diag(pen) (`descent.Problem`).
+        self.pen = 2.0 * np.pi * wr * inv_r2
+        self.stiff = descent.stack_stiffness(2.0 * np.pi * a_seg, self.pen)
+        self.lap = descent.first_block(self.stiff)
         self.mass = 2.0 * np.pi * wr  # diagonal, vanishes at r = 0
         self.interior = np.arange(1, self.n - 1)
 
@@ -155,7 +155,7 @@ def radial_energy(profile: RadialProfile, lam: float):
     profile.validate()
     p = _problem_for(profile.grid, 0.0, profile.f0[0])
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
-    dirichlet = descent.energy(p, f0, f1, f2)
+    dirichlet = descent.energy(p, descent.stack_fields(f0, f1, f2))
     potential = float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
     return dirichlet + lam * potential, dirichlet, potential
 
@@ -257,13 +257,13 @@ def _problem_for(grid: np.ndarray, lam: float, pin: float) -> descent.Problem:
     d = _disc_for(grid)
     interior = d.interior
 
-    def project(v0, v1, v2):
-        v0[0], v1[0], v2[0] = pin, 0.0, 0.0
-        v0[-1], v1[-1], v2[-1] = BOUNDARY_F
-        return v0, v1, v2
+    def project(F):
+        F[:, 0] = pin, 0.0, 0.0
+        F[:, -1] = BOUNDARY_F
 
     return descent.Problem(
-        stiff=(d.stiff[0], d.stiff[1], d.stiff[2]),
+        stiff=d.stiff,
+        pen=d.pen,
         mass=d.mass,
         free=(interior, interior, interior),
         project=project,
@@ -560,8 +560,9 @@ def _second_variation_operator(profile: RadialProfile, lam: float) -> sp.csr_mat
     d = _disc_for(profile.grid)
     n = profile.n
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
-    big = sp.block_diag([d.stiff[k] for k in (0, 1, 1, 2, 2)], format="csr")
-    big = big - sp.diags(np.tile(d.mass * d.grad_sq(f0, f1, f2), 5))
+    # Real-5 component a carries k^2 = 0, 1, 1, 4, 4 on the pen weight.
+    diag = np.kron([0.0, 1.0, 1.0, 4.0, 4.0], d.pen) - np.tile(d.mass * d.grad_sq(f0, f1, f2), 5)
+    big = sp.block_diag([d.lap] * 5, format="csr") + sp.diags(diag)
     if lam != 0.0:
         comp = np.arange(5)
         h = lam * d.mass[:, None, None] * hessian_w_homog(real5_arrays(f0, f1, f2))

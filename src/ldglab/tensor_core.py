@@ -194,14 +194,6 @@ def real5_arrays(f0, f1, f2):
     return np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=-1)
 
 
-def renormalize_arrays(f0, f1, f2):
-    """Project samples to the unit sphere nodewise."""
-    n = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
-    if np.any(n == 0.0):
-        raise ValueError("cannot renormalize a zero sample")
-    return f0 / n, f1 / n, f2 / n
-
-
 # ---------------------------------------------------------------------------
 # Degree-zero homogeneous extension (second-variation machinery).
 # ---------------------------------------------------------------------------

@@ -268,6 +268,19 @@ def test_cli_dump_field_rejects_shape_mismatch(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("content", [None, "no field keys"])
+def test_cli_dump_field_reports_an_unreadable_file(tmp_path, capsys, content):
+    npz = tmp_path / "f.npz"
+    if content is not None:
+        np.savez(npz, note=content)
+    out_csv = tmp_path / "f.csv"
+    assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read a field from {npz}")
+    assert "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_lambda_star_payload_records_failed_inits(tmp_path, monkeypatch):
     from ldglab import radial2d as r2
 
@@ -347,6 +360,26 @@ def test_cli_bad_solver_value_is_a_config_error(tmp_path, capsys, setting, messa
     rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, setting",
+    [
+        ("kind = cigar\n", "lambda=-1"),
+        ("kind = pancake\n", "lambda=-0.5"),
+        ("kind = shape-sweep\n", "lambda=nan"),
+        ("kind = escape-sweep\ngrid = 33\n", "lambda_max=-114"),
+        ("kind = escape-sweep\ngrid = 33\n", "lambdas=0,-2,4"),
+        ("kind = escape-sweep\ngrid = 33\n", "lambdas=0,inf"),
+    ],
+)
+def test_cli_negative_lambda_is_a_config_error(tmp_path, capsys, body, setting):
+    cfg = write_config(tmp_path, body)
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    key = setting.split("=")[0]
+    assert f"error: coupling {key} must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """Axisymmetric 3D solver tests (coarse grids; heavy runs live in acceptance).
 
 Groups:
- 1. Geometry: 4-disc membership, inclusions, Hausdorff shrinkage, errors.
+ 1. Geometry: 4-disc membership, inclusions, Hausdorff shrinkage, errors;
+    properties (hypothesis): every valid (h, ell, rho, target_h) passes the
+    inclusions with active 4-neighbours of every interior node, and every
+    invalid triple raises ValueError.
  2. Homeotropic data: cap/wall values, unit norms, raw vs normalized.
  3. Energy: constant fields, nodal shares summing to the energy, vertical
     extension vs 2D slice energy, refinement behavior.
@@ -27,8 +30,9 @@ import weakref
 
 import numpy as np
 import pytest
-
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldglab import descent
 from ldglab import meridian3d as m3
@@ -64,6 +68,59 @@ def test_geometry_membership_and_inclusions():
     m3.build_geometry(2.0, 1.0, 0.05, target_h=0.05)
     with pytest.raises(ValueError):
         m3.build_geometry(2.0, 1.0, 0.6)  # 2 rho >= min(h, ell)
+
+
+@st.composite
+def cylinder_shapes(draw):
+    """A valid (h, ell, rho, target_h) on a lattice of at most ~240 x 120 cells."""
+    h = draw(st.floats(0.2, 10.0))
+    ell = draw(st.floats(0.2, 12.0))
+    rho = draw(st.floats(1e-3, 0.499)) * min(h, ell)
+    target_h = max(h, ell) / draw(st.integers(4, 120))
+    return h, ell, rho, target_h
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=cylinder_shapes())
+def test_geometry_inclusions_and_active_neighbours(shape):
+    h, ell, rho, target_h = shape
+    g = m3.build_geometry(h, ell, rho, target_h=target_h)
+    rr, zz = g.r[None, :], g.z[:, None]
+    inner = ((rr < ell - rho) & (np.abs(zz) < h)) | ((rr < ell) & (np.abs(zz) < h - rho))
+    assert not np.any(inner & ~g.interior)
+    assert not np.any(g.interior & ~((rr < ell) & (np.abs(zz) < h)))
+    assert not np.any(g.interior & g.dirichlet)
+    # Every in-grid 4-neighbour of an interior node is active; an interior
+    # node never sits on the lattice's outer rows or column, so only the
+    # axis column lacks its r - 1 neighbour.
+    i, j = np.nonzero(g.interior)
+    assert np.all((i > 0) & (i < g.nz - 1) & (j < g.nr - 1))
+    act = g.active
+    for di, dj in ((1, 0), (-1, 0), (0, 1)):
+        assert np.all(act[i + di, j + dj])
+    assert np.all(act[i[j > 0], j[j > 0] - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=cylinder_shapes(),
+    broken=st.sampled_from(["h", "ell", "rho_zero", "rho_wide", "nan"]),
+    scale=st.floats(0.0, 3.0),
+)
+def test_invalid_cylinder_shapes_raise(shape, broken, scale):
+    h, ell, rho, target_h = shape
+    if broken == "h":
+        h = -scale * h
+    elif broken == "ell":
+        ell = -scale * ell
+    elif broken == "rho_zero":
+        rho = -scale * rho
+    elif broken == "rho_wide":
+        rho = (0.5 + scale) * min(h, ell)
+    else:
+        h = float("nan")
+    with pytest.raises(ValueError, match="rho"):
+        m3.build_geometry(h, ell, rho, target_h=target_h)
 
 
 def test_geometry_hausdorff_shrinkage():
@@ -108,7 +165,10 @@ def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
     noisy = (rng.standard_normal(shape),
              rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
              rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr) for v in p.project(*noisy))))
+    state = descent.stack_fields(*noisy)
+    p.project(state)
+    fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr).copy()
+                                        for v in descent.components(state))))
     assert len(calls) == 1
     for got, ref in zip(g.boundary_data, want):
         assert np.array_equal(got, ref) and not got.flags.writeable
@@ -380,9 +440,8 @@ def fd_potential_term(field, lam, p_z, r_ball, eta, n_phi=32, fd_step=1e-4):
     vol = 2.0 * np.pi / n_phi * g.hr * g.hz * rr[supp]
 
     def w_homog(x):
-        return tc.potential_w_arrays(
-            *tc.renormalize_arrays(x[:, 0], x[:, 1] + 1j * x[:, 2], x[:, 3] + 1j * x[:, 4])
-        )
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return tc.potential_w_arrays(x[:, 0], x[:, 1] + 1j * x[:, 2], x[:, 3] + 1j * x[:, 4])
 
     total = 0.0
     for phi in np.arange(n_phi) * 2.0 * np.pi / n_phi:

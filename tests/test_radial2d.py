@@ -337,7 +337,7 @@ def test_second_variation_spectrum_matches_nodewise_reference():
     p, lam, n = res.profile, 0.1, 129
     d = r2._disc_for(p.grid)
     u5 = np.stack([p.f0, p.f1.real, p.f1.imag, p.f2.real, p.f2.imag], axis=1)
-    big = sp.block_diag([d.stiff[k] for k in (0, 1, 1, 2, 2)], format="lil")
+    big = sp.block_diag([d.lap + k * k * sp.diags(d.pen) for k in (0, 1, 1, 2, 2)], format="lil")
     big -= sp.diags(np.tile(d.mass * d.grad_sq(p.f0, p.f1, p.f2), 5))
     t = sp.lil_matrix((5 * n, 4 * (n - 2)))
     for i in range(1, n - 1):
@@ -379,7 +379,7 @@ def test_second_variation_oracle():
         v1 = p.f1 + t * q[1]
         v2 = p.f2 + t * q[2]
         norm = np.sqrt(v0**2 + np.abs(v1) ** 2 + np.abs(v2) ** 2)
-        return descent.energy(prob, v0 / norm, v1 / norm, v2 / norm)
+        return descent.energy(prob, descent.stack_fields(v0 / norm, v1 / norm, v2 / norm))
 
     t = 1e-4
     oracle = (energy_at(t) - 2 * energy_at(0.0) + energy_at(-t)) / t**2
