@@ -98,7 +98,11 @@ def main(argv=None) -> int:
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: cannot read a field from {args.result}: {exc}", file=sys.stderr)
             return 2
-        geom = build_geometry(*shape, target_h=float(th))
+        try:
+            geom = build_geometry(*shape, target_h=float(th))
+        except ValueError as exc:
+            print(f"error: {args.result} stores no valid cylinder: {exc}", file=sys.stderr)
+            return 2
         try:
             fld = MeridianField(geom, *fields)
         except ValueError as exc:

@@ -5,8 +5,9 @@ Both solvers (radial disc, meridian section) minimize an energy of the form
     E(f) = 1/2 sum_k <f_k, A_k f_k>  +  lam * sum_i mass_i * W(f_i),
     A_k = S + k^2 diag(P),
 
-over fields f = (f0, f1, f2) that are unit norm at every node, with some
-nodes carrying fixed values (boundary data, class pins).  S is the one
+over fields f = (f0, f1, f2) that are unit norm at every node, with the
+dofs outside the free sets keeping their initial values (boundary data,
+class pins, f1 = f2 = 0 on the symmetry axis).  S is the one
 Laplacian the three components share and P the nodal weight of the
 k^2/r^2 term.  The state is one (3, n) array F whose rows are f0, f1, f2,
 so the products A F are one sparse product, with diag(A_0, A_1, A_2)
@@ -185,15 +186,8 @@ class Problem:
         block.
     pen: nodal weight P of the k^2/r^2 term.
     mass: nodal weights of the L2(volume) pairing (zero on weightless rows).
-    free: per-component index arrays of unknowns.
-    project: reimposes fixed values on a (3, n) state after the nodewise
-        renormalization, in place; f0 is written through `components`.
-    snap_nodes: component-0 nodes whose constraint set is the two-point
-        set {+1, -1} (the symmetry axis).  The smooth flow cannot cross
-        between the components there, so the engine interleaves a flip
-        sweep: any such node is sign-flipped whenever that strictly
-        decreases the energy (computed from the local quadratic form),
-        keeping the iteration monotone while letting the axis trace move.
+    free: per-component index arrays of unknowns.  Every other dof is
+        fixed: a descent keeps the value its initial state has there.
     factors: LU factors of the shifted matrices, keyed by (component, tau0)
         and shared by every descent on this Problem: one per component for
         the descents of one step size.  The operators must not change once
@@ -201,6 +195,14 @@ class Problem:
     blocks: the free-node block of S (`_free_block`) per distinct free set,
         keyed by the first component that has it; built at the first
         factorization and reused by every later one.
+
+    `fixed_dofs` are the dofs outside `free`, as flat indices into a raveled
+    (3, n) state.  `two_point_nodes` are the nodes where f0 alone is free:
+    f1 and f2 are fixed there (at 0 on the symmetry axis), so the unit norm
+    leaves f0 the two points +1 and -1.  The smooth flow cannot cross
+    between them, so the engine interleaves a flip sweep: such a node is
+    sign-flipped whenever that strictly decreases the energy (from the local
+    quadratic form), keeping the iteration monotone while the axis trace moves.
 
     The per-node constants of the iteration (S, lam M, the mass mask, the
     fixed dofs, the free nodes) are computed once, when the Problem is made;
@@ -212,9 +214,7 @@ class Problem:
     pen: np.ndarray
     mass: np.ndarray
     free: Sequence[np.ndarray]
-    project: Callable[[np.ndarray], None]
     lam: float
-    snap_nodes: np.ndarray | None = None
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -224,9 +224,14 @@ class Problem:
         self.weighted = self.mass > 0
         self.mass_safe = np.where(self.weighted, self.mass, 1.0)
         self.lam_mass = self.lam * self.mass
-        self.fixed = np.ones((3, n), dtype=bool)
+        fixed = np.ones((3, n), dtype=bool)
         for c in range(3):
-            self.fixed[c, self.free[c]] = False
+            fixed[c, self.free[c]] = False
+        self.fixed_dofs = np.flatnonzero(fixed)
+        self.two_point_nodes = np.flatnonzero(~fixed[0] & fixed[1] & fixed[2])
+        if self.two_point_nodes.size:
+            self.two_point_rows = self.lap[self.two_point_nodes]
+            self.two_point_diag = self.lap.diagonal()[self.two_point_nodes]
         # A contiguous free set indexes as a slice, which copies nothing.
         self.nodes = tuple(
             slice(i[0], i[-1] + 1) if i.size and np.array_equal(i, np.arange(i[0], i[-1] + 1))
@@ -238,9 +243,6 @@ class Problem:
             next(d for d in range(c + 1) if np.array_equal(self.free[d], self.free[c]))
             for c in range(3)
         )
-        if self.snap_nodes is not None and self.snap_nodes.size:
-            self.snap_rows = self.lap[self.snap_nodes]
-            self.snap_diag = self.lap.diagonal()[self.snap_nodes]
 
     def _block(self, c: int):
         key = self.block_of[c]
@@ -348,7 +350,7 @@ def riemannian_gradient(p: Problem, F: np.ndarray, af=None, gw=None) -> np.ndarr
     if p.lam != 0.0:
         g += p.lam * gw
     g -= _inner(g, F) * F
-    g[p.fixed] = 0.0
+    g.ravel()[p.fixed_dofs] = 0.0
     return g
 
 
@@ -412,14 +414,14 @@ def flip_sweep(p: Problem, F: np.ndarray):
     so every flip strictly decreases the energy; at most 64 flips.
     Returns (F, flips), F a new array when any node flipped.
     """
-    if p.snap_nodes is None or p.snap_nodes.size == 0:
+    nodes = p.two_point_nodes
+    if nodes.size == 0:
         return F, 0
-    nodes = p.snap_nodes
     f0 = components(F)[0]
     flips = 0
     for _ in range(64):
         s = f0[nodes]
-        d_e = -2.0 * s * (p.snap_rows @ f0 - p.snap_diag * s)
+        d_e = -2.0 * s * (p.two_point_rows @ f0 - p.two_point_diag * s)
         if p.lam != 0.0:
             d_e = d_e + p.lam_mass[nodes] * np.where(s > 0, _W_MINUS - _W_PLUS, _W_PLUS - _W_MINUS)
         k = int(np.argmin(d_e))
@@ -443,9 +445,11 @@ def descend(
 
     The dtype of the state is chosen once (`stack_fields`): real when f1 and
     f2 have no nonzero imaginary part, complex otherwise.  f1 and f2 come
-    back complex.
+    back complex.  Every candidate keeps the initial state's values on the
+    fixed dofs, written after its renormalization.
     """
     F = stack_fields(*fields)
+    fixed_values = F.ravel()[p.fixed_dofs]
     af = stiffness_products(p, F)
     # beta of the current state, carried from its energy into its grad W_tan;
     # None after a flip, which changes f0.
@@ -468,7 +472,7 @@ def descend(
                 delta = _explicit(p, F, tau0, af, gw)
         alpha = 2.0 ** (ladder - LADDER_MAX)
         v = _renormalize(F + alpha * delta)
-        p.project(v)
+        v.ravel()[p.fixed_dofs] = fixed_values
         av = stiffness_products(p, v)
         bv = _beta(p, v)
         e_new = energy(p, v, av, bv)

@@ -47,6 +47,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # A list key given one value is a one-element list.
+        for key in ("lambdas", "ells"):
+            if key in self.params and not isinstance(self.params[key], list):
+                self.params = {**self.params, key: [self.params[key]]}
         for key in ("tol", "grad_tol", "energy_tol"):
             if key not in self.params:
                 continue
@@ -56,9 +60,14 @@ class ExperimentConfig:
         for key in ("lambda", "lambda_max", "lambdas"):
             vals = self.params.get(key, [])
             for val in vals if isinstance(vals, list) else [vals]:
-                if (isinstance(val, bool) or not isinstance(val, (int, float))
-                        or not math.isfinite(val) or val < 0):
+                if not (_finite(val) and val >= 0):
                     raise ValueError(f"coupling {key} must be a finite number >= 0, not {val!r}")
+        val = self.params.get("target_h", 1.0)
+        if not (_finite(val) and val > 0):
+            raise ValueError(f"target_h must be a finite number > 0, not {val!r}")
+        count = self.params.get("count", 1)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, not {count!r}")
         if self.params.get("richardson", True) not in (True, False):
             raise ValueError("richardson must be true or false")
         self.opts = r2.SolveOptions(
@@ -70,6 +79,11 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.params.get(key, default)
+
+
+def _finite(val) -> bool:
+    """Whether a config value is a finite int or float (not a bool)."""
+    return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
 
 
 def parse_config_file(path, overrides=None) -> ExperimentConfig:

@@ -148,6 +148,8 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     """
     if not (h > 0 and ell > 0 and 0 < 2 * rho < min(h, ell)):
         raise ValueError("need h, ell > 0 and 0 < 2 rho < min(h, ell)")
+    if not (math.isfinite(target_h) and target_h > 0):
+        raise ValueError(f"target_h must be a finite positive number, not {target_h!r}")
     nr = max(int(round(ell / target_h)), 8) + 1
     nz = 2 * max(int(round(h / target_h)), 8) + 1
     r = np.linspace(0.0, ell, nr)
@@ -283,15 +285,15 @@ def homeotropic_data(geom: CylinderGeometry):
     return f0, f1, f2
 
 
-def _impose(geom: CylinderGeometry, f0, f1, f2, data=None) -> None:
-    """Write the data layer (default `geom.boundary_data`) and the axis rules
+def _impose(geom: CylinderGeometry, f0, f1, f2) -> None:
+    """Write the data layer (`geom.boundary_data`) and the axis rules
     f1 = f2 = 0, f0 = +/-1 into (nz, nr) arrays, in place."""
     f1[:, 0] = 0.0
     f2[:, 0] = 0.0
     # Unit norm on the axis forces the trace values +/-1.
     f0[:, 0] = np.where(f0[:, 0] >= 0, 1.0, -1.0)
     k = geom.data_nodes
-    for f, b in zip((f0, f1, f2), geom.boundary_data if data is None else data):
+    for f, b in zip((f0, f1, f2), geom.boundary_data):
         np.put(f, k, np.take(b, k))
 
 
@@ -354,36 +356,14 @@ class _MeridianDisc:
         self.lap = descent.first_block(self.stiff)
         self.mass = 2.0 * np.pi * m.ravel()
 
-        inter_flat = inter.ravel()
-        axis_col = np.zeros((nz, nr), dtype=bool)
-        axis_col[:, 0] = True
-        axis_flat = axis_col.ravel()
-        self.free0 = np.nonzero(inter_flat)[0]
-        self.free12 = np.nonzero(inter_flat & ~axis_flat)[0]
+        # f1 and f2 are fixed at 0 on the axis column (flat index i * nr).
+        self.free0 = np.flatnonzero(inter)
+        self.free12 = self.free0[self.free0 % nr != 0]
 
 
-def _problem_for(field: MeridianField, lam: float) -> descent.Problem:
-    geom = field.geom
+def _problem_for(geom: CylinderGeometry, lam: float) -> descent.Problem:
     d = geom.disc
-    # The data layer of a real field is kept real, so it can be written into
-    # the real arrays of a real descent.
-    data = tuple(f.copy() if np.any(f.imag) else f.real.copy()
-                 for f in (field.f0, field.f1, field.f2))
-    nz, nr = geom.nz, geom.nr
-
-    def project(F):
-        _impose(geom, *(v.reshape(nz, nr) for v in descent.components(F)), data)
-
-    axis_flat = np.nonzero(geom.interior[:, 0])[0] * nr
-    return descent.Problem(
-        stiff=d.stiff,
-        pen=d.pen,
-        mass=d.mass,
-        free=(d.free0, d.free12, d.free12),
-        project=project,
-        lam=lam,
-        snap_nodes=axis_flat,
-    )
+    return descent.Problem(d.stiff, d.pen, d.mass, (d.free0, d.free12, d.free12), lam)
 
 
 def meridian_energy(field: MeridianField, lam: float):
@@ -391,7 +371,7 @@ def meridian_energy(field: MeridianField, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     field.validate()
-    p = _problem_for(field, 0.0)
+    p = _problem_for(field.geom, 0.0)
     F = descent.stack_fields(field.f0, field.f1, field.f2)
     dirichlet = descent.energy(p, F)
     potential = float(np.sum(p.mass * potential_w_arrays(*descent.components(F))))
@@ -445,7 +425,7 @@ def seed_field(geom: CylinderGeometry, lam: float, kind: str,
 
 def el_residual_3d(field: MeridianField, lam: float) -> float:
     """Mass-weighted L2 residual of the meridian EL system at interior nodes."""
-    p = _problem_for(field, lam)
+    p = _problem_for(field.geom, lam)
     return descent.gradient_norm(p, descent.stack_fields(field.f0, field.f1, field.f2))
 
 
@@ -522,7 +502,7 @@ def minimize_seeds(
 
 def _minimize_level(geom, lam, fields, opts):
     """One minimize_3d call per field, all on one shared Problem."""
-    problem = _problem_for(next(iter(fields.values())), lam)
+    problem = _problem_for(geom, lam)
     return {name: minimize_3d(geom, lam, fld, opts, problem=problem)
             for name, fld in fields.items()}
 
@@ -540,15 +520,19 @@ def minimize_3d(
     init is a MeridianField or one of the named seeds; a named seed is a
     one-seed `minimize_seeds` call, so it runs the coarse level first.  Returns
     the field with its energy split, residual, axis trace singularity list,
-    and torus/split classification.  `problem` lets the seeds of one
-    cascade level share their Problem; its boundary data must be init's.
+    and torus/split classification.  The descent starts from a copy of init
+    with the data layer and the axis rules written exactly (`_impose`), and
+    keeps them.  `problem` lets the seeds of one cascade level share their
+    Problem.
     """
     if isinstance(init, str):
         return minimize_seeds(geom, lam, [init], opts)[init]
     opts = opts or SolveOptions()
     init.validate()
+    init = init.copy()
+    _impose(geom, init.f0, init.f1, init.f2)
     if problem is None:
-        problem = _problem_for(init, lam)
+        problem = _problem_for(geom, lam)
     fields, iters, converged = descent.descend(
         problem, (init.f0.ravel(), init.f1.ravel(), init.f2.ravel()), opts
     )
@@ -785,7 +769,7 @@ def _energy_density(field: MeridianField, lam: float) -> np.ndarray:
     g = field.geom
     d = g.disc
     F = descent.stack_fields(field.f0, field.f1, field.f2)
-    af = descent.stiffness_products(_problem_for(field, lam), F)
+    af = descent.stiffness_products(_problem_for(field.geom, lam), F)
     q = np.sum(np.abs(F) ** 2, axis=0)
     dens = lam * d.mass * potential_w_arrays(*descent.components(F))
     dens += 0.5 * np.sum((F.conj() * af).real, axis=0)

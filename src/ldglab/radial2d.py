@@ -153,7 +153,7 @@ def radial_energy(profile: RadialProfile, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     profile.validate()
-    p = _problem_for(profile.grid, 0.0, profile.f0[0])
+    p = _problem_for(profile.grid, 0.0)
     f0, f1, f2 = profile.f0, profile.f1, profile.f2
     dirichlet = descent.energy(p, descent.stack_fields(f0, f1, f2))
     potential = float(np.sum(p.mass * potential_w_arrays(f0, f1, f2)))
@@ -215,7 +215,9 @@ def preset_profile(
     """Named starting profiles: 'uS', 'ghbar', 'bubbled'.
 
     'bubbled' is g_hbar with the center value flipped to -E0 across the
-    first grid cell: the cheap class-S competitor at strong coupling.
+    first grid cell.  That one-cell jump costs 2 pi on any grid and carries
+    no potential (the mass vanishes at r = 0), so a descent from it settles
+    at 6 pi + 2 pi = 8 pi: a grid artifact, not a class-S competitor.
     Optional tangential noise (relative amplitude) is applied away from
     the pinned nodes, then everything is renormalized.
     """
@@ -239,12 +241,13 @@ def preset_profile(
         p.f0 /= norms
         p.f1 /= norms
         p.f2 /= norms
-        _impose_pins(p, 1.0 if p.f0[0] > 0 else -1.0)
+        _impose_pins(p)
     return p
 
 
-def _impose_pins(p: RadialProfile, pin: float) -> None:
-    p.f0[0], p.f1[0], p.f2[0] = pin, 0.0, 0.0
+def _impose_pins(p: RadialProfile) -> None:
+    """Write the class pin (the sign of f0(0)) and the boundary datum exactly."""
+    p.f0[0], p.f1[0], p.f2[0] = 1.0 if p.f0[0] > 0 else -1.0, 0.0, 0.0
     p.f0[-1], p.f1[-1], p.f2[-1] = BOUNDARY_F
 
 
@@ -253,22 +256,9 @@ def _impose_pins(p: RadialProfile, pin: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _problem_for(grid: np.ndarray, lam: float, pin: float) -> descent.Problem:
+def _problem_for(grid: np.ndarray, lam: float) -> descent.Problem:
     d = _disc_for(grid)
-    interior = d.interior
-
-    def project(F):
-        F[:, 0] = pin, 0.0, 0.0
-        F[:, -1] = BOUNDARY_F
-
-    return descent.Problem(
-        stiff=d.stiff,
-        pen=d.pen,
-        mass=d.mass,
-        free=(interior, interior, interior),
-        project=project,
-        lam=lam,
-    )
+    return descent.Problem(d.stiff, d.pen, d.mass, (d.interior,) * 3, lam)
 
 
 def minimize_2d(
@@ -290,8 +280,10 @@ def minimize_2d(
     only on the init's own grid, for a warm start (a converged profile at
     a nearby lambda or on a coarser grid) that restriction would spoil.
     The initial profile must carry the requested class pin and the
-    boundary datum.  Returns the converged state with its energy split,
-    EL residual, and beta range; class escape is flagged, not fatal.
+    boundary datum to within `validate`'s tolerance; the descent starts
+    from a copy with both written exactly, and keeps them.  Returns the
+    converged state with its energy split, EL residual, and beta range;
+    class escape is flagged, not fatal.
     """
     opts = opts or SolveOptions()
     if class_tag not in ("N", "S"):
@@ -305,6 +297,8 @@ def minimize_2d(
         raise ValueError(
             f"init carries class {init.class_tag}, requested {class_tag}"
         )
+    init = init.copy()
+    _impose_pins(init)
 
     grids = [init.grid]
     if cascade and init.n >= 257:
@@ -347,15 +341,12 @@ def minimize_2d(
 
 
 def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, budget: int):
-    pin = 1.0 if prof.f0[0] > 0 else -1.0
-    problem = _problem_for(prof.grid, lam, pin)
     opts = replace(opts, max_iters=budget)
     if opts.stepper == "explicit":
         opts = replace(opts, step=opts.step * prof.grid[1] ** 2)
-    fields, it, converged = descent.descend(problem, (prof.f0, prof.f1, prof.f2), opts)
-    out = RadialProfile(prof.grid.copy(), *fields)
-    _impose_pins(out, pin)
-    return out, it, converged
+    fields, it, converged = descent.descend(
+        _problem_for(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts)
+    return RadialProfile(prof.grid.copy(), *fields), it, converged
 
 
 # ---------------------------------------------------------------------------

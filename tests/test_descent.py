@@ -22,6 +22,9 @@ Groups:
     complex one keeps its imaginary part, and both come back complex.
  7. Properties (hypothesis): the energy is invariant under the circle
     action, and the accepted energies of a descent never rise.
+ 8. Fixed dofs: a descent gives back the initial values on them bit for
+    bit, on real and complex radial fields and a real meridian field; the
+    two-point nodes are the interior axis nodes in 3D and none in 2D.
 """
 
 import dataclasses
@@ -45,7 +48,7 @@ from ldglab.tensor_core import beta_arrays, grad_w_tan_arrays
 def radial_case(lam=20.0, n=129):
     grid = uniform_grid(n)
     prof = r2.preset_profile("uS", grid, noise=0.05, seed=3)
-    prob = r2._problem_for(grid, lam, -1.0)
+    prob = r2._problem_for(grid, lam)
     return prob, (prof.f0, prof.f1, prof.f2)
 
 
@@ -61,14 +64,16 @@ def radial_free_axis_case():
 def meridian_split_seed(lam=1.0):
     geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.1)
     fld = m3.seed_field(geom, lam, "split-seed")
-    return m3._problem_for(fld, lam), fld
+    return m3._problem_for(geom, lam), fld
 
 
 def projected(prob, fields):
-    """fields renormalized and projected by prob, as a tuple of node arrays."""
-    F = descent._renormalize(stack_fields(*fields))
-    prob.project(F)
-    return tuple(np.array(f) for f in components(F))
+    """fields renormalized with their fixed dofs kept, as the descent does
+    with a candidate, as a tuple of node arrays."""
+    F = stack_fields(*fields)
+    out = descent._renormalize(F.copy())
+    out.ravel()[prob.fixed_dofs] = F.ravel()[prob.fixed_dofs]
+    return tuple(np.array(f) for f in components(out))
 
 
 def meridian_case(lam=1.0):
@@ -200,11 +205,11 @@ def edgewise_meridian_stiffness(g, k):
 def test_shared_laplacian_and_weight_equal_each_components_stiffness(kind):
     if kind == "radial":
         grid = uniform_grid(33)
-        p = r2._problem_for(grid, 1.0, -1.0)
+        p = r2._problem_for(grid, 1.0)
         want = [edgewise_radial_stiffness(grid, k) for k in (0, 1, 2)]
     else:
         g = m3.build_geometry(2.0, 0.6, 0.2, target_h=0.15)
-        p = m3._problem_for(m3.seed_field(g, 1.0, "torus-seed"), 1.0)
+        p = m3._problem_for(g, 1.0)
         want = [edgewise_meridian_stiffness(g, k) for k in (0, 1, 2)]
     for c, ref in enumerate(want):
         got = stiffness(p, c).toarray()
@@ -284,18 +289,7 @@ def test_a_free_node_without_a_stored_diagonal_is_rejected():
 def constant_problem(value, lam, n=65):
     """Radial operators with both ends pinned to one constant unit vector."""
     d = r2._disc_for(uniform_grid(n))
-
-    def project(F):
-        F[:, 0] = F[:, -1] = value
-
-    prob = descent.Problem(
-        stiff=d.stiff,
-        pen=d.pen,
-        mass=d.mass,
-        free=(d.interior,) * 3,
-        project=project,
-        lam=lam,
-    )
+    prob = descent.Problem(stiff=d.stiff, pen=d.pen, mass=d.mass, free=(d.interior,) * 3, lam=lam)
     fields = (np.full(n, value[0], dtype=float), np.full(n, value[1], dtype=complex),
               np.full(n, value[2], dtype=complex))
     return prob, fields
@@ -475,7 +469,7 @@ def test_descents_with_different_steps_share_one_problem():
 def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     p, fld = meridian_split_seed()
     f0, f1, f2 = fld.f0.ravel().copy(), fld.f1.ravel(), fld.f2.ravel()
-    axis = p.snap_nodes
+    axis = p.two_point_nodes
     assert np.all(f0[axis] == f0[axis[0]])
     planted, other = axis[axis.size // 2], axis[axis.size // 4]
     f0[planted] = -f0[planted]  # a flip back lowers the energy
@@ -569,15 +563,16 @@ def test_real_and_complex_arrays_give_the_same_step():
 def test_descend_keeps_the_dtype_of_its_fields():
     for case, real_path in ((real_meridian_case, True), (meridian_case, False)):
         p, fields = case()
-        project = p.project
+        renormalize = descent._renormalize
         kinds = set()
 
         def recording(F):
             kinds.add(F.dtype)
-            project(F)
+            return renormalize(F)
 
-        p = dataclasses.replace(p, project=recording)
-        out, _, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=20))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(descent, "_renormalize", recording)
+            out, _, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=20))
         assert kinds == {np.dtype(float) if real_path else np.dtype(complex)}
         # Either way f1 and f2 come back complex, and a complex field keeps
         # its imaginary part.
@@ -585,12 +580,47 @@ def test_descend_keeps_the_dtype_of_its_fields():
         assert np.any(out[1].imag != 0.0) != real_path
 
 
+def radial_real_case():
+    """A noise-free radial profile: f1 and f2 real, so the descent is real."""
+    grid = uniform_grid(129)
+    prof = r2.preset_profile("uS", grid)
+    return r2._problem_for(grid, 20.0), (prof.f0, prof.f1, prof.f2)
+
+
+def split_seed_case():
+    prob, fld = meridian_split_seed()
+    return prob, (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
+
+
+@pytest.mark.parametrize(
+    "case, dtype", [(radial_real_case, float), (radial_case, complex), (split_seed_case, float)]
+)
+def test_descend_keeps_the_initial_values_on_the_fixed_dofs(case, dtype):
+    p, fields = case()
+    F = stack_fields(*fields)
+    assert F.dtype == dtype
+    # Off the unit sphere, so a renormalized candidate would move them.
+    F.ravel()[p.fixed_dofs] *= 1.0 + 1e-10
+    out, iters, _ = descent.descend(p, components(F), descent.SolveOptions(max_iters=50))
+    got = np.stack(out).ravel()
+    assert iters > 0 and rel_diff(out, components(F)) > 1e-6
+    assert np.array_equal(got[p.fixed_dofs], F.ravel()[p.fixed_dofs])
+
+
+def test_two_point_nodes_are_the_interior_axis_nodes():
+    geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.1)
+    nodes = m3._problem_for(geom, 1.0).two_point_nodes
+    assert nodes.size > 0
+    assert np.array_equal(nodes, np.flatnonzero(geom.interior[:, 0]) * geom.nr)
+    assert radial_case()[0].two_point_nodes.size == 0
+
+
 @functools.lru_cache(maxsize=None)
 def small_problem(kind):
     if kind == "radial":
         return radial_case(lam=1.0, n=33)[0]
     geom = m3.build_geometry(2.0, 0.6, 0.2, target_h=0.15)
-    return m3._problem_for(m3.seed_field(geom, 1.0, "split-seed"), 1.0)
+    return m3._problem_for(geom, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,7 +655,7 @@ def test_energy_is_invariant_under_the_circle_action(kind, lam, alpha, seed):
 def test_accepted_energies_never_rise(n, lam, noise, seed, stepper):
     grid = uniform_grid(n)
     prof = r2.preset_profile("uS", grid, noise=noise, seed=seed)
-    p = r2._problem_for(grid, lam, -1.0)
+    p = r2._problem_for(grid, lam)
     fields = (prof.f0, prof.f1, prof.f2)
     # The explicit stepper's upper rungs overshoot, so its history also
     # exercises the rejection of rising candidates.

@@ -253,6 +253,31 @@ def test_cli_dump_field_round_trips_cigar(tmp_path, capsys):
     assert dumped.read_bytes() == (out / "cigar_field.csv").read_bytes()
 
 
+def test_cli_dump_field_round_trips_a_complex_field(tmp_path, capsys):
+    from ldglab import meridian3d as m3
+
+    # A unit field with nonzero imaginary parts everywhere off the axis,
+    # saved as the cigar experiment saves its field.
+    h, ell, rho, th = 1.0, 0.8, 0.2, 0.07
+    g = m3.build_geometry(h, ell, rho, target_h=th)
+    rng = np.random.default_rng(4)
+    f0, f1, f2 = (rng.standard_normal((g.nz, g.nr)) + 1j * rng.standard_normal((g.nz, g.nr))
+                  for _ in range(3))
+    f0 = f0.real
+    norm = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
+    fld = m3.MeridianField(g, f0 / norm, f1 / norm, f2 / norm)
+    npz = tmp_path / "f.npz"
+    np.savez_compressed(npz, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2,
+                        h=h, ell=ell, rho=rho, target_h=th)
+    own, dumped = tmp_path / "own.csv", tmp_path / "dumped.csv"
+    fld.to_csv(own)
+    assert cli.main(["dump-field", str(npz), "--csv", str(dumped)]) == 0
+    assert dumped.read_bytes() == own.read_bytes()
+    rows = list(csv.reader(own.read_text().splitlines()))[1:]
+    assert len(rows) == np.count_nonzero(g.active)
+    assert all(float(row[4]) != 0.0 for row in rows[:10])
+
+
 def test_cli_dump_field_rejects_shape_mismatch(tmp_path, capsys):
     from ldglab import meridian3d as m3
     from ldglab.radial2d import SolveOptions
@@ -265,6 +290,18 @@ def test_cli_dump_field_rejects_shape_mismatch(tmp_path, capsys):
     out_csv = tmp_path / "f.csv"
     assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
     assert "does not match" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_cli_dump_field_rejects_a_bad_lattice_spacing(tmp_path, capsys):
+    npz = tmp_path / "f.npz"
+    zeros = np.zeros((17, 9))
+    np.savez(npz, r=np.linspace(0.0, 0.8, 9), z=np.linspace(-1.0, 1.0, 17), f0=zeros + 1.0,
+             f1=zeros, f2=zeros, h=1.0, ell=0.8, rho=0.2, target_h=-0.1)
+    out_csv = tmp_path / "f.csv"
+    assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "stores no valid cylinder: target_h must be a finite positive number" in err
     assert not out_csv.exists()
 
 
@@ -407,3 +444,40 @@ def test_dual_seed_solve_ties_within_the_energy_tolerance(monkeypatch, split_gap
     best, results = experiments._dual_seed_solve(None, 1.0, descent.SolveOptions())
     assert list(results) == list(experiments.SEEDS)
     assert best.seed_name == winner
+
+
+@pytest.mark.parametrize(
+    "body, setting, message",
+    [
+        ("kind = cigar\n", "target_h=-0.015", "target_h must be a finite number > 0"),
+        ("kind = pancake\n", "target_h=0", "target_h must be a finite number > 0"),
+        ("kind = shape-sweep\n", "target_h=inf", "target_h must be a finite number > 0"),
+        ("kind = escape-sweep\ngrid = 33\n", "count=0", "count must be an integer >= 1"),
+        ("kind = escape-sweep\ngrid = 33\n", "count=-3", "count must be an integer >= 1"),
+        ("kind = escape-sweep\ngrid = 33\n", "count=2.5", "count must be an integer >= 1"),
+    ],
+)
+def test_cli_bad_lattice_or_count_is_a_config_error(tmp_path, capsys, body, setting, message):
+    cfg = write_config(tmp_path, body)
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_scalar_lambdas_is_a_one_element_sweep(tmp_path):
+    params = {"lambdas": 5.0, "grid": 33, "richardson": False, "max_iters": 300}
+    cfg = experiments.ExperimentConfig("escape-sweep", params, str(tmp_path))
+    assert cfg.params["lambdas"] == [5.0] and params["lambdas"] == 5.0
+    doc = experiments.run(cfg)
+    rows = list(csv.reader((tmp_path / "escape_sweep.csv").read_text().splitlines()))
+    assert len(rows) == 2 and float(rows[1][0]) == 5.0
+    assert doc["summary"]["checks"]
+
+
+def test_scalar_ells_is_a_one_point_shape_sweep(tmp_path):
+    params = {"ells": 1.5, "h": 1.0, "rho": 0.2, "target_h": 0.1, "max_iters": 100}
+    cfg = experiments.ExperimentConfig("shape-sweep", params, str(tmp_path))
+    assert cfg.params["ells"] == [1.5]
+    doc = experiments.run(cfg)
+    assert [run["id"] for run in doc["runs"]][0] == "shape/ell=1.5"

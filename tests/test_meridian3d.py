@@ -70,6 +70,12 @@ def test_geometry_membership_and_inclusions():
         m3.build_geometry(2.0, 1.0, 0.6)  # 2 rho >= min(h, ell)
 
 
+@pytest.mark.parametrize("target_h", [-0.015, 0.0, -0.0, np.inf, np.nan])
+def test_a_lattice_spacing_that_is_not_finite_and_positive_is_rejected(target_h):
+    with pytest.raises(ValueError, match="target_h must be a finite positive number"):
+        m3.build_geometry(8.0, 0.6, 0.2, target_h=target_h)
+
+
 @st.composite
 def cylinder_shapes(draw):
     """A valid (h, ell, rho, target_h) on a lattice of at most ~240 x 120 cells."""
@@ -158,17 +164,21 @@ def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
     monkeypatch.setattr(m3, "homeotropic_data", counted)
     fields = [m3.seed_field(g, 1.0, kind, OPTS) for kind in ("torus-seed", "split-seed")]
     fields.append(m3.interp_field(fields[1], g))
-    # The descent's projection of a random state onto the split seed's constraints.
-    p = m3._problem_for(fields[1], 1.0)
-    rng = np.random.default_rng(3)
-    shape = g.nz * g.nr
-    noisy = (rng.standard_normal(shape),
-             rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    state = descent.stack_fields(*noisy)
-    p.project(state)
-    fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr).copy()
-                                        for v in descent.components(state))))
+    # A descent from the split seed that flips axis signs.
+    flips = []
+    flip_sweep = descent.flip_sweep
+
+    def counted_flip_sweep(*args, **kwargs):
+        out = flip_sweep(*args, **kwargs)
+        flips.append(out[1])
+        return out
+
+    monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
+    out, _, _ = descent.descend(m3._problem_for(g, 1.0),
+                                tuple(f.ravel() for f in (fields[1].f0, fields[1].f1, fields[1].f2)),
+                                descent.SolveOptions(max_iters=200))
+    assert sum(flips) > 0
+    fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr) for v in out)))
     assert len(calls) == 1
     for got, ref in zip(g.boundary_data, want):
         assert np.array_equal(got, ref) and not got.flags.writeable
@@ -179,9 +189,29 @@ def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
             assert got.flags.writeable
         assert np.all(fld.f1[:, 0] == 0.0) and np.all(fld.f2[:, 0] == 0.0)
         assert np.all(np.abs(fld.f0[:, 0]) == 1.0)
-    # The axis keeps the sign of the projected state off the data layer.
+    # The flips changed axis signs off the data layer, and left them +/-1.
     axis = ~dm[:, 0]
-    assert np.array_equal(fields[3].f0[axis, 0], np.where(noisy[0][::g.nr][axis] >= 0, 1.0, -1.0))
+    assert np.any(fields[3].f0[axis, 0] != fields[1].f0[axis, 0])
+
+
+def test_axis_and_data_off_by_roundoff_come_back_exact():
+    g = small_cigar(target_h=0.1)
+    init = m3.seed_field(g, 1.0, "torus-seed")
+    init.f1[:, 0] = 1e-10
+    init.f2[:, 0] = -1e-10j
+    k = g.data_nodes[::7]
+    init.f0.ravel()[k] += 1e-10
+    init.validate()
+    res = m3.minimize_3d(g, 1.0, init, r2.SolveOptions(max_iters=50))
+    assert res.iterations > 0
+    fld = res.field
+    assert np.all(fld.f1[:, 0] == 0.0) and np.all(fld.f2[:, 0] == 0.0)
+    assert np.all(np.abs(fld.f0[:, 0]) == 1.0)
+    dm = g.dirichlet
+    for got, ref in zip((fld.f0, fld.f1, fld.f2), g.boundary_data):
+        assert np.array_equal(got[dm], ref[dm])
+    # The caller's init is left as it was.
+    assert np.all(init.f1[:, 0] == 1e-10)
 
 
 def test_split_seed_rows_are_the_interpolated_2d_minimizer():
@@ -563,9 +593,9 @@ class FactorLog:
             self.keys.append((level, digest))
             return splu(mat, *args, **kwargs)
 
-        def recording_problem_for(field, lam):
-            p = problem_for(field, lam)
-            level = self.levels[field.geom.disc.free0.size]
+        def recording_problem_for(geom, lam):
+            p = problem_for(geom, lam)
+            level = self.levels[geom.disc.free0.size]
             self.problems.append((level, weakref.ref(p)))
             return p
 

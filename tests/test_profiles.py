@@ -75,6 +75,22 @@ def test_csv_roundtrip(tmp_path):
     assert path.read_bytes() == reference.read_bytes()
 
 
+def test_csv_round_trip_is_bit_for_bit(tmp_path):
+    # A graded grid and complex f1, f2 with nonzero imaginary parts, over
+    # many decades: every value must come back with the same bits.
+    rng = np.random.default_rng(11)
+    grid = log_graded_grid(65)
+    scale = 10.0 ** rng.uniform(-300, 300, (5, grid.size))
+    vals = rng.standard_normal((5, grid.size)) * scale
+    p = RadialProfile(grid, vals[0], vals[1] + 1j * vals[2], vals[3] + 1j * vals[4])
+    path = tmp_path / "p.csv"
+    p.to_csv(path)
+    q = RadialProfile.from_csv(path)
+    for name in ("grid", "f0", "f1", "f2"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_interp_to_preserves_pins():
     p = profile_from_map(cf.g_hbar, uniform_grid(129))
     q = p.interp_to(uniform_grid(257))

@@ -21,7 +21,7 @@ from ldglab import closed_forms as cf
 from ldglab import descent
 from ldglab import radial2d as r2
 from ldglab import tensor_core as tc
-from ldglab.profiles import RadialProfile, profile_from_map, uniform_grid
+from ldglab.profiles import BOUNDARY_F, RadialProfile, profile_from_map, uniform_grid
 
 TWO_PI = 2 * np.pi
 SIX_PI = 6 * np.pi
@@ -117,7 +117,7 @@ def test_monotone_descent_and_explicit_stepper():
     init = r2.preset_profile("uS", grid, noise=0.05, seed=3)
     for stepper in ("semi_implicit", "explicit"):
         history = []
-        prob = r2._problem_for(grid, 0.5, -1.0)
+        prob = r2._problem_for(grid, 0.5)
         step = 0.1 if stepper == "semi_implicit" else 0.1 * grid[1] ** 2
         dopts = descent.SolveOptions(step=step, max_iters=800, stepper=stepper)
         fields, _, _ = descent.descend(
@@ -136,6 +136,20 @@ def test_monotone_descent_and_explicit_stepper():
 def test_node_norms_exact_after_projection():
     res = r2.minimize_2d(0.3, "S", "uS", grid=uniform_grid(257))
     assert np.max(np.abs(res.profile.node_norms() - 1.0)) < 1e-14
+
+
+def test_pins_off_by_roundoff_come_back_exact():
+    init = r2.preset_profile("uS", uniform_grid(129))
+    init.f1[0] = init.f2[0] = 1e-10
+    init.f0[-1] += 1e-10
+    init.f2[-1] -= 1e-10j
+    kept = init.copy()
+    res = r2.minimize_2d(1.0, "S", init, r2.SolveOptions(max_iters=50))
+    prof = res.profile
+    assert (prof.f0[0], prof.f1[0], prof.f2[0]) == (-1.0, 0.0, 0.0)
+    assert (prof.f0[-1], prof.f1[-1], prof.f2[-1]) == BOUNDARY_F
+    # The caller's init is left as it was.
+    assert all(np.array_equal(getattr(init, k), getattr(kept, k)) for k in ("f0", "f1", "f2"))
 
 
 def test_minimize_deterministic():
@@ -372,7 +386,7 @@ def test_second_variation_oracle():
     lam = 0.4
     form = r2.second_variation_form(p, lam, phi)
     q = tangent_part(p, phi)
-    prob = r2._problem_for(grid, lam, -1.0)
+    prob = r2._problem_for(grid, lam)
 
     def energy_at(t):
         v0 = p.f0 + t * q[0].real
