@@ -2,7 +2,7 @@
 
 Modules:
   tensor_core  -- admissible-tensor algebra in R + C + C coordinates
-  closed_forms -- explicit harmonic maps, hedgehogs, tangent maps, verifiers
+  closed_forms -- explicit harmonic maps, tangent maps, verifiers
   profiles     -- radial profile container and grids
   radial2d     -- constrained 2D minimizer, energy curves, escape threshold
   meridian3d   -- axisymmetric 3D solver, classification, diagnostics

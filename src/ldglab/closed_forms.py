@@ -8,8 +8,7 @@ The explicit objects the numerics is checked against:
     maps escaping north (class N), with g_hbar its uniaxial member;
   * bubble             -- the 4 pi harmonic two-sphere that concentrates at
     the origin along class-boundary sequences;
-  * hedgehog tensors and 0-homogeneous tangent maps with their 4 pi scaled
-    singularity cost;
+  * 0-homogeneous tangent maps with their 4 pi scaled singularity cost;
   * fourth-order conformality / isotropy residual diagnostics (the
     harmonic-ODE residual is `radial2d.el_residual_2d` at lambda = 0);
   * the three-zone bubble insertion turning a class-N profile into a
@@ -30,8 +29,6 @@ __all__ = [
     "large_solution",
     "g_hbar",
     "bubble",
-    "hedgehog_sphere",
-    "constant_norm_hedgehog",
     "tangent_map",
     "tangent_map_scaled_energy",
     "conformality_residual",
@@ -84,29 +81,6 @@ def bubble(z, theta: float = 0.0):
     u1 = 2.0 * np.exp(1j * theta) * z / den
     u2 = np.zeros_like(z)
     return u0.real, u1, u2
-
-
-def _uniaxial(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.5) * (np.outer(v, v) - np.eye(3) / 3.0)
-
-
-def hedgehog_sphere(x) -> np.ndarray:
-    """Unit-norm hedgehog sqrt(3/2)(v x v - Id/3) with v = x/|x|."""
-    x = np.asarray(x, dtype=float)
-    n = np.linalg.norm(x)
-    if n == 0.0:
-        raise ValueError("hedgehog undefined at the origin")
-    return _uniaxial(x / n)
-
-
-def constant_norm_hedgehog(x) -> np.ndarray:
-    """Radial anchoring map: the hedgehog of the horizontal projection."""
-    x = np.asarray(x, dtype=float)
-    v = np.array([x[0], x[1], 0.0])
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("planar hedgehog undefined on the vertical axis")
-    return _uniaxial(v / n)
 
 
 def _rotation_z(alpha: float) -> np.ndarray:

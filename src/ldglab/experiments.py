@@ -48,9 +48,11 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         # A list key given one value is a one-element list.
-        for key in ("lambdas", "ells"):
+        for key in _LIST_KEYS:
             if key in self.params and not isinstance(self.params[key], list):
                 self.params = {**self.params, key: [self.params[key]]}
+            if self.params.get(key) == []:
+                raise ValueError(f"{key} must list at least one value")
         for key in ("tol", "grad_tol", "energy_tol"):
             if key not in self.params:
                 continue
@@ -58,16 +60,27 @@ class ExperimentConfig:
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
                 raise ValueError(f"tolerance {key} must be a positive number")
         for key in ("lambda", "lambda_max", "lambdas"):
-            vals = self.params.get(key, [])
-            for val in vals if isinstance(vals, list) else [vals]:
+            for val in self._values(key):
                 if not (_finite(val) and val >= 0):
                     raise ValueError(f"coupling {key} must be a finite number >= 0, not {val!r}")
-        val = self.params.get("target_h", 1.0)
-        if not (_finite(val) and val > 0):
-            raise ValueError(f"target_h must be a finite number > 0, not {val!r}")
-        count = self.params.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"count must be an integer >= 1, not {count!r}")
+        if self._values("lambdas") != sorted(self._values("lambdas")):
+            raise ValueError("lambdas must be sorted")
+        for val in self._values("noise"):
+            if not (_finite(val) and val >= 0):
+                raise ValueError(f"noise must be a finite number >= 0, not {val!r}")
+        for key in ("h", "ell", "rho", "ell_small", "ells", "target_h"):
+            for val in self._values(key):
+                if not (_finite(val) and val > 0):
+                    raise ValueError(f"{key} must be a finite number > 0, not {val!r}")
+        # Every width of the kind's cylinder must fit its h and rho.
+        for key in ("ell", "ell_small", "ells"):
+            if key in _CYLINDERS.get(self.kind, {}):
+                for ell in self.get(key) if key == "ells" else [self.get(key)]:
+                    m3.check_shape(self.get("h"), ell, self.get("rho"))
+        for key, least in _INTEGER_KEYS.items():
+            for val in self._values(key):
+                if isinstance(val, bool) or not isinstance(val, int) or val < least:
+                    raise ValueError(f"{key} must be an integer >= {least}, not {val!r}")
         if self.params.get("richardson", True) not in (True, False):
             raise ValueError("richardson must be true or false")
         self.opts = r2.SolveOptions(
@@ -78,7 +91,40 @@ class ExperimentConfig:
         )
 
     def get(self, key, default=None):
-        return self.params.get(key, default)
+        """A parameter, else its default in the kind's cylinder, else `default`."""
+        return self.params.get(key, _CYLINDERS.get(self.kind, {}).get(key, default))
+
+    def _values(self, key) -> list:
+        """The values of a key, as a list (empty when unset); only a list
+        key may hold more than one."""
+        if key not in self.params:
+            return []
+        val = self.params[key]
+        if key in _LIST_KEYS:
+            return val
+        if isinstance(val, list):
+            raise ValueError(f"{key} takes one value, not {val!r}")
+        return [val]
+
+
+#: The keys that hold a list of values.
+_LIST_KEYS = ("lambdas", "ells")
+
+
+#: The cylinder of each 3D kind: the defaults of `h`, `rho` and `target_h`,
+#: and of the widths (`ell`, `ell_small`, `ells`) that the kind builds.
+_CYLINDERS = {
+    "cigar": {"h": 8.0, "ell": 0.6, "rho": 0.2, "target_h": 0.015},
+    "pancake": {"h": 0.8, "ell": 12.0, "ell_small": 6.0, "rho": 0.2, "target_h": 0.025},
+    "shape-sweep": {
+        "h": 2.0, "rho": 0.2, "target_h": 0.04,
+        "ells": [0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0],
+    },
+}
+
+#: The integer keys and their least values: the sizes and counts that their
+#: routines accept (`uniform_grid` needs 5 nodes, `isotropy_residual` 9).
+_INTEGER_KEYS = {"grid": 5, "conformality_grid": 9, "count": 1, "seed": 0, "workers": 1}
 
 
 def _finite(val) -> bool:
@@ -217,7 +263,7 @@ def _report_3d(res: m3.MinResult3D) -> dict:
 
 
 def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    n = int(config.get("grid", 2049))
+    n = config.get("grid", 2049)
     grid = uniform_grid(n)
     mu_list = [0.0, 1.0, math.sqrt(3.0), 5.0, 10.0 + 10.0j]
 
@@ -267,7 +313,7 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
             abs(v - FOUR_PI) < 1e-2, rid,
         )
 
-    n2 = int(config.get("conformality_grid", 257))
+    n2 = config.get("conformality_grid", 257)
     for mu in (0.0, 1.0, math.sqrt(3.0), 1.7 + 0.3j):
         fmap = lambda z: cf.large_solution(mu, z)
         c = cf.conformality_residual(fmap, n2)
@@ -283,9 +329,9 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
 
 
 def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    n = int(config.get("grid", 2049))
+    n = config.get("grid", 2049)
     noise = config.get("noise", 0.01)
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
     opts = config.opts
     grid = uniform_grid(n)
 
@@ -327,9 +373,9 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     lambdas = config.get("lambdas")
     if lambdas is None:
         lam_max = config.get("lambda_max", 114.0)
-        count = int(config.get("count", 20))
+        count = config.get("count", 20)
         lambdas = list(np.linspace(0.0, lam_max, count))
-    n = int(config.get("grid", 1025))
+    n = config.get("grid", 1025)
     richardson = bool(config.get("richardson", True))
     rows = r2.energy_curve(lambdas, config.opts, n=n, richardson=richardson)
 
@@ -390,7 +436,7 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
 def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     tol = config.get("tol", 0.5)
-    n = int(config.get("grid", 1025))
+    n = config.get("grid", 1025)
     opts = config.opts
     est = r2.estimate_lambda_star(tol=tol, opts=opts, n=n)
     lo, hi, pt = est
@@ -435,16 +481,6 @@ def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     )
 
 
-def _cigar_defaults(config: ExperimentConfig):
-    return (
-        config.get("h", 8.0),
-        config.get("ell", 0.6),
-        config.get("rho", 0.2),
-        config.get("lambda", 1.0),
-        config.get("target_h", 0.015),
-    )
-
-
 SEEDS = ("split-seed", "torus-seed")
 
 
@@ -459,7 +495,8 @@ def _dual_seed_solve(geom, lam, opts):
 
 
 def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    h, ell, rho, lam, th = _cigar_defaults(config)
+    h, ell, rho, th = (config.get(key) for key in ("h", "ell", "rho", "target_h"))
+    lam = config.get("lambda", 1.0)
     opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
     best, results = _dual_seed_solve(geom, lam, opts)
@@ -506,13 +543,12 @@ def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
 
 def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    h = config.get("h", 0.8)
-    ell = config.get("ell", 12.0)
-    rho = config.get("rho", 0.2)
+    h, ell, rho, th = (config.get(key) for key in ("h", "ell", "rho", "target_h"))
     lam = config.get("lambda", 1.0)
-    th = config.get("target_h", 0.025)
+    ell_small = config.get("ell_small")
     opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
+    geom_s = m3.build_geometry(h, ell_small, rho, target_h=th)
     best, results = _dual_seed_solve(geom, lam, opts)
     for seed, res in results.items():
         env.add_run(f"pancake/{seed}", _report_3d(res))
@@ -527,8 +563,6 @@ def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     # Interior decay: E(C^h_{ell/2})/ell halves from ell/2-run to ell-run.
     e_half = m3.energy_in_cylinder(best.field, lam, ell / 2.0, h)
     env.scalar("interior_ratio", e_half / ell, rid)
-    ell_small = config.get("ell_small", 6.0)
-    geom_s = m3.build_geometry(h, ell_small, rho, target_h=th)
     best_s, _ = _dual_seed_solve(geom_s, lam, opts)
     env.add_run("pancake/small", _report_3d(best_s))
     e_half_s = m3.energy_in_cylinder(best_s.field, lam, ell_small / 2.0, h)
@@ -569,12 +603,9 @@ def _shape_point(args):
 
 
 def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    h = config.get("h", 2.0)
-    rho = config.get("rho", 0.2)
+    h, rho, th, ells = (config.get(key) for key in ("h", "rho", "target_h", "ells"))
     lam = config.get("lambda", 1.0)
-    th = config.get("target_h", 0.04)
-    ells = config.get("ells") or [0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0]
-    workers = int(config.get("workers", 1))
+    workers = config.get("workers", 1)
     opts = config.opts
 
     tasks = [(ell, h, rho, lam, th, opts) for ell in ells]

@@ -44,6 +44,7 @@ __all__ = [
     "SingularityRecord",
     "MinResult3D",
     "build_geometry",
+    "check_shape",
     "homeotropic_data",
     "meridian_energy",
     "minimize_3d",
@@ -108,16 +109,6 @@ class CylinderGeometry:
     def level(self, r, z):
         return _four_norm_excess(r, z, self.ell, self.h, self.rho)
 
-    def normal_at(self, i: int, j: int) -> np.ndarray:
-        """Outward boundary normal stored at a data-layer node.
-
-        Raises for nodes outside the data layer (interior or exterior),
-        where no boundary normal is defined.
-        """
-        if not self.dirichlet[i, j]:
-            raise ValueError(f"node ({i}, {j}) carries no boundary normal")
-        return self.normals[i, j]
-
     @cached_property
     def disc(self) -> "_MeridianDisc":
         """Stiffness, mass and free-index operators of this lattice."""
@@ -137,6 +128,14 @@ class CylinderGeometry:
         return arrays
 
 
+def check_shape(h: float, ell: float, rho: float) -> None:
+    """Raise ValueError unless h, ell > 0 and 0 < 2 rho < min(h, ell)."""
+    if not (h > 0 and ell > 0 and 0 < 2 * rho < min(h, ell)):
+        raise ValueError(
+            f"need h, ell > 0 and 0 < 2 rho < min(h, ell), not h = {h!r}, ell = {ell!r}, rho = {rho!r}"
+        )
+
+
 def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) -> CylinderGeometry:
     """Mask a uniform meridian lattice by 4-disc membership.
 
@@ -146,8 +145,7 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     one; it stores the outward normal and nearest boundary point of the
     smoothed boundary curve.
     """
-    if not (h > 0 and ell > 0 and 0 < 2 * rho < min(h, ell)):
-        raise ValueError("need h, ell > 0 and 0 < 2 rho < min(h, ell)")
+    check_shape(h, ell, rho)
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError(f"target_h must be a finite positive number, not {target_h!r}")
     nr = max(int(round(ell / target_h)), 8) + 1
@@ -254,14 +252,14 @@ class MeridianField:
             w.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols)))
 
 
-def homeotropic_tensor(normal3, normalized: bool = True) -> np.ndarray:
-    """Boundary tensor n x n - Id/3, unit-normalized by default."""
+def homeotropic_tensor(normal3) -> np.ndarray:
+    """Unit-norm boundary tensor sqrt(3/2)(n x n - Id/3) of the direction n."""
     n = np.asarray(normal3, dtype=float)
-    n = n / np.linalg.norm(n)
-    q = np.outer(n, n) - np.eye(3) / 3.0
-    if normalized:
-        q = q * np.sqrt(1.5)
-    return q
+    length = np.linalg.norm(n)
+    if length == 0.0:
+        raise ValueError("homeotropic tensor undefined for a zero direction")
+    n = n / length
+    return (np.outer(n, n) - np.eye(3) / 3.0) * np.sqrt(1.5)
 
 
 def homeotropic_data(geom: CylinderGeometry):
@@ -510,23 +508,20 @@ def _minimize_level(geom, lam, fields, opts):
 def minimize_3d(
     geom: CylinderGeometry,
     lam: float,
-    init: MeridianField | str = "split-seed",
+    init: MeridianField,
     opts: SolveOptions | None = None,
     *,
     problem: descent.Problem | None = None,
 ) -> MinResult3D:
-    """Projected gradient descent for the meridian energy; monotone.
+    """Projected gradient descent for the meridian energy from init; monotone.
 
-    init is a MeridianField or one of the named seeds; a named seed is a
-    one-seed `minimize_seeds` call, so it runs the coarse level first.  Returns
-    the field with its energy split, residual, axis trace singularity list,
-    and torus/split classification.  The descent starts from a copy of init
-    with the data layer and the axis rules written exactly (`_impose`), and
-    keeps them.  `problem` lets the seeds of one cascade level share their
-    Problem.
+    Named seeds enter through `minimize_seeds`, which runs the coarse level
+    first.  Returns the field with its energy split, residual, axis trace
+    singularity list, and torus/split classification.  The descent starts
+    from a copy of init with the data layer and the axis rules written
+    exactly (`_impose`), and keeps them.  `problem` lets the seeds of one
+    cascade level share their Problem.
     """
-    if isinstance(init, str):
-        return minimize_seeds(geom, lam, [init], opts)[init]
     opts = opts or SolveOptions()
     init.validate()
     init = init.copy()
@@ -779,12 +774,6 @@ def _energy_density(field: MeridianField, lam: float) -> np.ndarray:
 
 def _in_ball(g: CylinderGeometry, radius: float) -> np.ndarray:
     return g.r[None, :] ** 2 + g.z[:, None] ** 2 < radius**2
-
-
-def energy_in_ball(field: MeridianField, lam: float, radius: float) -> float:
-    """The share of `meridian_energy` held by the nodes within `radius` of
-    the origin: the whole energy once the ball covers the lattice."""
-    return float(np.sum(_energy_density(field, lam)[_in_ball(field.geom, radius)]))
 
 
 def energy_in_cylinder(field: MeridianField, lam: float, r_max: float, z_max: float) -> float:

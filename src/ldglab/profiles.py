@@ -89,11 +89,14 @@ class RadialProfile:
         )
         norms = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
         out = RadialProfile(grid, f0 / norms, f1 / norms, f2 / norms)
-        out.f0[-1], out.f1[-1], out.f2[-1] = BOUNDARY_F
-        out.f1[0] = 0.0
-        out.f2[0] = 0.0
-        out.f0[0] = np.sign(out.f0[0]) if out.f0[0] != 0 else 1.0
+        out.impose_pins()
         return out
+
+    def impose_pins(self) -> None:
+        """Write the class pin (the sign of f0(0)) and the boundary datum
+        exactly, in place."""
+        self.f0[0], self.f1[0], self.f2[0] = 1.0 if self.f0[0] > 0 else -1.0, 0.0, 0.0
+        self.f0[-1], self.f1[-1], self.f2[-1] = BOUNDARY_F
 
     def max_norm_distance(self, other: "RadialProfile") -> float:
         """Max over nodes of the 5-vector distance (grids must agree)."""

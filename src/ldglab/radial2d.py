@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import closed_forms, descent
 from .descent import SolveOptions
-from .profiles import BOUNDARY_F, RadialProfile, profile_from_map, uniform_grid
+from .profiles import RadialProfile, profile_from_map, uniform_grid
 from .tensor_core import (
     SQRT2,
     SQRT3,
@@ -241,14 +241,8 @@ def preset_profile(
         p.f0 /= norms
         p.f1 /= norms
         p.f2 /= norms
-        _impose_pins(p)
+        p.impose_pins()
     return p
-
-
-def _impose_pins(p: RadialProfile) -> None:
-    """Write the class pin (the sign of f0(0)) and the boundary datum exactly."""
-    p.f0[0], p.f1[0], p.f2[0] = 1.0 if p.f0[0] > 0 else -1.0, 0.0, 0.0
-    p.f0[-1], p.f1[-1], p.f2[-1] = BOUNDARY_F
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +292,7 @@ def minimize_2d(
             f"init carries class {init.class_tag}, requested {class_tag}"
         )
     init = init.copy()
-    _impose_pins(init)
+    init.impose_pins()
 
     grids = [init.grid]
     if cascade and init.n >= 257:

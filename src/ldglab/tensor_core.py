@@ -71,12 +71,6 @@ class UVector:
         v = np.asarray(v, dtype=float)
         return UVector(float(v[0]), complex(v[1], v[2]), complex(v[3], v[4]))
 
-    def renormalized(self) -> "UVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot renormalize the zero vector")
-        return UVector(self.u0 / n, self.u1 / n, self.u2 / n)
-
 
 def _require_unit(u: UVector, tol: float = UNIT_NORM_TOL) -> None:
     if abs(u.norm() - 1.0) > tol:

@@ -309,7 +309,7 @@ def test_criterion_10_growth_laws(pancake_run):
     energies = []
     for h in hs:
         geom = m3.build_geometry(h, 0.6, 0.2, target_h=0.015)
-        res = m3.minimize_3d(geom, 1.0, "split-seed", OPTS3D)
+        res = m3.minimize_seeds(geom, 1.0, ["split-seed"], OPTS3D)["split-seed"]
         energies.append(res.energy)
     res2d = r2.minimize_2d(0.36, "S", "uS", OPTS, grid=uniform_grid(1025))
     e2d = min(SIX_PI, res2d.energy)
@@ -318,7 +318,7 @@ def test_criterion_10_growth_laws(pancake_run):
 
     geom12, best12, geom6, best6 = pancake_run
     geom9 = m3.build_geometry(0.8, 9.0, 0.2, target_h=0.025)
-    best9 = m3.minimize_3d(geom9, 1.0, "torus-seed", OPTS3D)
+    best9 = m3.minimize_seeds(geom9, 1.0, ["torus-seed"], OPTS3D)["torus-seed"]
     ks = [best6.energy / 6.0, best9.energy / 9.0, best12.energy / 12.0]
     k_ok = (max(ks) - min(ks)) / min(ks) < 0.10
     _report(

@@ -2,21 +2,26 @@
 
 Groups:
  1. Pointwise values and unit-norm / equivariance structure of the explicit
-    maps (small solution, mu1 family, uniaxial member, bubble, hedgehogs).
+    maps (small solution, mu1 family, uniaxial member, bubble), and the
+    hedgehog values of the boundary tensor meridian3d.homeotropic_tensor.
  2. Quadrature energies: 2 pi / 6 pi / 4 pi and the exact potential integral.
  3. Conformality, isotropy, and harmonic-ODE residual diagnostics with
     their convergence rates and a non-conformal control.
  4. Tangent maps: axis values, 4 pi scaled singularity cost.
  5. Bubble insertion: class flip, energy approach to E0(input) + 4 pi.
+ 6. Every name in the __all__ of ldglab, closed_forms and meridian3d resolves.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
 from ldglab import closed_forms as cf
+from ldglab import meridian3d as m3
 from ldglab import radial2d as r2
 from ldglab import tensor_core as tc
-from ldglab.profiles import log_graded_grid, profile_from_map, uniform_grid
+from ldglab.profiles import BOUNDARY_F, log_graded_grid, profile_from_map, uniform_grid
 
 RNG = np.random.default_rng(7)
 
@@ -33,6 +38,13 @@ def random_disc_points(n):
 def norm_dev(u):
     u0, u1, u2 = u
     return np.max(np.abs(u0**2 + np.abs(u1) ** 2 + np.abs(u2) ** 2 - 1.0))
+
+
+@pytest.mark.parametrize("module", ["ldglab", "ldglab.closed_forms", "ldglab.meridian3d"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_small_solution_values():
@@ -97,19 +109,25 @@ def test_bubble_values_and_energy():
 
 
 def test_hedgehogs():
-    assert np.allclose(cf.hedgehog_sphere([0, 0, 1.0]), tc.E0)
-    u = tc.q_to_u(cf.constant_norm_hedgehog([1.0, 0, 0]))
+    # The hedgehog sqrt(3/2)(v x v - Id/3), v = x/|x|, is the homeotropic
+    # boundary tensor: E0 on the vertical axis, the lateral anchoring datum
+    # on a horizontal direction, unit and positively uniaxial everywhere.
+    assert np.allclose(m3.homeotropic_tensor([0, 0, 1.0]), tc.E0)
+    u = tc.q_to_u(m3.homeotropic_tensor([1.0, 0, 0]))
     assert u.u0 == pytest.approx(-0.5)
     assert abs(u.u2 - np.sqrt(3) / 2) < 1e-14
+    assert (u.u0, u.u1, u.u2) == pytest.approx(BOUNDARY_F, abs=1e-14)
     for _ in range(50):
         x = RNG.standard_normal(3)
-        q = cf.hedgehog_sphere(x)
+        q = m3.homeotropic_tensor(x)
         assert abs(np.sqrt(np.sum(q * q)) - 1.0) < 1e-13
         assert tc.beta_tilde(tc.q_to_u(q)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        cf.hedgehog_sphere([0.0, 0.0, 0.0])
+        m3.homeotropic_tensor([0.0, 0.0, 0.0])
+    # The planar hedgehog of a point on the vertical axis is undefined.
+    x = np.array([0.0, 0.0, 5.0])
     with pytest.raises(ValueError):
-        cf.constant_norm_hedgehog([0.0, 0.0, 5.0])
+        m3.homeotropic_tensor([x[0], x[1], 0.0])
 
 
 def test_quadrature_energies():

@@ -465,6 +465,61 @@ def test_cli_bad_lattice_or_count_is_a_config_error(tmp_path, capsys, body, sett
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(
+    "body, setting, message",
+    [
+        ("kind = shape-sweep\n", "ells=0,1.5", "ells must be a finite number > 0, not 0"),
+        ("kind = shape-sweep\n", "ells=,", "ells must list at least one value"),
+        ("kind = shape-sweep\n", "ells=1.5,0.3", "need h, ell > 0 and 0 < 2 rho < min(h, ell)"),
+        ("kind = cigar\n", "rho=-0.2", "rho must be a finite number > 0, not -0.2"),
+        ("kind = cigar\n", "h=inf", "h must be a finite number > 0, not inf"),
+        ("kind = cigar\n", "ell=0.4", "need h, ell > 0 and 0 < 2 rho < min(h, ell)"),
+        ("kind = cigar\n", "h=1,2", "h takes one value, not [1, 2]"),
+        ("kind = pancake\n", "ell_small=0.3", "need h, ell > 0 and 0 < 2 rho < min(h, ell)"),
+        ("kind = pancake\n", "ell_small=nan", "ell_small must be a finite number > 0, not nan"),
+    ],
+)
+def test_cli_bad_geometry_is_a_config_error(tmp_path, capsys, body, setting, message):
+    cfg = write_config(tmp_path, body)
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_unset_geometry_keys_take_the_kinds_cylinder():
+    cfg = experiments.ExperimentConfig("pancake", {"h": 1.0}, "out")
+    assert [cfg.get(key) for key in ("h", "ell", "ell_small", "rho", "target_h")] == [
+        1.0, 12.0, 6.0, 0.2, 0.025]
+    assert experiments.ExperimentConfig("cigar", {}, "out").get("ell") == 0.6
+    assert experiments.ExperimentConfig("shape-sweep", {}, "out").get("ells")[-1] == 12.0
+    assert experiments.ExperimentConfig("gap-2d", {}, "out").get("h") is None
+
+
+@pytest.mark.parametrize(
+    "body, setting, message",
+    [
+        ("kind = gap-2d\n", "grid=1025.7", "grid must be an integer >= 5, not 1025.7"),
+        ("kind = gap-2d\n", "grid=abc", "grid must be an integer >= 5, not 'abc'"),
+        ("kind = gap-2d\n", "grid=3", "grid must be an integer >= 5, not 3"),
+        ("kind = verify-closed-forms\n", "conformality_grid=8",
+         "conformality_grid must be an integer >= 9, not 8"),
+        ("kind = gap-2d\n", "seed=2.5", "seed must be an integer >= 0, not 2.5"),
+        ("kind = gap-2d\n", "seed=-1", "seed must be an integer >= 0, not -1"),
+        ("kind = shape-sweep\n", "workers=0", "workers must be an integer >= 1, not 0"),
+        ("kind = gap-2d\n", "noise=-1", "noise must be a finite number >= 0, not -1"),
+        ("kind = gap-2d\n", "noise=nan", "noise must be a finite number >= 0, not nan"),
+        ("kind = escape-sweep\n", "lambdas=10,5", "lambdas must be sorted"),
+    ],
+)
+def test_cli_bad_size_seed_or_noise_is_a_config_error(tmp_path, capsys, body, setting, message):
+    cfg = write_config(tmp_path, body)
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_scalar_lambdas_is_a_one_element_sweep(tmp_path):
     params = {"lambdas": 5.0, "grid": 33, "richardson": False, "max_iters": 300}
     cfg = experiments.ExperimentConfig("escape-sweep", params, str(tmp_path))

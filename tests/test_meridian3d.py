@@ -5,7 +5,8 @@ Groups:
     properties (hypothesis): every valid (h, ell, rho, target_h) passes the
     inclusions with active 4-neighbours of every interior node, and every
     invalid triple raises ValueError.
- 2. Homeotropic data: cap/wall values, unit norms, raw vs normalized.
+ 2. Homeotropic data: cap/wall values, unit norms and unit data-layer
+    normals; the boundary tensor's sqrt(3/2) factor.
  3. Energy: constant fields, nodal shares summing to the energy, vertical
     extension vs 2D slice energy, refinement behavior.
  4. Axis trace and singularity detection, incl. the synthetic tangent map
@@ -232,20 +233,19 @@ def test_split_seed_rows_are_the_interpolated_2d_minimizer():
         assert got[rows].tobytes() == ref[rows[1]].tobytes()
 
 
-def test_normal_query_outside_layer_raises():
+def test_data_layer_normals_have_unit_length():
     g = small_cigar()
-    i, j = np.argwhere(g.dirichlet)[0]
-    n = g.normal_at(i, j)
-    assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-    ii, jj = np.argwhere(g.interior)[0]
-    with pytest.raises(ValueError, match="no boundary normal"):
-        g.normal_at(ii, jj)
+    n = g.normals[g.dirichlet]
+    assert n.shape == (np.count_nonzero(g.dirichlet), 2)
+    assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) < 1e-12
 
 
 def test_homeotropic_tensor_normalization():
     q_norm = m3.homeotropic_tensor([0.0, 0.0, 1.0])
     assert abs(np.sqrt(np.sum(q_norm * q_norm)) - 1.0) < 1e-14
-    q_raw = m3.homeotropic_tensor([0.0, 0.0, 1.0], normalized=False)
+    # Without its sqrt(3/2) factor the tensor is n x n - Id/3, of norm sqrt(2/3).
+    q_raw = q_norm / np.sqrt(1.5)
+    assert np.allclose(q_raw, np.diag([0.0, 0.0, 1.0]) - np.eye(3) / 3.0, rtol=0, atol=1e-15)
     assert abs(np.sqrt(np.sum(q_raw * q_raw)) - np.sqrt(2.0 / 3.0)) < 1e-14
 
 
@@ -286,7 +286,9 @@ def test_energy_density_shares_the_meridian_energy(make_geom, lam):
         total = m3.meridian_energy(fld, lam)[0]
         dens = m3._energy_density(fld, lam)
         assert np.sum(dens) == pytest.approx(total, rel=1e-12)
-        assert m3.energy_in_ball(fld, lam, covering) == pytest.approx(total, rel=1e-12)
+        # A ball that covers the lattice holds the whole energy.
+        share = m3.radial_monotonicity(fld, lam, [covering])[0] * covering
+        assert share == pytest.approx(total, rel=1e-12)
         assert np.min(dens) >= -1e-12 * total
 
 
@@ -307,7 +309,7 @@ def test_axis_trace_and_unresolved_error():
 
 def test_small_cigar_split_and_ordering():
     g = small_cigar()
-    res = m3.minimize_3d(g, 1.0, "split-seed", OPTS)
+    res = m3.minimize_seeds(g, 1.0, ["split-seed"], OPTS)["split-seed"]
     assert res.classification == "Split"
     n_up = sum(1 for s in res.singularities if s.position > 0)
     n_dn = sum(1 for s in res.singularities if s.position < 0)
@@ -315,7 +317,7 @@ def test_small_cigar_split_and_ordering():
     assert res.beta_min == pytest.approx(-1.0, abs=2e-2)
     assert res.beta_max == pytest.approx(1.0, abs=2e-2)
     assert res.energy == pytest.approx(res.dirichlet + 1.0 * res.potential, abs=1e-9)
-    res_t = m3.minimize_3d(g, 1.0, "torus-seed", OPTS)
+    res_t = m3.minimize_seeds(g, 1.0, ["torus-seed"], OPTS)["torus-seed"]
     assert res_t.classification == "Torus"
     assert res.energy < res_t.energy  # split wins on the cigar
 
@@ -488,7 +490,7 @@ def fd_potential_term(field, lam, p_z, r_ball, eta, n_phi=32, fd_step=1e-4):
 
 def test_instability_form_matches_finite_difference_reference():
     g = m3.build_geometry(3.0, 1.5, 0.2, target_h=0.05)
-    res = m3.minimize_3d(g, 4.0, "split-seed", OPTS)
+    res = m3.minimize_seeds(g, 4.0, ["split-seed"], OPTS)["split-seed"]
     assert res.classification == "Split"
     pz = max(s.position for s in res.singularities)
     eta = m3.EtaSpec()
@@ -563,7 +565,7 @@ def test_minimize_seeds_matches_single_seed_solves():
     shared = m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
     assert list(shared) == list(SEEDS)
     for seed in SEEDS:
-        assert_same_result(shared[seed], m3.minimize_3d(g, 1.0, seed, OPTS))
+        assert_same_result(shared[seed], m3.minimize_seeds(g, 1.0, [seed], OPTS)[seed])
 
 
 class FactorLog:
@@ -619,7 +621,7 @@ def test_seed_levels_factor_each_matrix_once_while_cached(monkeypatch):
     alone = {}
     for seed in SEEDS:
         log = FactorLog(monkeypatch, levels)
-        m3.minimize_3d(g, 1.0, seed, OPTS)
+        m3.minimize_seeds(g, 1.0, [seed], OPTS)
         alone[seed] = len(log.keys)
     log = FactorLog(monkeypatch, levels)
     m3.minimize_seeds(g, 1.0, SEEDS, OPTS)

@@ -102,6 +102,21 @@ def test_interp_to_preserves_pins():
     assert q.max_norm_distance(r) < 5e-4
 
 
+@pytest.mark.parametrize("fmap, pin", [(cf.g_hbar, 1.0), (cf.small_solution_us, -1.0)])
+def test_impose_pins_writes_the_class_pin_and_the_boundary_datum(fmap, pin):
+    p = profile_from_map(fmap, uniform_grid(65))
+    p.f0[0] *= 1.0 - 1e-10
+    p.f1[0], p.f2[0] = 1e-10, -1e-10j
+    p.f0[-1] += 1e-10
+    p.f2[-1] += 1e-10j
+    inner = p.copy()
+    p.impose_pins()
+    assert (p.f0[0], p.f1[0], p.f2[0]) == (pin, 0.0, 0.0)
+    assert (p.f0[-1], p.f1[-1], p.f2[-1]) == BOUNDARY_F
+    for name in ("f0", "f1", "f2"):
+        assert np.array_equal(getattr(p, name)[1:-1], getattr(inner, name)[1:-1])
+
+
 def test_beta_of_profile():
     p = profile_from_map(cf.g_hbar, uniform_grid(129))
     assert np.max(np.abs(p.beta() - 1.0)) < 1e-10
