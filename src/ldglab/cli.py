@@ -1,7 +1,7 @@
 """Command-line driver: `ldglab run|report|dump-field`.
 
-run      executes an experiment config (flat key = value file) with flag
-         overrides and writes CSV/JSON artifacts; the exit status reflects
+run      executes an experiment config (flat key = value file) with
+         --set key=value overrides and writes CSV/JSON artifacts; the exit status reflects
          the envelope's pass/fail when checks were requested.
 report   tabulates one or more envelopes as markdown.
 dump-field converts a stored .npz field artifact to the documented CSV.
@@ -38,10 +38,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--set", action="append", metavar="K=V", help="override a parameter")
-    p_run.add_argument("--grid", type=int, help="radial grid size override")
-    p_run.add_argument("--lambda", dest="lam", type=float, help="coupling override")
-    p_run.add_argument("--seed", type=int, help="RNG seed override")
-    p_run.add_argument("--workers", type=int, help="worker pool size for sweeps")
     p_run.add_argument("--out", help="output directory")
 
     p_rep = sub.add_parser("report", help="summarize result envelopes")
@@ -55,14 +51,6 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         overrides = _parse_set(args.set)
-        if args.grid is not None:
-            overrides["grid"] = args.grid
-        if args.lam is not None:
-            overrides["lambda"] = args.lam
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         if args.out is not None:
             overrides["out"] = args.out
         try:

@@ -40,6 +40,8 @@ class ExperimentConfig:
     kind: str
     params: dict
     output_dir: str
+    # Every key the kind reads, with its default.
+    defaults: dict = field(init=False, repr=False, compare=False)
     # The solver options built from `params` when the config is made, so a
     # bad solver value is a config error and not a solver failure.
     opts: r2.SolveOptions = field(init=False, repr=False, compare=False)
@@ -47,89 +49,86 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        # A list key given one value is a one-element list.
-        for key in _LIST_KEYS:
-            if key in self.params and not isinstance(self.params[key], list):
-                self.params = {**self.params, key: [self.params[key]]}
-            if self.params.get(key) == []:
-                raise ValueError(f"{key} must list at least one value")
-        for key in ("tol", "grad_tol", "energy_tol"):
-            if key not in self.params:
-                continue
-            val = self.params[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-                raise ValueError(f"tolerance {key} must be a positive number")
-        for key in ("lambda", "lambda_max", "lambdas"):
-            for val in self._values(key):
-                if not (_finite(val) and val >= 0):
-                    raise ValueError(f"coupling {key} must be a finite number >= 0, not {val!r}")
-        if self._values("lambdas") != sorted(self._values("lambdas")):
+        self.defaults = {**_SHARED, **_RUNNERS[self.kind][1]}
+        params = dict(self.params)
+        for key, val in self.params.items():
+            if key not in self.defaults:
+                raise ValueError(f"{self.kind} reads no key {key!r}; it reads "
+                                 + ", ".join(sorted(self.defaults)))
+            values = val if isinstance(val, list) else [val]
+            if key in _LIST_KEYS:
+                if not values:
+                    raise ValueError(f"{key} must list at least one value")
+                params[key] = values  # a list key given one value is a one-element list
+            elif isinstance(val, list):
+                raise ValueError(f"{key} takes one value, not {val!r}")
+            if key not in ("step", "max_iters"):  # SolveOptions checks these two
+                test, message = _RULES.get((self.kind, key), _RULES[key])
+                for v in values:
+                    if not test(v):
+                        raise ValueError(message.format(key=key, val=v))
+        self.params = params
+        if params.get("lambdas", []) != sorted(params.get("lambdas", [])):
             raise ValueError("lambdas must be sorted")
-        for val in self._values("noise"):
-            if not (_finite(val) and val >= 0):
-                raise ValueError(f"noise must be a finite number >= 0, not {val!r}")
-        for key in ("h", "ell", "rho", "ell_small", "ells", "target_h"):
-            for val in self._values(key):
-                if not (_finite(val) and val > 0):
-                    raise ValueError(f"{key} must be a finite number > 0, not {val!r}")
         # Every width of the kind's cylinder must fit its h and rho.
         for key in ("ell", "ell_small", "ells"):
-            if key in _CYLINDERS.get(self.kind, {}):
+            if key in self.defaults:
                 for ell in self.get(key) if key == "ells" else [self.get(key)]:
                     m3.check_shape(self.get("h"), ell, self.get("rho"))
-        for key, least in _INTEGER_KEYS.items():
-            for val in self._values(key):
-                if isinstance(val, bool) or not isinstance(val, int) or val < least:
-                    raise ValueError(f"{key} must be an integer >= {least}, not {val!r}")
-        if self.params.get("richardson", True) not in (True, False):
-            raise ValueError("richardson must be true or false")
-        self.opts = r2.SolveOptions(
-            step=self.params.get("step", 0.1),
-            max_iters=self.params.get("max_iters", 20000),
-            grad_tol=self.params.get("grad_tol", 1e-5),
-            energy_tol=self.params.get("energy_tol", 1e-13),
-        )
+        self.opts = r2.SolveOptions(**{key: self.get(key) for key in _SOLVER_KEYS})
 
-    def get(self, key, default=None):
-        """A parameter, else its default in the kind's cylinder, else `default`."""
-        return self.params.get(key, _CYLINDERS.get(self.kind, {}).get(key, default))
-
-    def _values(self, key) -> list:
-        """The values of a key, as a list (empty when unset); only a list
-        key may hold more than one."""
-        if key not in self.params:
-            return []
-        val = self.params[key]
-        if key in _LIST_KEYS:
-            return val
-        if isinstance(val, list):
-            raise ValueError(f"{key} takes one value, not {val!r}")
-        return [val]
+    def get(self, key):
+        """A parameter, else the kind's default; KeyError for a key the kind
+        does not read."""
+        return self.params[key] if key in self.params else self.defaults[key]
 
 
 #: The keys that hold a list of values.
 _LIST_KEYS = ("lambdas", "ells")
 
-
-#: The cylinder of each 3D kind: the defaults of `h`, `rho` and `target_h`,
-#: and of the widths (`ell`, `ell_small`, `ells`) that the kind builds.
-_CYLINDERS = {
-    "cigar": {"h": 8.0, "ell": 0.6, "rho": 0.2, "target_h": 0.015},
-    "pancake": {"h": 0.8, "ell": 12.0, "ell_small": 6.0, "rho": 0.2, "target_h": 0.025},
-    "shape-sweep": {
-        "h": 2.0, "rho": 0.2, "target_h": 0.04,
-        "ells": [0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0],
-    },
-}
-
-#: The integer keys and their least values: the sizes and counts that their
-#: routines accept (`uniform_grid` needs 5 nodes, `isotropy_residual` 9).
-_INTEGER_KEYS = {"grid": 5, "conformality_grid": 9, "count": 1, "seed": 0, "workers": 1}
+#: The keys every kind reads: the four solver options, with the defaults of
+#: `SolveOptions`, and `seed` and `workers`, which perfbench/child.py passes
+#: to every workload.
+_SOLVER_KEYS = ("step", "max_iters", "grad_tol", "energy_tol")
+_SHARED = {**{key: getattr(r2.SolveOptions, key) for key in _SOLVER_KEYS}, "seed": 0, "workers": 1}
 
 
 def _finite(val) -> bool:
     """Whether a config value is a finite int or float (not a bool)."""
     return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+
+
+def _integer(least):
+    """The rule of an integer key whose routine needs a value >= `least`."""
+    return (lambda val: not isinstance(val, bool) and isinstance(val, int) and val >= least,
+            f"{{key}} must be an integer >= {least}, not {{val!r}}")
+
+
+def _at_least_zero(val) -> bool:
+    return _finite(val) and val >= 0
+
+
+_TOLERANCE = (lambda val: not isinstance(val, bool) and isinstance(val, (int, float)) and val > 0,
+              "tolerance {key} must be a positive number")
+_COUPLING = (_at_least_zero, "coupling {key} must be a finite number >= 0, not {val!r}")
+_LENGTH = (lambda val: _finite(val) and val > 0, "{key} must be a finite number > 0, not {val!r}")
+
+#: The rule of each checked key, (test, message): every value of the key
+#: must pass the test.  A (kind, key) entry overrides the key's own rule.
+#: The sizes are the least that their routines accept: `uniform_grid` needs
+#: 5 nodes and `isotropy_residual` 9, and verify-closed-forms also solves on
+#: (grid - 1) // 2 + 1 nodes.
+_RULES = {
+    "tol": _TOLERANCE, "grad_tol": _TOLERANCE, "energy_tol": _TOLERANCE,
+    "lambda": _COUPLING, "lambda_max": _COUPLING, "lambdas": _COUPLING,
+    "noise": (_at_least_zero, "noise must be a finite number >= 0, not {val!r}"),
+    "h": _LENGTH, "ell": _LENGTH, "rho": _LENGTH, "ell_small": _LENGTH, "ells": _LENGTH,
+    "target_h": _LENGTH,
+    "grid": _integer(5), ("verify-closed-forms", "grid"): _integer(9),
+    "conformality_grid": _integer(9), "count": _integer(1), "seed": _integer(0),
+    "workers": _integer(1),
+    "richardson": (lambda val: val in (True, False), "richardson must be true or false"),
+}
 
 
 def parse_config_file(path, overrides=None) -> ExperimentConfig:
@@ -263,7 +262,7 @@ def _report_3d(res: m3.MinResult3D) -> dict:
 
 
 def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    n = config.get("grid", 2049)
+    n = config.get("grid")
     grid = uniform_grid(n)
     mu_list = [0.0, 1.0, math.sqrt(3.0), 5.0, 10.0 + 10.0j]
 
@@ -291,7 +290,7 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
     rid = env.add_run("closed/uS-potential", {"value": pot, "exact": exact})
     env.check("uS potential integral", pot, f"{exact:.6f} +- 1e-4", abs(pot - exact) < 1e-4, rid)
 
-    radius = config.get("bubble_radius", 100.0)
+    radius = 100.0
     e_bub = cf.bubble_energy(radius)
     # The exact disc-truncated value is 4 pi R^2/(1+R^2).
     e_trunc = FOUR_PI * radius**2 / (1.0 + radius**2)
@@ -313,7 +312,7 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
             abs(v - FOUR_PI) < 1e-2, rid,
         )
 
-    n2 = config.get("conformality_grid", 257)
+    n2 = config.get("conformality_grid")
     for mu in (0.0, 1.0, math.sqrt(3.0), 1.7 + 0.3j):
         fmap = lambda z: cf.large_solution(mu, z)
         c = cf.conformality_residual(fmap, n2)
@@ -329,9 +328,7 @@ def _run_verify_closed_forms(config: ExperimentConfig, env: _Envelope, out_dir: 
 
 
 def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    n = config.get("grid", 2049)
-    noise = config.get("noise", 0.01)
-    seed = config.get("seed", 0)
+    n, noise, seed = (config.get(key) for key in ("grid", "noise", "seed"))
     opts = config.opts
     grid = uniform_grid(n)
 
@@ -372,12 +369,9 @@ def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     lambdas = config.get("lambdas")
     if lambdas is None:
-        lam_max = config.get("lambda_max", 114.0)
-        count = config.get("count", 20)
-        lambdas = list(np.linspace(0.0, lam_max, count))
-    n = config.get("grid", 1025)
-    richardson = bool(config.get("richardson", True))
-    rows = r2.energy_curve(lambdas, config.opts, n=n, richardson=richardson)
+        lambdas = list(np.linspace(0.0, config.get("lambda_max"), config.get("count")))
+    richardson = bool(config.get("richardson"))
+    rows = r2.energy_curve(lambdas, config.opts, n=config.get("grid"), richardson=richardson)
 
     csv_path = out_dir / "escape_sweep.csv"
     with open(csv_path, "w") as fh:
@@ -435,8 +429,7 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
 
 def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    tol = config.get("tol", 0.5)
-    n = config.get("grid", 1025)
+    tol, n = config.get("tol"), config.get("grid")
     opts = config.opts
     est = r2.estimate_lambda_star(tol=tol, opts=opts, n=n)
     lo, hi, pt = est
@@ -458,7 +451,7 @@ def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
         r2.LAMBDA_STAR_LOWER <= lo and hi <= r2.LAMBDA_STAR_UPPER, rid,
     )
 
-    margin = config.get("margin", 5.0)
+    margin = 5.0
     below = max(lo - margin, 0.5 * lo)
     res_b = r2.minimize_2d(below, "S", "uS", opts, grid=uniform_grid(n))
     rid_b = env.add_run("lambda-star/below", _report_2d(res_b))
@@ -496,7 +489,7 @@ def _dual_seed_solve(geom, lam, opts):
 
 def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     h, ell, rho, th = (config.get(key) for key in ("h", "ell", "rho", "target_h"))
-    lam = config.get("lambda", 1.0)
+    lam = config.get("lambda")
     opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
     best, results = _dual_seed_solve(geom, lam, opts)
@@ -544,8 +537,7 @@ def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
 def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     h, ell, rho, th = (config.get(key) for key in ("h", "ell", "rho", "target_h"))
-    lam = config.get("lambda", 1.0)
-    ell_small = config.get("ell_small")
+    lam, ell_small = config.get("lambda"), config.get("ell_small")
     opts = config.opts
     geom = m3.build_geometry(h, ell, rho, target_h=th)
     geom_s = m3.build_geometry(h, ell_small, rho, target_h=th)
@@ -556,7 +548,7 @@ def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     env.scalar("energy", best.energy, rid)
     env.check("classification Torus", best.classification, "Torus", best.classification == "Torus", rid)
     env.check("no singularities", len(best.singularities), "0", len(best.singularities) == 0, rid)
-    cls, _, ring = m3.classify(best.field, ring_eps=config.get("ring_eps", 1e-2))
+    cls, _, ring = m3.classify(best.field)
     env.add_run("pancake/ring", {"ring": ring})
     env.check("deep biaxiality ring off-axis", ring, "present", ring is not None, rid)
 
@@ -604,8 +596,7 @@ def _shape_point(args):
 
 def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     h, rho, th, ells = (config.get(key) for key in ("h", "rho", "target_h", "ells"))
-    lam = config.get("lambda", 1.0)
-    workers = config.get("workers", 1)
+    lam, workers = config.get("lambda"), config.get("workers")
     opts = config.opts
 
     tasks = [(ell, h, rho, lam, th, opts) for ell in ells]
@@ -699,15 +690,25 @@ def _find_coexistence(rows, h, rho, lam, th, opts, env):
 # ---------------------------------------------------------------------------
 
 
-#: The experiment body of each kind, called as body(config, env, out_dir).
+#: Each kind's body, called as body(config, env, out_dir), and the keys it
+#: reads besides the `_SHARED` ones, with their defaults.  A 3D kind's
+#: defaults are its cylinder; `lambdas` unset means `count` values from 0 to
+#: `lambda_max`.
 _RUNNERS = {
-    "verify-closed-forms": _run_verify_closed_forms,
-    "gap-2d": _run_gap_2d,
-    "escape-sweep": _run_escape_sweep,
-    "lambda-star": _run_lambda_star,
-    "cigar": _run_cigar,
-    "pancake": _run_pancake,
-    "shape-sweep": _run_shape_sweep,
+    "verify-closed-forms": (_run_verify_closed_forms, {"grid": 2049, "conformality_grid": 257}),
+    "gap-2d": (_run_gap_2d, {"grid": 2049, "noise": 0.01}),
+    "escape-sweep": (_run_escape_sweep, {
+        "grid": 1025, "lambdas": None, "lambda_max": 114.0, "count": 20, "richardson": True,
+    }),
+    "lambda-star": (_run_lambda_star, {"grid": 1025, "tol": 0.5}),
+    "cigar": (_run_cigar, {"h": 8.0, "ell": 0.6, "rho": 0.2, "target_h": 0.015, "lambda": 1.0}),
+    "pancake": (_run_pancake, {
+        "h": 0.8, "ell": 12.0, "ell_small": 6.0, "rho": 0.2, "target_h": 0.025, "lambda": 1.0,
+    }),
+    "shape-sweep": (_run_shape_sweep, {
+        "h": 2.0, "rho": 0.2, "target_h": 0.04, "lambda": 1.0,
+        "ells": (0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0),
+    }),
 }
 KINDS = tuple(_RUNNERS)
 
@@ -717,7 +718,7 @@ def run(config: ExperimentConfig) -> dict:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env = _Envelope(config)
-    _RUNNERS[config.kind](config, env, out_dir)
+    _RUNNERS[config.kind][0](config, env, out_dir)
     return env.finish(out_dir)
 
 

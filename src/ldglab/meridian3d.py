@@ -570,6 +570,9 @@ class UnresolvedAxisError(RuntimeError):
 #: |f0| above which an axis node is tagged with its sign.
 AXIS_TAG = 0.9
 
+#: Distance of beta from -1 within which a node is deeply biaxial.
+RING_EPS = 1e-2
+
 #: Most consecutive untagged axis nodes accepted without a sign change.
 MAX_UNRESOLVED_SPAN = 3
 
@@ -624,11 +627,11 @@ def detect_singularities(field: MeridianField) -> list[SingularityRecord]:
     return records
 
 
-def classify(field: MeridianField, ring_eps: float = 1e-2):
+def classify(field: MeridianField):
     """'Split' iff the axis trace has singularities, else 'Torus'.
 
     Torus results also report the deep-biaxiality ring: the connected
-    off-axis region where beta <= -1 + ring_eps, the largest such region
+    off-axis region where beta <= -1 + RING_EPS, the largest such region
     when there are several (None when absent).
     """
     sing = detect_singularities(field)
@@ -636,7 +639,7 @@ def classify(field: MeridianField, ring_eps: float = 1e-2):
         return "Split", sing, None
     g = field.geom
     beta = field.beta()
-    deep = (beta <= -1.0 + ring_eps) & g.interior
+    deep = (beta <= -1.0 + RING_EPS) & g.interior
     deep[:, 0] = False
     if not np.any(deep):
         return "Torus", [], None
@@ -803,9 +806,6 @@ def radial_identity_residual(field: MeridianField, lam: float, r1: float, r2: fl
     mass = g.disc.mass.reshape(g.nz, g.nr)
     rr = np.sqrt(g.r[None, :] ** 2 + g.z[:, None] ** 2)
 
-    def e_ball(radius):
-        return float(np.sum(dens[rr < radius]))
-
     # Radial-derivative volume term.
     dr_, dz_ = _meridian_gradients(field)
     er = g.r[None, :] / np.where(rr > 0, rr, 1.0)
@@ -823,13 +823,13 @@ def radial_identity_residual(field: MeridianField, lam: float, r1: float, r2: fl
     wall_term = 0.0
     wall = _wall_integrand(dr_, g.ell)
     for rad, wgt in zip(radii, wq):
-        pot_term += wgt / rad**2 * float(np.sum(wdens[rr < rad]))
+        pot_term += wgt / rad**2 * float(np.sum(wdens[_in_ball(g, rad)]))
         # Lateral wall portion inside B_rad: |z| < sqrt(rad^2 - ell^2).
         zmax = math.sqrt(max(rad**2 - g.ell**2, 0.0))
         rows = np.abs(g.z) < zmax
         wall_term += wgt / rad**2 * 2.0 * np.pi * g.ell**2 * float(np.sum(wall[rows]) * g.hz)
-    lhs = e_ball(r1) / r1 + mid_term + pot_term
-    rhs = e_ball(r2) / r2 + wall_term
+    lhs = float(np.sum(dens[_in_ball(g, r1)])) / r1 + mid_term + pot_term
+    rhs = float(np.sum(dens[_in_ball(g, r2)])) / r2 + wall_term
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
 
 

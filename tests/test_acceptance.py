@@ -281,7 +281,7 @@ def test_criterion_08_cigar_split(cigar_run):
 def test_criterion_09_pancake_torus(pancake_run):
     geom, best, geom6, best6 = pancake_run
     ok = best.classification == "Torus" and len(best.singularities) == 0
-    cls, _, ring = m3.classify(best.field, ring_eps=1e-2)
+    cls, _, ring = m3.classify(best.field)
     ok &= ring is not None
     ratio12 = m3.energy_in_cylinder(best.field, 1.0, 6.0, 0.8) / 12.0
     ratio6 = m3.energy_in_cylinder(best6.field, 1.0, 3.0, 0.8) / 6.0

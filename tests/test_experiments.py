@@ -30,19 +30,18 @@ def test_parse_config(tmp_path):
         tmp_path,
         """
         # comment
-        kind = gap-2d
+        kind = escape-sweep
         grid = 257        # inline comment
-        noise = 0.01
+        lambda_max = 0.01
         lambdas = 0.0, 5.0, 10.0
-        label = quick
         """,
     )
     cfg = experiments.parse_config_file(path, overrides={"seed": 3})
-    assert cfg.kind == "gap-2d"
+    assert cfg.kind == "escape-sweep"
     assert cfg.params["grid"] == 257
-    assert cfg.params["noise"] == 0.01
+    assert cfg.params["lambda_max"] == 0.01
     assert cfg.params["lambdas"] == [0.0, 5.0, 10.0]
-    assert cfg.params["label"] == "quick"
+    assert experiments._parse_value("quick") == "quick"
     assert cfg.params["seed"] == 3
 
 
@@ -58,8 +57,38 @@ def test_unknown_kind_rejected():
 
 
 def test_invalid_tolerance_rejected():
-    with pytest.raises(ValueError):
-        experiments.ExperimentConfig("gap-2d", {"tol": -1.0}, "out")
+    with pytest.raises(ValueError, match="tolerance tol must be a positive number"):
+        experiments.ExperimentConfig("lambda-star", {"tol": -1.0}, "out")
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_every_shipped_config_takes_the_benchmark_overrides(tmp_path, kind):
+    # The overrides that perfbench/child.py passes to every workload.
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{kind}.cfg"
+    overrides = {"seed": 0, "workers": 1, "out": str(tmp_path)}
+    cfg = experiments.parse_config_file(path, overrides)
+    assert cfg.kind == kind and cfg.output_dir == str(tmp_path)
+    # The envelope's params record what was set, not the defaults.
+    assert "step" not in cfg.params and cfg.get("step") == 0.1
+
+
+@pytest.mark.parametrize(
+    "kind, setting",
+    [
+        ("gap-2d", "gird=513"),
+        ("verify-closed-forms", "lambda=3"),
+        ("pancake", "ring_eps=0.05"),
+        ("verify-closed-forms", "bubble_radius=50"),
+        ("lambda-star", "margin=2"),
+    ],
+)
+def test_cli_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, kind, setting):
+    cfg = write_config(tmp_path, f"kind = {kind}\n")
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    key = setting.split("=")[0]
+    assert f"error: {kind} reads no key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_parse_booleans(tmp_path):
@@ -185,7 +214,7 @@ def test_report_markdown(tmp_path):
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text("kind = gap-2d\ngrid = 2049\nmax_iters = 20000\n")
-    rc = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "res"), "--seed", "2"])
+    rc = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "res"), "--set", "seed=2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out
@@ -493,7 +522,8 @@ def test_unset_geometry_keys_take_the_kinds_cylinder():
         1.0, 12.0, 6.0, 0.2, 0.025]
     assert experiments.ExperimentConfig("cigar", {}, "out").get("ell") == 0.6
     assert experiments.ExperimentConfig("shape-sweep", {}, "out").get("ells")[-1] == 12.0
-    assert experiments.ExperimentConfig("gap-2d", {}, "out").get("h") is None
+    with pytest.raises(KeyError):
+        experiments.ExperimentConfig("gap-2d", {}, "out").get("h")
 
 
 @pytest.mark.parametrize(
@@ -502,6 +532,7 @@ def test_unset_geometry_keys_take_the_kinds_cylinder():
         ("kind = gap-2d\n", "grid=1025.7", "grid must be an integer >= 5, not 1025.7"),
         ("kind = gap-2d\n", "grid=abc", "grid must be an integer >= 5, not 'abc'"),
         ("kind = gap-2d\n", "grid=3", "grid must be an integer >= 5, not 3"),
+        ("kind = verify-closed-forms\n", "grid=8", "grid must be an integer >= 9, not 8"),
         ("kind = verify-closed-forms\n", "conformality_grid=8",
          "conformality_grid must be an integer >= 9, not 8"),
         ("kind = gap-2d\n", "seed=2.5", "seed must be an integer >= 0, not 2.5"),
