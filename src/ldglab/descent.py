@@ -20,13 +20,33 @@ backward-Euler, the potential explicit with a convexity-stabilizing shift,
 and the constraint's nodal Lagrange multiplier carried explicitly so that
 discrete stationary points are exact fixed points -- followed by nodewise
 renormalization.  The increment is solved once per accepted state at one
-fixed step tau0 = step * 2**LADDER_MAX; the candidates are f + alpha delta,
-renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
-accepted only if the energy decreases; otherwise alpha is halved along the
-same increment, so every step of a descent uses one LU factor per
-component.  delta solves an SPD system with the negative tangential
-gradient on the right, so it is a descent direction and a small enough
-alpha decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
+fixed step tau0 = step * 2**LADDER_MAX, so every step of a descent uses one
+LU factor per component.  delta solves an SPD system with the negative
+tangential gradient on the right, so it is a descent direction and a small
+enough step along it decreases the energy (Alouges, SIAM J. Numer. Anal.
+34, 1997).  `descend` takes one of two direction rules:
+
+- "ladder" (the radial front end): the candidates are f + alpha delta,
+  renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
+  accepted only if the energy decreases; otherwise alpha is halved along the
+  same increment, and eight accepts in a row double it.
+- "cg" (the meridian front end): preconditioned nonlinear conjugate
+  gradients in the fixed tau0 metric (Antoine, Levitt & Tang, J. Comput.
+  Phys. 343, 2017).  With r the force (zero on the fixed dofs), z the
+  tangent projection of delta and T the nodewise tangent projection at the
+  new state, gamma = max(0, <r, z - T z_old> / <r_old, z_old>) (PR+) and the
+  direction is d = z + gamma T d_old.  The candidates are f + a d,
+  renormalized, accepted on an Armijo decrease; a starts at 1.5 times the
+  last accepted a (at most 4, first 0.5), the first rejection tries the
+  minimum of a quadratic fit and later ones halve a.  The search restarts
+  along z when <r, d> <= 0, after a flip, and when it fails along d.
+
+The radial front end keeps the ladder because its class-N solve at lam = 0
+relies on the ladder's slow drift along a nearly flat family (criterion 4):
+a faster descent collapses it to a one-cell jump.  Both rules share the
+increment, the LU factors, the acceptance slack, the flip sweep and the
+convergence test; once the 2D test no longer depends on the descent's
+speed, the ladder can go.
 
 The increment is, on the free nodes of each component,
 
@@ -57,7 +77,7 @@ tau0 k^2 P and the shifted masses added at the cached diagonal slots, over
 S_ff's own index arrays.
 
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
-alpha ladder and is kept for cross-checks.
+alpha ladder and is kept for 2D cross-checks; "cg" rejects it.
 
 `SolveOptions` is the one solver configuration: `descend` reads all five
 fields (step, max_iters, grad_tol, energy_tol, stepper).  The radial and
@@ -92,6 +112,10 @@ STAB_C = 4.0
 #: 2**LADDER_MAX and scaled by alpha = 2**(ladder - LADDER_MAX), so a descent
 #: starts (ladder 0) at the effective step `step` and never exceeds tau0.
 LADDER_MAX = 1
+
+#: Backtracking along one direction ends once a rejected step (alpha on the
+#: ladder, a in the CG line search) is at most this.
+MIN_STEP = 2.0**-12
 
 #: k^2 of the components f0, f1, f2 (their phases are 1, e^{i phi}, e^{2i phi}).
 K2 = np.array([0.0, 1.0, 4.0])
@@ -435,20 +459,82 @@ def flip_sweep(p: Problem, F: np.ndarray):
     return F, flips
 
 
+def _candidate(p: Problem, F, step, fixed_values):
+    """(v, A v, beta(v), E(v)) of the candidate v = F + step, renormalized,
+    with the initial values written back on the fixed dofs."""
+    v = _renormalize(F + step)
+    v.ravel()[p.fixed_dofs] = fixed_values
+    av = stiffness_products(p, v)
+    bv = _beta(p, v)
+    return v, av, bv, energy(p, v, av, bv)
+
+
+def _rejects(e_new: float, e: float, armijo: float = 0.0) -> bool:
+    """Whether a candidate of energy e_new is rejected from a state of energy
+    e; armijo (<= 0) is the sufficient decrease the CG line search asks for.
+
+    The acceptance slack carries an absolute floor: near stationarity the
+    solve/renormalize round-trip has a small roundoff noise floor amplified
+    by the stiff 1/r^2 rows, independent of the step size.
+    """
+    return e_new > e + armijo + 1e-10 + 1e-12 * abs(e)
+
+
+def _sweep(p: Problem, F, af):
+    """`flip_sweep`, with the f0 row of the carried products af refreshed in
+    place when a node flipped; returns (F, flips)."""
+    F, flips = flip_sweep(p, F)
+    if flips:
+        af[0] = p.lap @ F[0]
+    return F, flips
+
+
+def _tangent(F, x):
+    """x projected, node by node, onto the tangent space of the sphere at F."""
+    return x - _inner(x, F) * F
+
+
+def _dot(a, b) -> float:
+    """sum over all dofs of Re(a conj(b))."""
+    return float(np.vdot(a, b).real)
+
+
 def descend(
     p: Problem,
     fields,
     opts: SolveOptions,
     on_accept: Callable[[int, float], None] | None = None,
+    *,
+    direction: str,
 ):
     """Monotone projected descent; returns ((f0, f1, f2), iterations, converged).
+
+    `direction` is the direction rule: "ladder" (the alpha ladder along the
+    increment; the radial front end) or "cg" (preconditioned PR+ conjugate
+    gradients with a line search; the meridian front end, semi-implicit
+    stepper only).  The iterations count the candidates on the ladder and
+    the directions, that is the increments solved, with "cg".  on_accept(it, e)
+    is called with the energy of every accepted state and of every state a
+    flip sweep changes after an accept.
 
     The dtype of the state is chosen once (`stack_fields`): real when f1 and
     f2 have no nonzero imaginary part, complex otherwise.  f1 and f2 come
     back complex.  Every candidate keeps the initial state's values on the
     fixed dofs, written after its renormalization.
     """
+    if direction not in ("ladder", "cg"):
+        raise ValueError(f"unknown direction rule {direction!r}: expected 'ladder' or 'cg'")
+    if direction == "cg" and opts.stepper != "semi_implicit":
+        raise ValueError("the 'cg' direction rule needs the semi_implicit stepper")
     F = stack_fields(*fields)
+    run = _cg if direction == "cg" else _ladder
+    F, it, converged = run(p, F, opts, on_accept or (lambda it, e: None))
+    f0, f1, f2 = components(F)
+    return (np.array(f0), f1.astype(complex), f2.astype(complex)), it, converged
+
+
+def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
+    """The alpha ladder along the increment; see the module docstring."""
     fixed_values = F.ravel()[p.fixed_dofs]
     af = stiffness_products(p, F)
     # beta of the current state, carried from its energy into its grad W_tan;
@@ -459,7 +545,6 @@ def descend(
     gw = delta = None
     ladder = 0
     grow = 0
-    converged = False
     it = 0
     while it < opts.max_iters:
         it += 1
@@ -471,29 +556,20 @@ def descend(
             else:
                 delta = _explicit(p, F, tau0, af, gw)
         alpha = 2.0 ** (ladder - LADDER_MAX)
-        v = _renormalize(F + alpha * delta)
-        v.ravel()[p.fixed_dofs] = fixed_values
-        av = stiffness_products(p, v)
-        bv = _beta(p, v)
-        e_new = energy(p, v, av, bv)
-        # The acceptance slack carries an absolute floor: near stationarity
-        # the solve/renormalize round-trip has a small roundoff noise floor
-        # amplified by the stiff 1/r^2 rows, independent of the step size.
-        if e_new > e + 1e-10 + 1e-12 * abs(e):
+        v, av, bv, e_new = _candidate(p, F, alpha * delta, fixed_values)
+        if _rejects(e_new, e):
             grow = 0
-            if ladder < -10:
+            if alpha <= MIN_STEP:
                 # Deep in the backtracking: either we are at a stationary
                 # point (rejections are pure roundoff) or genuinely stuck.
-                F, nflips = flip_sweep(p, F)
+                F, nflips = _sweep(p, F, af)
                 if nflips:
-                    af[0] = p.lap @ F[0]
                     gw = delta = beta = None
                     e = energy(p, F, af)
                     ladder = 0
                     continue
                 if gradient_norm(p, F, af, gw) < opts.grad_tol:
-                    converged = True
-                    break
+                    return F, it, True
                 if alpha * tau0 < 1e-15:
                     raise RuntimeError("descent stalled: step size underflow")
             ladder -= 1
@@ -502,25 +578,100 @@ def descend(
         F, af, beta = v, av, bv
         gw = delta = None
         e = e_new
-        if on_accept is not None:
-            on_accept(it, e)
+        on_accept(it, e)
         grow += 1
         if grow >= 8 and ladder < LADDER_MAX:
             ladder += 1
             grow = 0
         if it % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
-            F, nflips = flip_sweep(p, F)
+            F, nflips = _sweep(p, F, af)
             if nflips:
-                af[0] = p.lap @ F[0]
                 beta = None
                 e = energy(p, F, af)
-                if on_accept is not None:
-                    on_accept(it, e)
+                on_accept(it, e)
                 grow = 0
                 continue
             gw = _grad_w(p, F, beta)
             if gradient_norm(p, F, af, gw) < opts.grad_tol:
-                converged = True
-                break
-    f0, f1, f2 = components(F)
-    return (np.array(f0), f1.astype(complex), f2.astype(complex)), it, converged
+                return F, it, True
+    return F, it, False
+
+
+def _cg(p: Problem, F, opts: SolveOptions, on_accept):
+    """Preconditioned PR+ conjugate gradients; see the module docstring."""
+    fixed_values = F.ravel()[p.fixed_dofs]
+    af = stiffness_products(p, F)
+    beta = _beta(p, F)
+    e = energy(p, F, af, beta)
+    tau0 = opts.step * 2.0**LADDER_MAX
+    gw = z = None
+    # The last accepted direction's residual r, increment z and direction d,
+    # for PR+; None restarts along z.
+    last = None
+    a_start = 0.5
+    it = accepted = 0
+    while True:
+        if z is None:
+            if it >= opts.max_iters:
+                return F, it, False
+            it += 1
+            if gw is None:
+                gw = _grad_w(p, F, beta)
+            r = _force(p, F, af, gw)
+            r.ravel()[p.fixed_dofs] = 0.0
+            z = _tangent(F, _semi_implicit(p, F, r, tau0))
+            d = z
+            if last is not None:
+                r_old, z_old, d_old = last
+                gamma = max(0.0, _dot(r, z - _tangent(F, z_old)) / _dot(r_old, z_old))
+                if gamma > 0.0:
+                    d = z + gamma * _tangent(F, d_old)
+                    if _dot(r, d) <= 0.0:
+                        d = z
+            slope = -_dot(r, d)
+            a, fitted = a_start, False
+        v, av, bv, e_new = _candidate(p, F, a * d, fixed_values)
+        if _rejects(e_new, e, 1e-4 * a * slope):
+            if a > MIN_STEP:
+                if fitted:
+                    a *= 0.5
+                else:
+                    # Minimum of the quadratic through e, the slope and e_new.
+                    fit = -slope * a * a / (2.0 * (e_new - e - slope * a))
+                    a, fitted = min(max(fit, 0.1 * a), 0.5 * a), True
+                continue
+            if d is not z:
+                # The search failed along a conjugate direction: restart.
+                d, slope = z, -_dot(r, z)
+                a, fitted = a_start, False
+                continue
+            # Failed along z itself: either we are at a stationary point
+            # (rejections are pure roundoff) or genuinely stuck.
+            F, nflips = _sweep(p, F, af)
+            if nflips:
+                gw = z = beta = last = None
+                e = energy(p, F, af)
+                continue
+            if gradient_norm(p, F, af, gw) < opts.grad_tol:
+                return F, it, True
+            if a * tau0 < 1e-15:
+                raise RuntimeError("descent stalled: step size underflow")
+            a *= 0.5
+            continue
+        decrement = e - e_new
+        F, af, beta, e = v, av, bv, e_new
+        last = (r, z, d)
+        gw = z = None
+        a_start = min(1.5 * a, 4.0)
+        accepted += 1
+        on_accept(it, e)
+        if accepted % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
+            F, nflips = _sweep(p, F, af)
+            if nflips:
+                beta = last = None
+                e = energy(p, F, af)
+                on_accept(it, e)
+                continue
+            gw = _grad_w(p, F, beta)
+            if gradient_norm(p, F, af, gw) < opts.grad_tol:
+                return F, it, True

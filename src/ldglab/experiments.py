@@ -70,6 +70,9 @@ class ExperimentConfig:
         self.params = params
         if params.get("lambdas", []) != sorted(params.get("lambdas", [])):
             raise ValueError("lambdas must be sorted")
+        if "lambdas" in params and {"lambda_max", "count"} & params.keys():
+            raise ValueError("lambdas replaces the default sweep: set lambdas or "
+                             "lambda_max and count, not both")
         # Every width of the kind's cylinder must fit its h and rho.
         for key in ("ell", "ell_small", "ells"):
             if key in self.defaults:

@@ -19,7 +19,6 @@ quadratic form.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -246,10 +245,11 @@ class MeridianField:
         f1, f2 = self.f1[act], self.f2[act]
         cols = (g.r[jr], g.z[iz], self.f0[act], f1.real, f1.imag, f2.real, f2.imag,
                 self.beta()[act])
+        # The bytes csv.writer gives: no cell needs quoting, and rows end in \r\n.
+        rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols))
+        lines = ["r,x3,f0,Re f1,Im f1,Re f2,Im f2,beta", *map(",".join, rows)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "x3", "f0", "Re f1", "Im f1", "Re f2", "Im f2", "beta"])
-            w.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols)))
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def homeotropic_tensor(normal3) -> np.ndarray:
@@ -529,7 +529,7 @@ def minimize_3d(
     if problem is None:
         problem = _problem_for(geom, lam)
     fields, iters, converged = descent.descend(
-        problem, (init.f0.ravel(), init.f1.ravel(), init.f2.ravel()), opts
+        problem, (init.f0.ravel(), init.f1.ravel(), init.f2.ravel()), opts, direction="cg"
     )
     nz, nr = geom.nz, geom.nr
     out = MeridianField(

@@ -338,8 +338,9 @@ def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, budget: int):
     opts = replace(opts, max_iters=budget)
     if opts.stepper == "explicit":
         opts = replace(opts, step=opts.step * prof.grid[1] ** 2)
+    # The ladder, not CG: criterion 4's class-N check needs its slow drift.
     fields, it, converged = descent.descend(
-        _problem_for(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts)
+        _problem_for(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts, direction="ladder")
     return RadialProfile(prof.grid.copy(), *fields), it, converged
 
 

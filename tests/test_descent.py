@@ -11,20 +11,24 @@ Groups:
  2. Discrete stationary states are fixed points of the step.
  3. Carried stiffness products: the energy with precomputed products, and
     one sparse product per candidate step.
- 4. The factors: a full descent, backtracking included, factors one
-    matrix per component and extracts one free-node block per distinct
-    free set; factors live on the Problem, keyed by tau, so descents with
+ 4. The factors: a full descent under either direction rule, backtracking
+    included, factors one matrix per component and extracts one free-node
+    block per distinct free set; factors live on the Problem, keyed by tau, so descents with
     different step sizes can share one Problem.
- 5. The flip sweep of the deep-backtracking branch refreshes the carried
-    products and signed biaxiality.
+ 5. Flip sweeps refresh the carried products and signed biaxiality: after
+    an accept under either rule, and in the ladder's deep-backtracking
+    branch.
  6. Real fields: the step's pieces agree on real arrays and on the same
     values held in complex ones; a real field descends in real arrays, a
     complex one keeps its imaginary part, and both come back complex.
  7. Properties (hypothesis): the energy is invariant under the circle
-    action, and the accepted energies of a descent never rise.
+    action, and the accepted energies of a descent never rise; nor do those
+    of a CG descent from either seed of a small cigar.
  8. Fixed dofs: a descent gives back the initial values on them bit for
     bit, on real and complex radial fields and a real meridian field; the
     two-point nodes are the interior axis nodes in 3D and none in 2D.
+ 9. The direction rule: CG rejects the explicit stepper, and an unknown
+    rule is rejected.
 """
 
 import dataclasses
@@ -302,7 +306,8 @@ def constant_problem(value, lam, n=65):
         ((0.0, 0.6 + 0.8j, 0.0), 0.0),  # A f != 0, balanced by the multiplier alone
     ],
 )
-def test_stationary_state_is_a_fixed_point(value, lam):
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+def test_stationary_state_is_a_fixed_point(value, lam, direction):
     p, fields = constant_problem(value, lam)
     F = stack_fields(*fields)
     assert descent.gradient_norm(p, F) < 1e-12
@@ -311,7 +316,8 @@ def test_stationary_state_is_a_fixed_point(value, lam):
     for ladder in (0, 6):
         step = increment_step(p, fields, ladder)
         assert rel_diff(projected(p, step), fields) < 1e-13
-    out, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=30))
+    out, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=30),
+                                        direction=direction)
     assert converged
     assert rel_diff(out, fields) < 1e-13
 
@@ -340,7 +346,8 @@ def freshness_checks(p, seen):
     return fresh
 
 
-def test_carried_products_stay_fresh_through_flips(monkeypatch):
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+def test_carried_products_stay_fresh_through_flips(monkeypatch, direction):
     # The split seed flips two axis nodes within its first iterations.
     p, fld = meridian_split_seed()
     flips = []
@@ -374,7 +381,8 @@ def test_carried_products_stay_fresh_through_flips(monkeypatch):
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
     monkeypatch.setattr(descent, "grad_w_tan_arrays", checked_grad_w)
     fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
-    _, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=3000))
+    _, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=3000),
+                                      direction=direction)
     assert converged and sum(flips) > 0
     assert seen and all(seen)
     # beta is carried into grad W_tan, and recomputed after each flip.
@@ -408,13 +416,15 @@ def test_one_sparse_product_per_candidate(monkeypatch):
         return energy(*args, **kwargs)
 
     monkeypatch.setattr(descent, "energy", counting_energy)
-    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=120))
+    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=120),
+                                  direction="ladder")
     # The initial state plus one candidate per iteration; no flip sweeps here.
     assert len(candidates) == iters + 1
     assert counted.products == iters + 1
 
 
-def test_a_descent_factors_one_matrix_per_component(monkeypatch):
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+def test_a_descent_factors_one_matrix_per_component(monkeypatch, direction):
     p, fields = meridian_case()
     calls = []
     splu = spla.splu
@@ -433,34 +443,37 @@ def test_a_descent_factors_one_matrix_per_component(monkeypatch):
     energy = descent.energy
     evaluations = []
 
-    def every_tenth_rises(*args, **kwargs):
-        # These steps are all accepted as they are: raise every tenth
+    def every_seventh_rises(*args, **kwargs):
+        # These steps are all accepted as they are: raise every seventh
         # energy so that the descent also backtracks.
         evaluations.append(1)
-        return energy(*args, **kwargs) + (1.0 if len(evaluations) % 10 == 0 else 0.0)
+        return energy(*args, **kwargs) + (1.0 if len(evaluations) % 7 == 0 else 0.0)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "_free_block", counting_free_block)
-    monkeypatch.setattr(descent, "energy", every_tenth_rises)
+    monkeypatch.setattr(descent, "energy", every_seventh_rises)
     accepted = []
-    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=200),
-                                  on_accept=lambda it, e: accepted.append(it))
-    # Many accepts, so the ladder climbs, and many rejections, so it falls,
-    # yet one factorization per component and one free-node block per
-    # distinct free set: f0's, and the one f1 and f2 share.
-    assert len(set(accepted)) > 16 and iters - len(set(accepted)) > 16
+    descent.descend(p, fields, descent.SolveOptions(max_iters=200),
+                    on_accept=lambda it, e: accepted.append(it), direction=direction)
+    # Many accepts, so the ladder climbs or the CG step grows, and many
+    # rejections, so they fall, yet one factorization per component and one
+    # free-node block per distinct free set: f0's, and the one f1 and f2
+    # share.
+    assert len(set(accepted)) > 16 and len(evaluations) - len(accepted) > 16
     assert len(calls) == 3 and len(blocks) == 2
     assert sorted(p.factors) == [(c, 0.1 * 2.0**descent.LADDER_MAX) for c in range(3)]
 
 
 def test_descents_with_different_steps_share_one_problem():
     p, fields = meridian_case()
-    shared = [descent.descend(p, fields, descent.SolveOptions(step=step, max_iters=60))
+    shared = [descent.descend(p, fields, descent.SolveOptions(step=step, max_iters=60),
+                              direction="ladder")
               for step in (0.1, 0.05, 0.1)]
     assert p.factors
     for step, got in zip((0.1, 0.05, 0.1), shared):
         fresh, _ = meridian_case()
-        want = descent.descend(fresh, fields, descent.SolveOptions(step=step, max_iters=60))
+        want = descent.descend(fresh, fields, descent.SolveOptions(step=step, max_iters=60),
+                               direction="ladder")
         assert got[1:] == want[1:]
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
     assert rel_diff(shared[0][0], shared[1][0]) > 1e-8
@@ -517,7 +530,7 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
     monkeypatch.setattr(descent, "grad_w_tan_arrays", checked_grad_w)
     out, _, _ = descent.descend(p, (f0, f1, f2), descent.SolveOptions(max_iters=40),
-                                on_accept=on_accept)
+                                on_accept=on_accept, direction="ladder")
     # The planted node was flipped back before any step was accepted, that
     # is, by the flip sweep of the deep-backtracking branch.
     assert state["deep_flips"] > 0 and state["accepted"] > 0
@@ -560,7 +573,8 @@ def test_real_and_complex_arrays_give_the_same_step():
             assert rel_err(a, b) <= 1e-14, key
 
 
-def test_descend_keeps_the_dtype_of_its_fields():
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+def test_descend_keeps_the_dtype_of_its_fields(direction):
     for case, real_path in ((real_meridian_case, True), (meridian_case, False)):
         p, fields = case()
         renormalize = descent._renormalize
@@ -572,7 +586,8 @@ def test_descend_keeps_the_dtype_of_its_fields():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(descent, "_renormalize", recording)
-            out, _, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=20))
+            out, _, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=20),
+                                        direction=direction)
         assert kinds == {np.dtype(float) if real_path else np.dtype(complex)}
         # Either way f1 and f2 come back complex, and a complex field keeps
         # its imaginary part.
@@ -595,13 +610,15 @@ def split_seed_case():
 @pytest.mark.parametrize(
     "case, dtype", [(radial_real_case, float), (radial_case, complex), (split_seed_case, float)]
 )
-def test_descend_keeps_the_initial_values_on_the_fixed_dofs(case, dtype):
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+def test_descend_keeps_the_initial_values_on_the_fixed_dofs(case, dtype, direction):
     p, fields = case()
     F = stack_fields(*fields)
     assert F.dtype == dtype
     # Off the unit sphere, so a renormalized candidate would move them.
     F.ravel()[p.fixed_dofs] *= 1.0 + 1e-10
-    out, iters, _ = descent.descend(p, components(F), descent.SolveOptions(max_iters=50))
+    out, iters, _ = descent.descend(p, components(F), descent.SolveOptions(max_iters=50),
+                                    direction=direction)
     got = np.stack(out).ravel()
     assert iters > 0 and rel_diff(out, components(F)) > 1e-6
     assert np.array_equal(got[p.fixed_dofs], F.ravel()[p.fixed_dofs])
@@ -662,8 +679,36 @@ def test_accepted_energies_never_rise(n, lam, noise, seed, stepper):
     step = 0.1 if stepper == "semi_implicit" else 0.5 * grid[1] ** 2
     energies = [descent.energy(p, stack_fields(*fields))]
     opts = descent.SolveOptions(step=step, max_iters=300, stepper=stepper)
-    descent.descend(p, fields, opts, on_accept=lambda it, e: energies.append(e))
+    descent.descend(p, fields, opts, on_accept=lambda it, e: energies.append(e),
+                    direction="ladder")
+    assert_never_rises(energies)
+
+
+@pytest.mark.parametrize("seed", ["split-seed", "torus-seed"])
+def test_accepted_energies_never_rise_under_cg(seed):
+    # Both seeds of a small cigar, as the meridian front end descends them.
+    geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.1)
+    fld = m3.seed_field(geom, 1.0, seed)
+    p = m3._problem_for(geom, 1.0)
+    fields = (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
+    energies = [descent.energy(p, stack_fields(*fields))]
+    _, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=2000),
+                                      on_accept=lambda it, e: energies.append(e),
+                                      direction="cg")
+    assert converged
+    assert_never_rises(energies)
+
+
+def assert_never_rises(energies):
     assert len(energies) > 1
     for before, after in zip(energies, energies[1:]):
         assert after <= before + 1e-10 + 1e-12 * abs(before)
+
+
+def test_cg_needs_the_semi_implicit_stepper():
+    p, fields = split_seed_case()
+    with pytest.raises(ValueError, match="semi_implicit"):
+        descent.descend(p, fields, descent.SolveOptions(stepper="explicit"), direction="cg")
+    with pytest.raises(ValueError, match="direction rule"):
+        descent.descend(p, fields, descent.SolveOptions(), direction="steepest")
 

@@ -32,14 +32,12 @@ def test_parse_config(tmp_path):
         # comment
         kind = escape-sweep
         grid = 257        # inline comment
-        lambda_max = 0.01
         lambdas = 0.0, 5.0, 10.0
         """,
     )
     cfg = experiments.parse_config_file(path, overrides={"seed": 3})
     assert cfg.kind == "escape-sweep"
     assert cfg.params["grid"] == 257
-    assert cfg.params["lambda_max"] == 0.01
     assert cfg.params["lambdas"] == [0.0, 5.0, 10.0]
     assert experiments._parse_value("quick") == "quick"
     assert cfg.params["seed"] == 3
@@ -541,6 +539,10 @@ def test_unset_geometry_keys_take_the_kinds_cylinder():
         ("kind = gap-2d\n", "noise=-1", "noise must be a finite number >= 0, not -1"),
         ("kind = gap-2d\n", "noise=nan", "noise must be a finite number >= 0, not nan"),
         ("kind = escape-sweep\n", "lambdas=10,5", "lambdas must be sorted"),
+        ("kind = escape-sweep\nlambda_max = 50\n", "lambdas=0,5",
+         "lambdas replaces the default sweep: set lambdas or lambda_max and count, not both"),
+        ("kind = escape-sweep\ncount = 7\n", "lambdas=0,5",
+         "lambdas replaces the default sweep: set lambdas or lambda_max and count, not both"),
     ],
 )
 def test_cli_bad_size_seed_or_noise_is_a_config_error(tmp_path, capsys, body, setting, message):

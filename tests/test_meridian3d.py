@@ -12,13 +12,15 @@ Groups:
  4. Axis trace and singularity detection, incl. the synthetic tangent map
     and the unresolved-span error.
  5. Minimization on a small cigar: split structure, monotone descent,
-    classification, multi-start ordering.
+    classification, multi-start ordering; CG and the ladder reach the same
+    minimum from either seed.
  6. Energy identities on an x3-independent field and a converged state;
     their one gradient pass against the row and wall stencils, and the
     horizontal identity against a row-by-row reference.
  7. Instability form: admissibility check, zero at zero, negativity on the
     synthetic singular field, the finite-difference reference.
- 8. CSV output against the node-by-node writer; shape validation.
+ 8. CSV output against the node-by-node csv.writer, also on signed zeros,
+    subnormals and non-finite values; shape validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
     for bit, factor three matrices per level, none twice, and drop the
     coarse Problem before the fine level factors anything, trimming the
@@ -177,7 +179,7 @@ def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
     monkeypatch.setattr(descent, "flip_sweep", counted_flip_sweep)
     out, _, _ = descent.descend(m3._problem_for(g, 1.0),
                                 tuple(f.ravel() for f in (fields[1].f0, fields[1].f1, fields[1].f2)),
-                                descent.SolveOptions(max_iters=200))
+                                descent.SolveOptions(max_iters=200), direction="cg")
     assert sum(flips) > 0
     fields.append(m3.MeridianField(g, *(v.reshape(g.nz, g.nr) for v in out)))
     assert len(calls) == 1
@@ -320,6 +322,26 @@ def test_small_cigar_split_and_ordering():
     res_t = m3.minimize_seeds(g, 1.0, ["torus-seed"], OPTS)["torus-seed"]
     assert res_t.classification == "Torus"
     assert res.energy < res_t.energy  # split wins on the cigar
+
+
+@pytest.mark.parametrize("seed", ["split-seed", "torus-seed"])
+def test_cg_and_the_ladder_reach_the_same_minimum(monkeypatch, seed):
+    g = small_cigar()
+    init = m3.seed_field(g, 1.0, seed)
+    cg = m3.minimize_3d(g, 1.0, init, OPTS)
+    descend = descent.descend
+
+    def ladder(*args, direction, **kwargs):
+        assert direction == "cg"
+        return descend(*args, direction="ladder", **kwargs)
+
+    monkeypatch.setattr(descent, "descend", ladder)
+    lad = m3.minimize_3d(g, 1.0, init, OPTS)
+    assert cg.converged and lad.converged
+    assert cg.iterations < lad.iterations
+    assert abs(cg.energy - lad.energy) <= 1e-9 * abs(lad.energy)
+    assert cg.classification == lad.classification
+    assert len(cg.singularities) == len(lad.singularities)
 
 
 def test_constant_e0_classifies_torus_without_ring():
@@ -537,6 +559,21 @@ def test_field_csv_roundtrip(tmp_path):
         assert data.shape[0] == int(g.active.sum())
         rowwise_csv(fld, tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_field_csv_matches_the_csv_writer_on_awkward_values(tmp_path):
+    # Signed zeros, subnormals, huge and non-finite values, as repr spells them.
+    g = small_cigar(target_h=0.1)
+    rng = np.random.default_rng(11)
+    odd = np.array([0.0, -0.0, 5e-324, -1e-300, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0])
+    f0, f1, f2 = (np.zeros((g.nz, g.nr), dtype=t) for t in (float, complex, complex))
+    for part in (f0, f1.real, f1.imag, f2.real, f2.imag):
+        part[...] = rng.choice(odd, size=part.shape)
+    fld = m3.MeridianField(g, f0, f1, f2)
+    with np.errstate(all="ignore"):
+        fld.to_csv(tmp_path / "field.csv")
+        rowwise_csv(fld, tmp_path / "reference.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_field_rejects_shape_mismatch():

@@ -122,7 +122,7 @@ def test_monotone_descent_and_explicit_stepper():
         dopts = descent.SolveOptions(step=step, max_iters=800, stepper=stepper)
         fields, _, _ = descent.descend(
             prob, (init.f0, init.f1, init.f2), dopts,
-            on_accept=lambda it, e: history.append(e),
+            on_accept=lambda it, e: history.append(e), direction="ladder",
         )
         # Nonincreasing up to the engine's floating-point acceptance slack.
         assert all(b <= a + 1e-10 + 1e-12 * abs(a) for a, b in zip(history, history[1:]))

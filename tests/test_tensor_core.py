@@ -3,7 +3,8 @@
 Groups:
  1. Correspondence matrix: basis images, linearity, isometry, round trip.
  2. Determinant and signed biaxiality against brute-force matrix oracles.
- 3. Reduced potential and its tangential gradient (finite-difference oracle);
+ 3. Reduced potential and its tangential gradient (finite-difference oracle;
+    real and complex sample arrays give the same gradient);
     properties of the closed-form Hessian of the 0-homogeneous extension.
  4. Invariance under the degree-(1,2) circle action; extremal-beta
     eigenvalue structure.
@@ -72,6 +73,21 @@ def test_isometry_and_roundtrip():
 def test_q_to_u_on_basis():
     assert tc.q_to_u(tc.E0).as_real5() == pytest.approx([1, 0, 0, 0, 0])
     assert tc.q_to_u(tc.E21).as_real5() == pytest.approx([0, 0, 0, 1, 0])
+
+
+def test_grad_w_is_the_same_on_real_and_complex_arrays():
+    rng = np.random.default_rng(4)
+    f0, f1, f2 = f = rng.standard_normal((3, 257))
+    f /= np.linalg.norm(f, axis=0)
+    beta = tc.beta_arrays(f0, f1, f2)
+    for carried in (None, beta):
+        real = tc.grad_w_tan_arrays(f0, f1, f2, carried)
+        cplx = tc.grad_w_tan_arrays(f0, f1.astype(complex), f2.astype(complex), carried)
+        assert all(np.isrealobj(g) for g in real)
+        for a, c in zip(real, cplx):
+            assert not np.any(c.imag)
+            # Complex division by sqrt6 rounds differently from real division.
+            assert np.max(np.abs(a - c.real)) <= 1e-16
 
 
 def test_q_to_u_rejects_bad_input():
