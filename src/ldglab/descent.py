@@ -21,10 +21,9 @@ and the constraint's nodal Lagrange multiplier carried explicitly so that
 discrete stationary points are exact fixed points -- followed by nodewise
 renormalization.  The increment is solved once per accepted state at one
 fixed step tau0 = step * 2**LADDER_MAX, so every step of a descent uses one
-LU factor per component.  delta solves an SPD system with the negative
-tangential gradient on the right, so it is a descent direction and a small
-enough step along it decreases the energy (Alouges, SIAM J. Numer. Anal.
-34, 1997).  `descend` takes one of two direction rules:
+LU factor.  delta solves an SPD system with the negative tangential
+gradient on the right, so it is a descent direction and a small enough step
+along it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).  `descend` takes one of two direction rules:
 
 - "ladder" (the radial front end): the candidates are f + alpha delta,
   renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
@@ -53,28 +52,25 @@ The increment is, on the free nodes of each component,
     (M (1 + tau0 lam C) + tau0 A_k) delta_k = tau0 (s f_k - A_k f_k - lam M grad W_tan,k),
 
 with s = sum_k Re((A_k f_k) conj(f_k)) the mass times the nodal multiplier
-(zero where the mass is zero).  The shifted matrices are SPD, so SuperLU
-factors them in symmetric mode with a minimum-degree ordering of A^T + A;
-the real and imaginary parts of a complex right-hand side go through one
-2-column solve.  Fields whose f1 and f2 enter with no nonzero imaginary part
-are iterated in a real array: the operators, the data and grad W_tan are
-real, so the real subspace is invariant under the step.  The products A F of
-the accepted state are carried forward: each candidate costs one sparse
-product, which gives both its energy and, once it is accepted, the next
-multiplier.  The signed biaxiality beta is computed once per state, for the
-candidate's energy and then for its grad W_tan; a flip drops it, since beta
-depends on f0.  The tangential potential gradient of the accepted state is
-likewise computed once and shared by the increment and the gradient-norm
-check.
+(zero where the mass is zero).  The three components' systems are solved
+as one: the matrix over every free dof of the raveled F is the free block
+of M (1 + tau0 lam C) + tau0 diag(A_0, A_1, A_2), with nothing between the
+components.  It is SPD, so SuperLU factors it in symmetric mode with a
+minimum-degree ordering of A^T + A; the real and imaginary parts of a
+complex right-hand side go through one 2-column solve.  Fields whose f1
+and f2 enter with no nonzero imaginary part are iterated in a real array:
+the operators, the data and grad W_tan are real, so the real subspace is
+invariant under the step.  The products A F of the accepted state are
+carried forward: each candidate costs one sparse product, which gives both
+its energy and, once it is accepted, the next multiplier.  The signed
+biaxiality beta is computed once per state, for the candidate's energy and
+then for its grad W_tan; a flip drops it, since beta depends on f0.  The
+tangential potential gradient of the accepted state is likewise computed
+once and shared by the increment and the gradient-norm check.
 
-The LU factors belong to the Problem, keyed by (component, tau0), so every
-descent on one Problem reuses them: the 3D solver runs the seeds of one
-cascade level on one shared Problem and drops it before the next level.
-A shifted matrix is assembled from the free-node block S_ff of its
-component's free set, extracted once per distinct free set (one in 2D, two
-in 3D) in CSC with sorted indices: its values are tau0 S_ff.data with
-tau0 k^2 P and the shifted masses added at the cached diagonal slots, over
-S_ff's own index arrays.
+The LU factors belong to the Problem, keyed by tau0, so every descent on
+one Problem reuses them: the 3D solver runs the seeds of one cascade level
+on one shared Problem and drops it before the next level.
 
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
 alpha ladder and is kept for 2D cross-checks; "cg" rejects it.
@@ -187,18 +183,6 @@ def components(F: np.ndarray):
     return F[0].real, F[1], F[2]
 
 
-def _free_block(lap: sp.spmatrix, idx: np.ndarray):
-    """(S_ff, diag): the free-node block of lap in CSC with sorted indices,
-    and the slots of its diagonal in S_ff.data."""
-    block = lap.tocsr()[idx, :][:, idx].tocsc()
-    block.sort_indices()
-    cols = np.repeat(np.arange(idx.size), np.diff(block.indptr))
-    diag = np.flatnonzero(block.indices == cols)
-    if diag.size != idx.size:
-        raise ValueError("the stiffness stores no diagonal entry at some free node")
-    return block, diag
-
-
 @dataclass
 class Problem:
     """Discrete constrained-minimization problem fed to the engine.
@@ -212,26 +196,23 @@ class Problem:
     mass: nodal weights of the L2(volume) pairing (zero on weightless rows).
     free: per-component index arrays of unknowns.  Every other dof is
         fixed: a descent keeps the value its initial state has there.
-    factors: LU factors of the shifted matrices, keyed by (component, tau0)
-        and shared by every descent on this Problem: one per component for
-        the descents of one step size.  The operators must not change once
-        a factor is cached.
-    blocks: the free-node block of S (`_free_block`) per distinct free set,
-        keyed by the first component that has it; built at the first
-        factorization and reused by every later one.
+    factors: LU factors of the shifted matrix over every free dof, keyed by
+        tau0 and shared by every descent on this Problem: one for the
+        descents of one step size.  The operators must not change once a
+        factor is cached.
 
-    `fixed_dofs` are the dofs outside `free`, as flat indices into a raveled
-    (3, n) state.  `two_point_nodes` are the nodes where f0 alone is free:
-    f1 and f2 are fixed there (at 0 on the symmetry axis), so the unit norm
-    leaves f0 the two points +1 and -1.  The smooth flow cannot cross
-    between them, so the engine interleaves a flip sweep: such a node is
-    sign-flipped whenever that strictly decreases the energy (from the local
-    quadratic form), keeping the iteration monotone while the axis trace moves.
+    `free_dofs` and `fixed_dofs` are the dofs inside and outside `free`, as
+    sorted flat indices into a raveled (3, n) state.  `two_point_nodes` are
+    the nodes where f0 alone is free: f1 and f2 are fixed there (at 0 on the
+    symmetry axis), so the unit norm leaves f0 the two points +1 and -1.
+    The smooth flow cannot cross between them, so the engine interleaves a
+    flip sweep: such a node is sign-flipped whenever that strictly decreases
+    the energy (from the local quadratic form), keeping the iteration
+    monotone while the axis trace moves.
 
     The per-node constants of the iteration (S, lam M, the mass mask, the
-    fixed dofs, the free nodes) are computed once, when the Problem is made;
-    make a new Problem (`dataclasses.replace`) rather than assigning to its
-    fields.
+    free and fixed dofs) are computed once, when the Problem is made; make a
+    new Problem (`dataclasses.replace`) rather than assigning to its fields.
     """
 
     stiff: sp.csr_matrix
@@ -240,7 +221,6 @@ class Problem:
     free: Sequence[np.ndarray]
     lam: float
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.mass.size
@@ -251,50 +231,46 @@ class Problem:
         fixed = np.ones((3, n), dtype=bool)
         for c in range(3):
             fixed[c, self.free[c]] = False
+        self.free_dofs = np.flatnonzero(~fixed)
         self.fixed_dofs = np.flatnonzero(fixed)
         self.two_point_nodes = np.flatnonzero(~fixed[0] & fixed[1] & fixed[2])
         if self.two_point_nodes.size:
             self.two_point_rows = self.lap[self.two_point_nodes]
             self.two_point_diag = self.lap.diagonal()[self.two_point_nodes]
-        # A contiguous free set indexes as a slice, which copies nothing.
-        self.nodes = tuple(
-            slice(i[0], i[-1] + 1) if i.size and np.array_equal(i, np.arange(i[0], i[-1] + 1))
-            else i
-            for i in self.free
-        )
-        # Components with one free set share its block of S.
-        self.block_of = tuple(
-            next(d for d in range(c + 1) if np.array_equal(self.free[d], self.free[c]))
-            for c in range(3)
-        )
 
-    def _block(self, c: int):
-        key = self.block_of[c]
-        if key not in self.blocks:
-            self.blocks[key] = _free_block(self.lap, self.free[key])
-        return self.blocks[key]
+    def shifted(self, tau: float) -> sp.csc_matrix:
+        """M (1 + tau lam C) + tau diag(A_0, A_1, A_2) on the free dofs, in CSC
+        with sorted indices: its diagonal blocks are the components'
+        M (1 + tau lam C) + tau A_k, and its off-diagonal blocks store nothing."""
+        dofs = self.free_dofs
+        mat = self.stiff.tocsr()[dofs, :][:, dofs].tocsc()
+        mat.sort_indices()
+        mat.data *= tau
+        cols = np.repeat(np.arange(dofs.size), np.diff(mat.indptr))
+        diag = np.flatnonzero(mat.indices == cols)
+        if diag.size != dofs.size:
+            raise ValueError("the stiffness stores no diagonal entry at some free dof")
+        mat.data[diag] += self.mass[dofs % self.mass.size] * (1.0 + tau * self.lam * STAB_C)
+        return mat
 
-    def shifted(self, c: int, tau: float) -> sp.csc_matrix:
-        """M (1 + tau lam C) + tau A_c on the free nodes, from the cached block."""
-        block, diag = self._block(c)
-        idx = self.free[c]
-        data = tau * block.data
-        # tau A_c,ii + M_i (1 + tau lam C), with A_c,ii = S_ii + k^2 P_i.
-        data[diag] = tau * (block.data[diag] + K2[c] * self.pen[idx])
-        data[diag] += self.mass[idx] * (1.0 + tau * self.lam * STAB_C)
-        return sp.csc_matrix((data, block.indices, block.indptr), shape=block.shape)
+    def factor(self, tau: float):
+        """SuperLU factor of the shifted matrix at step tau.
 
-    def factor(self, c: int, tau: float):
-        """SuperLU factor of the shifted matrix of component c at step tau."""
-        key = (c, tau)
-        if key not in self.factors:
-            self.factors[key] = spla.splu(
-                self.shifted(c, tau),
+        The matrix is SPD, so it is factored in symmetric mode with a
+        minimum-degree ordering of A^T + A.  SuperLU's factorization
+        workspace grows with its panel size times the matrix order: with
+        the default panel size, the peak memory of a 3D solve rises by a
+        quarter.  A panel size of 1 keeps it at what the factor needs.
+        """
+        if tau not in self.factors:
+            self.factors[tau] = spla.splu(
+                self.shifted(tau),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
+                panel_size=1,
             )
-        return self.factors[key]
+        return self.factors[tau]
 
 
 @dataclass
@@ -393,10 +369,10 @@ def _force(p: Problem, F, af, gw):
 
 
 def _semi_implicit(p: Problem, F, force, tau):
-    """Increment delta at step tau, zero on fixed nodes; force from `_force`."""
+    """Increment delta at step tau, zero on fixed dofs; force from `_force`.
+    One solve gives all three components."""
     delta = np.zeros_like(F)
-    for c, nodes in enumerate(p.nodes):
-        delta[c][nodes] = _solve(p.factor(c, tau), tau * force[c][nodes])
+    delta.ravel()[p.free_dofs] = _solve(p.factor(tau), tau * force.ravel()[p.free_dofs])
     return delta
 
 

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -604,6 +603,9 @@ def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
     tasks = [(ell, h, rho, lam, th, opts) for ell in ells]
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which nothing else needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             points = dict(ex.map(_shape_point, tasks))
     else:

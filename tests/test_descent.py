@@ -6,15 +6,16 @@ Groups:
     stiffness applies all three (S a view of its first block).  The
     stacked increment-form step equals a full right-hand-side reference
     step on a radial and a meridian problem, and a per-component reference
-    step on real and complex fields; the shifted matrices assembled from
-    the cached free-node blocks equal the reference's byte for byte.
+    step, with a factor per component, on real and complex fields; the one
+    shifted matrix over every free dof has the reference's per-component
+    matrices as its diagonal blocks, byte for byte, and nothing outside them.
  2. Discrete stationary states are fixed points of the step.
  3. Carried stiffness products: the energy with precomputed products, and
     one sparse product per candidate step.
  4. The factors: a full descent under either direction rule, backtracking
-    included, factors one matrix per component and extracts one free-node
-    block per distinct free set; factors live on the Problem, keyed by tau, so descents with
-    different step sizes can share one Problem.
+    included, factors one matrix and solves each increment in one call;
+    factors live on the Problem, keyed by tau, so descents with different
+    step sizes can share one Problem.
  5. Flip sweeps refresh the carried products and signed biaxiality: after
     an accept under either rule, and in the ladder's deep-backtracking
     branch.
@@ -137,8 +138,9 @@ def increment_step(p, fields, ladder, step=0.1):
 
 
 def per_component_step(p, fields, tau):
-    """The increment delta component by component, one stiffness product
-    and one solve per component: the loop the stacked step replaces."""
+    """The increment delta component by component, one stiffness product,
+    one factor of the component's own shifted matrix and one solve per
+    component: the loop the stacked step replaces."""
     f0, f1, f2 = fields
     af = [stiffness(p, c) @ f for c, f in enumerate(fields)]
     s = af[0] * f0 + (af[1] * f1.conj()).real + (af[2] * f2.conj()).real
@@ -147,14 +149,24 @@ def per_component_step(p, fields, tau):
     for c, (f, a, g) in enumerate(zip(fields, af, grad_w_tan_arrays(f0, f1, f2))):
         idx = p.free[c]
         rhs = tau * (s * f - a - p.lam * p.mass * g)[idx]
+        fac = spla.splu(reference_matrix(p, c, tau), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         delta = np.zeros_like(f)
         if np.iscomplexobj(rhs):
-            sol = p.factor(c, tau).solve(np.column_stack((rhs.real, rhs.imag)))
+            sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
             delta[idx] = sol[:, 0] + 1j * sol[:, 1]
         else:
-            delta[idx] = p.factor(c, tau).solve(rhs)
+            delta[idx] = fac.solve(rhs)
         out.append(delta)
     return out
+
+
+def diagonal_blocks(p, mat):
+    """The per-component diagonal blocks of a matrix over the free dofs, and
+    the number of entries stored outside them."""
+    ends = np.cumsum([0] + [f.size for f in p.free])
+    blocks = [mat[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
+    return blocks, mat.nnz - sum(b.nnz for b in blocks)
 
 
 def rel_diff(a, b):
@@ -268,16 +280,16 @@ def test_stacked_step_matches_the_per_component_step(case):
 @pytest.mark.parametrize("case", [radial_case, radial_free_axis_case, meridian_case])
 def test_shifted_matrices_equal_the_reference_byte_for_byte(case):
     p, _ = case()
-    for c in range(3):
-        for ladder in range(-12, 7):
-            tau = 0.1 * 2.0**ladder
-            got, want = p.shifted(c, tau), reference_matrix(p, c, tau)
+    for ladder in range(-12, 7):
+        tau = 0.1 * 2.0**ladder
+        got, off_diagonal = diagonal_blocks(p, p.shifted(tau))
+        # The components are uncoupled: nothing is stored between them.
+        assert off_diagonal == 0, ladder
+        for c in range(3):
+            want = reference_matrix(p, c, tau)
             for attr in ("data", "indices", "indptr"):
-                a, b = getattr(got, attr), getattr(want, attr)
+                a, b = getattr(got[c], attr), getattr(want, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (c, ladder, attr)
-    # One block per distinct free set: f1 and f2 share theirs in 3D, all
-    # three components share one in 2D.
-    assert sorted(p.blocks) == ([0, 1] if case is meridian_case else [0])
 
 
 def test_a_free_node_without_a_stored_diagonal_is_rejected():
@@ -287,7 +299,7 @@ def test_a_free_node_without_a_stored_diagonal_is_rejected():
     a[k, k] = 0.0
     p = dataclasses.replace(p, stiff=descent.stack_stiffness(a.tocsr(), p.pen))
     with pytest.raises(ValueError, match="diagonal"):
-        p.shifted(1, 0.1)
+        p.shifted(0.1)
 
 
 def constant_problem(value, lam, n=65):
@@ -424,21 +436,21 @@ def test_one_sparse_product_per_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("direction", ["ladder", "cg"])
-def test_a_descent_factors_one_matrix_per_component(monkeypatch, direction):
+def test_a_descent_factors_one_matrix(monkeypatch, direction):
     p, fields = meridian_case()
-    calls = []
+    factored = []
     splu = spla.splu
 
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counting_splu(mat, *args, **kwargs):
+        factored.append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
 
-    free_block = descent._free_block
-    blocks = []
+    solve_sizes = []
+    solve = descent._solve
 
-    def counting_free_block(*args):
-        blocks.append(1)
-        return free_block(*args)
+    def recording_solve(fac, rhs):
+        solve_sizes.append(rhs.size)
+        return solve(fac, rhs)
 
     energy = descent.energy
     evaluations = []
@@ -450,18 +462,21 @@ def test_a_descent_factors_one_matrix_per_component(monkeypatch, direction):
         return energy(*args, **kwargs) + (1.0 if len(evaluations) % 7 == 0 else 0.0)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(descent, "_free_block", counting_free_block)
+    monkeypatch.setattr(descent, "_solve", recording_solve)
     monkeypatch.setattr(descent, "energy", every_seventh_rises)
     accepted = []
-    descent.descend(p, fields, descent.SolveOptions(max_iters=200),
-                    on_accept=lambda it, e: accepted.append(it), direction=direction)
+    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=200),
+                                  on_accept=lambda it, e: accepted.append(it),
+                                  direction=direction)
     # Many accepts, so the ladder climbs or the CG step grows, and many
-    # rejections, so they fall, yet one factorization per component and one
-    # free-node block per distinct free set: f0's, and the one f1 and f2
-    # share.
+    # rejections, so they fall, yet one factorization, of the one matrix
+    # over every free dof of the three components.
     assert len(set(accepted)) > 16 and len(evaluations) - len(accepted) > 16
-    assert len(calls) == 3 and len(blocks) == 2
-    assert sorted(p.factors) == [(c, 0.1 * 2.0**descent.LADDER_MAX) for c in range(3)]
+    assert factored == [p.free_dofs.size] == [sum(f.size for f in p.free)]
+    assert list(p.factors) == [0.1 * 2.0**descent.LADDER_MAX]
+    # One solve per increment, over every free dof at once.
+    assert solve_sizes and set(solve_sizes) == {p.free_dofs.size}
+    assert len(solve_sizes) <= iters
 
 
 def test_descents_with_different_steps_share_one_problem():

@@ -11,6 +11,9 @@ Groups:
 import csv
 import json
 import copy
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -569,3 +572,23 @@ def test_scalar_ells_is_a_one_point_shape_sweep(tmp_path):
     assert cfg.params["ells"] == [1.5]
     doc = experiments.run(cfg)
     assert [run["id"] for run in doc["runs"]][0] == "shape/ell=1.5"
+
+
+def test_importing_experiments_leaves_multiprocessing_out():
+    # The process pool is imported only by a shape sweep with workers > 1.
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys, ldglab.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_a_shape_sweep_with_two_workers_matches_the_serial_one(tmp_path):
+    params = {"ells": [1.5], "h": 1.0, "rho": 0.2, "target_h": 0.1, "max_iters": 100}
+    docs = [experiments.run(experiments.ExperimentConfig(
+                "shape-sweep", {**params, "workers": workers}, str(tmp_path / str(workers))))
+            for workers in (1, 2)]
+    serial, pooled = ([run for run in doc["runs"] if run["id"].startswith("shape/")]
+                      for doc in docs)
+    assert serial and pooled == serial

@@ -22,9 +22,9 @@ Groups:
  8. CSV output against the node-by-node csv.writer, also on signed zeros,
     subnormals and non-finite values; shape validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
-    for bit, factor three matrices per level, none twice, and drop the
-    coarse Problem before the fine level factors anything, trimming the
-    heap after each level; a seed's iterations count both levels.
+    for bit, factor one matrix per level, once, and drop the coarse Problem
+    before the fine level factors anything, trimming the heap after each
+    level; a seed's iterations count both levels.
 """
 
 import csv
@@ -634,7 +634,7 @@ class FactorLog:
 
         def recording_problem_for(geom, lam):
             p = problem_for(geom, lam)
-            level = self.levels[geom.disc.free0.size]
+            level = self.levels[geom.disc.free0.size + 2 * geom.disc.free12.size]
             self.problems.append((level, weakref.ref(p)))
             return p
 
@@ -643,18 +643,19 @@ class FactorLog:
 
 
 def levels_of(g):
+    """Matrix size -> level: a level's one matrix spans f0's free nodes and
+    f1's and f2's."""
     coarse = m3.build_geometry(g.h, g.ell, g.rho, target_h=2.0 * g.hr)
     return {
-        d.free0.size if k == 0 else d.free12.size: name
+        d.free0.size + 2 * d.free12.size: name
         for name, d in (("coarse", coarse.disc), ("fine", g.disc))
-        for k in (0, 1)
     }
 
 
 def test_seed_levels_factor_each_matrix_once_while_cached(monkeypatch):
     g = small_cigar()
     levels = levels_of(g)
-    assert len(levels) == 4
+    assert len(levels) == 2
     alone = {}
     for seed in SEEDS:
         log = FactorLog(monkeypatch, levels)
@@ -666,10 +667,10 @@ def test_seed_levels_factor_each_matrix_once_while_cached(monkeypatch):
     order = [level for level, _ in log.keys]
     assert order == sorted(order)
     assert order.count("coarse") > 0 and order.count("fine") > 0
-    # Each level's Problem factors one matrix per component, none twice.
+    # Each level's Problem factors one matrix, once.
     for level in ("coarse", "fine"):
         keys = [key for key in log.keys if key[0] == level]
-        assert len(keys) == len(set(keys)) == 3
+        assert len(keys) == len(set(keys)) == 1
     assert len(log.keys) < sum(alone.values())
 
 
