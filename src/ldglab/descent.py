@@ -43,9 +43,16 @@ along it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).  `descen
 The radial front end keeps the ladder because its class-N solve at lam = 0
 relies on the ladder's slow drift along a nearly flat family (criterion 4):
 a faster descent collapses it to a one-cell jump.  Both rules share the
-increment, the LU factors, the acceptance slack, the flip sweep and the
-convergence test; once the 2D test no longer depends on the descent's
-speed, the ladder can go.
+increment, the acceptance slack, the flip sweep and the convergence test;
+once the 2D test no longer depends on the descent's speed, the ladder can
+go.  They differ in the precision of the LU factor.  The ladder steps along
+the increment itself, so its factor is float64.  In CG the factor is only a
+preconditioner: any SPD matrix serves, the energies, forces and the
+convergence test stay float64, and r = 0 still gives z = 0.  So CG factors
+and solves in float32 and promotes the increment to float64 before its
+tangent projection; the triangular solves then stream 4-byte values instead
+of 8-byte ones, a third fewer bytes with the int32 indices, and they are
+bound by memory bandwidth on the 3D meshes.
 
 The increment is, on the free nodes of each component,
 
@@ -68,9 +75,9 @@ then for its grad W_tan; a flip drops it, since beta depends on f0.  The
 tangential potential gradient of the accepted state is likewise computed
 once and shared by the increment and the gradient-norm check.
 
-The LU factors belong to the Problem, keyed by tau0, so every descent on
-one Problem reuses them: the 3D solver runs the seeds of one cascade level
-on one shared Problem and drops it before the next level.
+The LU factors belong to the Problem, keyed by tau0 and precision, so every
+descent on one Problem reuses them: the 3D solver runs the seeds of one
+cascade level on one shared Problem and drops it before the next level.
 
 A plain explicit stepper, delta = -tau0 grad, backtracks along the same
 alpha ladder and is kept for 2D cross-checks; "cg" rejects it.
@@ -197,9 +204,9 @@ class Problem:
     free: per-component index arrays of unknowns.  Every other dof is
         fixed: a descent keeps the value its initial state has there.
     factors: LU factors of the shifted matrix over every free dof, keyed by
-        tau0 and shared by every descent on this Problem: one for the
-        descents of one step size.  The operators must not change once a
-        factor is cached.
+        (tau0, precision) and shared by every descent on this Problem: one
+        for the descents of one step size and direction rule.  The
+        operators must not change once a factor is cached.
 
     `free_dofs` and `fixed_dofs` are the dofs inside and outside `free`, as
     sorted flat indices into a raveled (3, n) state.  `two_point_nodes` are
@@ -238,10 +245,12 @@ class Problem:
             self.two_point_rows = self.lap[self.two_point_nodes]
             self.two_point_diag = self.lap.diagonal()[self.two_point_nodes]
 
-    def shifted(self, tau: float) -> sp.csc_matrix:
+    def shifted(self, tau: float, dtype=np.float64) -> sp.csc_matrix:
         """M (1 + tau lam C) + tau diag(A_0, A_1, A_2) on the free dofs, in CSC
-        with sorted indices: its diagonal blocks are the components'
-        M (1 + tau lam C) + tau A_k, and its off-diagonal blocks store nothing."""
+        with sorted indices and values of `dtype`: its diagonal blocks are the
+        components' M (1 + tau lam C) + tau A_k, and its off-diagonal blocks
+        store nothing.  It is assembled in float64 and then rounded, so no
+        float64 copy outlives the call."""
         dofs = self.free_dofs
         mat = self.stiff.tocsr()[dofs, :][:, dofs].tocsc()
         mat.sort_indices()
@@ -251,26 +260,32 @@ class Problem:
         if diag.size != dofs.size:
             raise ValueError("the stiffness stores no diagonal entry at some free dof")
         mat.data[diag] += self.mass[dofs % self.mass.size] * (1.0 + tau * self.lam * STAB_C)
+        mat.data = mat.data.astype(dtype, copy=False)
         return mat
 
-    def factor(self, tau: float):
-        """SuperLU factor of the shifted matrix at step tau.
+    def factor(self, tau: float, dtype=np.float64):
+        """SuperLU factor of the shifted matrix at step tau, in precision
+        `dtype` (float64 or float32), keyed by (tau, dtype).
 
         The matrix is SPD, so it is factored in symmetric mode with a
         minimum-degree ordering of A^T + A.  SuperLU's factorization
         workspace grows with its panel size times the matrix order: with
         the default panel size, the peak memory of a 3D solve rises by a
         quarter.  A panel size of 1 keeps it at what the factor needs.
+        A float32 factor has the same fill and stores its values in half
+        the bytes, so its triangular solves stream a third fewer bytes
+        (the int32 row indices stay).
         """
-        if tau not in self.factors:
-            self.factors[tau] = spla.splu(
-                self.shifted(tau),
+        key = (tau, np.dtype(dtype))
+        if key not in self.factors:
+            self.factors[key] = spla.splu(
+                self.shifted(tau, dtype),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
                 panel_size=1,
             )
-        return self.factors[tau]
+        return self.factors[key]
 
 
 @dataclass
@@ -368,21 +383,24 @@ def _force(p: Problem, F, af, gw):
     return r
 
 
-def _semi_implicit(p: Problem, F, force, tau):
+def _semi_implicit(p: Problem, F, force, tau, dtype=np.float64):
     """Increment delta at step tau, zero on fixed dofs; force from `_force`.
-    One solve gives all three components."""
+    One solve gives all three components, in the precision `dtype` of the
+    factor (`Problem.factor`); delta comes back in F's dtype."""
     delta = np.zeros_like(F)
-    delta.ravel()[p.free_dofs] = _solve(p.factor(tau), tau * force.ravel()[p.free_dofs])
+    rhs = tau * force.ravel()[p.free_dofs]
+    delta.ravel()[p.free_dofs] = _solve(p.factor(tau, dtype), rhs, dtype)
     return delta
 
 
-def _solve(fac, rhs):
-    """fac^-1 rhs; the real and imaginary parts of a complex rhs go through
-    one 2-column solve."""
+def _solve(fac, rhs, dtype):
+    """fac^-1 rhs for a factor of precision dtype, which the rhs is rounded
+    to; the real and imaginary parts of a complex rhs go through one 2-column
+    solve."""
     if rhs.dtype.kind == "c" and np.any(rhs.imag):
-        sol = fac.solve(np.column_stack((rhs.real, rhs.imag)))
+        sol = fac.solve(np.column_stack((rhs.real, rhs.imag)).astype(dtype, copy=False))
         return sol[:, 0] + 1j * sol[:, 1]
-    return fac.solve(rhs.real)
+    return fac.solve(rhs.real.astype(dtype, copy=False))
 
 
 def _explicit(p: Problem, F, tau, af, gw):
@@ -595,7 +613,9 @@ def _cg(p: Problem, F, opts: SolveOptions, on_accept):
                 gw = _grad_w(p, F, beta)
             r = _force(p, F, af, gw)
             r.ravel()[p.fixed_dofs] = 0.0
-            z = _tangent(F, _semi_implicit(p, F, r, tau0))
+            # The factor is only a preconditioner here: a float32 one solves
+            # faster, and r = 0 still gives z = 0.
+            z = _tangent(F, _semi_implicit(p, F, r, tau0, np.float32))
             d = z
             if last is not None:
                 r_old, z_old, d_old = last

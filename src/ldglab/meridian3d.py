@@ -267,19 +267,21 @@ def homeotropic_data(geom: CylinderGeometry):
 
     The normal is rotated into 3D in the meridian plane (phi = 0), the
     tensor sqrt(3/2)(n x n - Id/3) converted to u-coordinates; caps give
-    (1, 0, 0) and the straight lateral wall (-1/2, 0, sqrt3/2).
+    (1, 0, 0) and the straight lateral wall (-1/2, 0, sqrt3/2).  Many data
+    nodes share a normal (every cap node, every straight-wall node), so the
+    conversion runs once per distinct normal.
     """
     g = geom
     f0 = np.zeros((g.nz, g.nr))
     f1 = np.zeros((g.nz, g.nr), dtype=complex)
     f2 = np.zeros((g.nz, g.nr), dtype=complex)
-    idx = np.argwhere(g.dirichlet)
-    for i, j in idx:
-        n2 = g.normals[i, j]
-        u = q_to_u(homeotropic_tensor([n2[0], 0.0, n2[1]]))
-        f0[i, j] = u.u0
-        f1[i, j] = u.u1
-        f2[i, j] = u.u2
+    idx = np.nonzero(g.dirichlet)
+    normals, inverse = np.unique(g.normals[idx], axis=0, return_inverse=True)
+    us = [q_to_u(homeotropic_tensor([n[0], 0.0, n[1]])) for n in normals]
+    inverse = inverse.ravel()  # numpy 2.0.0 shapes it (nodes, 1)
+    f0[idx] = np.array([u.u0 for u in us])[inverse]
+    f1[idx] = np.array([u.u1 for u in us])[inverse]
+    f2[idx] = np.array([u.u2 for u in us])[inverse]
     return f0, f1, f2
 
 

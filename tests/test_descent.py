@@ -13,8 +13,10 @@ Groups:
  3. Carried stiffness products: the energy with precomputed products, and
     one sparse product per candidate step.
  4. The factors: a full descent under either direction rule, backtracking
-    included, factors one matrix and solves each increment in one call;
-    factors live on the Problem, keyed by tau, so descents with different
+    included, factors one matrix, in float32 under CG and float64 under the
+    ladder, and solves each increment in one call; the float32 increment
+    matches the float64 one on real and complex states; factors live on
+    the Problem, keyed by tau and precision, so descents with different
     step sizes can share one Problem.
  5. Flip sweeps refresh the carried products and signed biaxiality: after
     an accept under either rule, and in the ladder's deep-backtracking
@@ -70,6 +72,11 @@ def meridian_split_seed(lam=1.0):
     geom = m3.build_geometry(3.0, 0.6, 0.2, target_h=0.1)
     fld = m3.seed_field(geom, lam, "split-seed")
     return m3._problem_for(geom, lam), fld
+
+
+def split_seed_case():
+    prob, fld = meridian_split_seed()
+    return prob, (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
 
 
 def projected(prob, fields):
@@ -442,15 +449,15 @@ def test_a_descent_factors_one_matrix(monkeypatch, direction):
     splu = spla.splu
 
     def counting_splu(mat, *args, **kwargs):
-        factored.append(mat.shape[0])
+        factored.append((mat.shape[0], mat.dtype))
         return splu(mat, *args, **kwargs)
 
     solve_sizes = []
     solve = descent._solve
 
-    def recording_solve(fac, rhs):
+    def recording_solve(fac, rhs, dtype):
         solve_sizes.append(rhs.size)
-        return solve(fac, rhs)
+        return solve(fac, rhs, dtype)
 
     energy = descent.energy
     evaluations = []
@@ -470,13 +477,34 @@ def test_a_descent_factors_one_matrix(monkeypatch, direction):
                                   direction=direction)
     # Many accepts, so the ladder climbs or the CG step grows, and many
     # rejections, so they fall, yet one factorization, of the one matrix
-    # over every free dof of the three components.
+    # over every free dof of the three components: in float32 for CG, whose
+    # factor only preconditions, and in float64 for the ladder.
+    precision = np.dtype(np.float32 if direction == "cg" else np.float64)
     assert len(set(accepted)) > 16 and len(evaluations) - len(accepted) > 16
-    assert factored == [p.free_dofs.size] == [sum(f.size for f in p.free)]
-    assert list(p.factors) == [0.1 * 2.0**descent.LADDER_MAX]
+    assert factored == [(p.free_dofs.size, precision)]
+    assert p.free_dofs.size == sum(f.size for f in p.free)
+    assert list(p.factors) == [(0.1 * 2.0**descent.LADDER_MAX, precision)]
     # One solve per increment, over every free dof at once.
     assert solve_sizes and set(solve_sizes) == {p.free_dofs.size}
     assert len(solve_sizes) <= iters
+
+
+@pytest.mark.parametrize("case", [split_seed_case, meridian_case])
+def test_the_float32_increment_matches_the_float64_one(case):
+    p, fields = case()
+    F = stack_fields(*fields)
+    force = descent._force(p, F, descent.stiffness_products(p, F), descent._grad_w(p, F))
+    want = descent._semi_implicit(p, F, force, 0.2)
+    got = descent._semi_implicit(p, F, force, 0.2, np.float32)
+    assert got.dtype == want.dtype == F.dtype
+    if F.dtype == complex:
+        assert np.any(got.imag != 0.0)  # the 2-column solve is exercised
+    assert 0.0 < rel_diff(got, want) < 1e-6
+    assert not got.ravel()[p.fixed_dofs].any()
+    # Two factors of the one matrix, one per precision.
+    assert sorted(p.factors, key=str) == [(0.2, np.dtype(np.float32)), (0.2, np.dtype(np.float64))]
+    # The float32 factor is still exact at a zero force: r = 0 gives z = 0.
+    assert not descent._semi_implicit(p, F, np.zeros_like(force), 0.2, np.float32).any()
 
 
 def test_descents_with_different_steps_share_one_problem():
@@ -615,11 +643,6 @@ def radial_real_case():
     grid = uniform_grid(129)
     prof = r2.preset_profile("uS", grid)
     return r2._problem_for(grid, 20.0), (prof.f0, prof.f1, prof.f2)
-
-
-def split_seed_case():
-    prob, fld = meridian_split_seed()
-    return prob, (fld.f0.ravel(), fld.f1.ravel(), fld.f2.ravel())
 
 
 @pytest.mark.parametrize(

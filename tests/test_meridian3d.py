@@ -6,7 +6,9 @@ Groups:
     inclusions with active 4-neighbours of every interior node, and every
     invalid triple raises ValueError.
  2. Homeotropic data: cap/wall values, unit norms and unit data-layer
-    normals; the boundary tensor's sqrt(3/2) factor.
+    normals; the boundary tensor's sqrt(3/2) factor; the data, converted
+    once per distinct normal, equal the node-by-node conversion bit for bit
+    on four lattices.
  3. Energy: constant fields, nodal shares summing to the energy, vertical
     extension vs 2D slice energy, refinement behavior.
  4. Axis trace and singularity detection, incl. the synthetic tangent map
@@ -152,6 +154,42 @@ def test_homeotropic_data_values():
     assert np.all(np.abs(f2b[wall] - np.sqrt(3) / 2) < 1e-12)
     norms = np.sqrt(f0b**2 + np.abs(f1b) ** 2 + np.abs(f2b) ** 2)[g.dirichlet]
     assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def homeotropic_data_per_node(g):
+    """The data node by node: one q_to_u per data node."""
+    f0 = np.zeros((g.nz, g.nr))
+    f1 = np.zeros((g.nz, g.nr), dtype=complex)
+    f2 = np.zeros((g.nz, g.nr), dtype=complex)
+    for i, j in np.argwhere(g.dirichlet):
+        n2 = g.normals[i, j]
+        u = tc.q_to_u(m3.homeotropic_tensor([n2[0], 0.0, n2[1]]))
+        f0[i, j], f1[i, j], f2[i, j] = u.u0, u.u1, u.u2
+    return f0, f1, f2
+
+
+@pytest.mark.parametrize("make_geom", [
+    small_cigar, small_pancake,
+    lambda: m3.build_geometry(2.0, 1.0, 0.2, target_h=0.03),
+    lambda: m3.build_geometry(8.0, 0.6, 0.2, target_h=0.015),
+])
+def test_homeotropic_data_matches_the_per_node_loop(monkeypatch, make_geom):
+    g = make_geom()
+    want = homeotropic_data_per_node(g)
+    calls = []
+    q_to_u = m3.q_to_u
+
+    def counted(q):
+        calls.append(1)
+        return q_to_u(q)
+
+    monkeypatch.setattr(m3, "q_to_u", counted)
+    got = m3.homeotropic_data(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # One conversion per distinct normal, far fewer than the data nodes.
+    distinct = np.unique(g.normals[g.dirichlet], axis=0)
+    assert len(calls) == len(distinct) < np.count_nonzero(g.dirichlet) // 4
 
 
 def test_boundary_data_is_computed_once_and_read_only(monkeypatch):
