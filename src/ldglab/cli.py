@@ -25,7 +25,7 @@ def _parse_set(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
         out[key.strip()] = experiments._parse_value(val.strip())
     return out
@@ -50,10 +50,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        overrides = _parse_set(args.set)
-        if args.out is not None:
-            overrides["out"] = args.out
         try:
+            overrides = _parse_set(args.set)
+            if args.out is not None:
+                overrides["out"] = args.out
             config = experiments.parse_config_file(args.config, overrides)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,8 @@ renormalization.  The increment is solved once per accepted state at one
 fixed step tau0 = step * 2**LADDER_MAX, so every step of a descent uses one
 LU factor.  delta solves an SPD system with the negative tangential
 gradient on the right, so it is a descent direction and a small enough step
-along it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).  `descend` takes one of two direction rules:
+along it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
+`descend` takes one of two direction rules:
 
 - "ladder" (the radial front end): the candidates are f + alpha delta,
   renormalized, with alpha = 2**(ladder - LADDER_MAX) <= 1.  A candidate is
@@ -79,15 +80,12 @@ The LU factors belong to the Problem, keyed by tau0 and precision, so every
 descent on one Problem reuses them: the 3D solver runs the seeds of one
 cascade level on one shared Problem and drops it before the next level.
 
-A plain explicit stepper, delta = -tau0 grad, backtracks along the same
-alpha ladder and is kept for 2D cross-checks; "cg" rejects it.
-
-`SolveOptions` is the one solver configuration: `descend` reads all five
-fields (step, max_iters, grad_tol, energy_tol, stepper).  The radial and
-meridian front ends (the radial one re-exports it as `radial2d.SolveOptions`)
-always run their cascade and lower only max_iters on its coarse levels.  A
-stepper other than "semi_implicit" or "explicit" raises ValueError when the
-options are made.
+`SolveOptions` is the one solver configuration: `descend` reads all four
+fields (step, max_iters, grad_tol, energy_tol).  The radial and meridian
+front ends (the radial one re-exports it as `radial2d.SolveOptions`) always
+run their cascade and lower only max_iters on its coarse levels.  A
+max_iters that is not a whole number raises ValueError when the options are
+made.
 """
 
 from __future__ import annotations
@@ -300,20 +298,19 @@ class SolveOptions:
     max_iters: int = 20000
     grad_tol: float = 1e-5
     energy_tol: float = 1e-13
-    stepper: str = "semi_implicit"
 
     def __post_init__(self):
         for name in ("step", "max_iters", "grad_tol", "energy_tol"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
                 raise ValueError(f"solver option {name} must be a finite number, not {val!r}")
+        # A config file gives 2e4 as a float: take it, but truncate nothing.
+        if self.max_iters != int(self.max_iters):
+            raise ValueError(
+                f"solver option max_iters must be a whole number, not {self.max_iters!r}")
         self.max_iters = int(self.max_iters)
         if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("solver options must be positive")
-        if self.stepper not in ("semi_implicit", "explicit"):
-            raise ValueError(
-                f"unknown stepper {self.stepper!r}: expected 'semi_implicit' or 'explicit'"
-            )
 
 
 def stiffness_products(p: Problem, F: np.ndarray) -> np.ndarray:
@@ -401,11 +398,6 @@ def _solve(fac, rhs, dtype):
         sol = fac.solve(np.column_stack((rhs.real, rhs.imag)).astype(dtype, copy=False))
         return sol[:, 0] + 1j * sol[:, 1]
     return fac.solve(rhs.real.astype(dtype, copy=False))
-
-
-def _explicit(p: Problem, F, tau, af, gw):
-    """Increment -tau grad, grad the projected gradient (`riemannian_gradient`)."""
-    return -tau * riemannian_gradient(p, F, af, gw)
 
 
 def _renormalize(F: np.ndarray) -> np.ndarray:
@@ -505,11 +497,11 @@ def descend(
 
     `direction` is the direction rule: "ladder" (the alpha ladder along the
     increment; the radial front end) or "cg" (preconditioned PR+ conjugate
-    gradients with a line search; the meridian front end, semi-implicit
-    stepper only).  The iterations count the candidates on the ladder and
-    the directions, that is the increments solved, with "cg".  on_accept(it, e)
-    is called with the energy of every accepted state and of every state a
-    flip sweep changes after an accept.
+    gradients with a line search; the meridian front end).  The iterations
+    count the candidates on the ladder and the directions, that is the
+    increments solved, with "cg".  on_accept(it, e) is called with the
+    energy of every accepted state and of every state a flip sweep changes
+    after an accept.
 
     The dtype of the state is chosen once (`stack_fields`): real when f1 and
     f2 have no nonzero imaginary part, complex otherwise.  f1 and f2 come
@@ -518,8 +510,6 @@ def descend(
     """
     if direction not in ("ladder", "cg"):
         raise ValueError(f"unknown direction rule {direction!r}: expected 'ladder' or 'cg'")
-    if direction == "cg" and opts.stepper != "semi_implicit":
-        raise ValueError("the 'cg' direction rule needs the semi_implicit stepper")
     F = stack_fields(*fields)
     run = _cg if direction == "cg" else _ladder
     F, it, converged = run(p, F, opts, on_accept or (lambda it, e: None))
@@ -545,10 +535,7 @@ def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
         if delta is None:
             if gw is None:
                 gw = _grad_w(p, F, beta)
-            if opts.stepper == "semi_implicit":
-                delta = _semi_implicit(p, F, _force(p, F, af, gw), tau0)
-            else:
-                delta = _explicit(p, F, tau0, af, gw)
+            delta = _semi_implicit(p, F, _force(p, F, af, gw), tau0)
         alpha = 2.0 ** (ladder - LADDER_MAX)
         v, av, bv, e_new = _candidate(p, F, alpha * delta, fixed_values)
         if _rejects(e_new, e):

@@ -10,7 +10,7 @@ tag at the origin: f0(0) = +1 (class N) or -1 (class S).  The minimizer is
 found by projected gradient descent: a semi-implicit (backward-Euler in the
 linear part, stabilized in the potential) step followed by nodewise
 renormalization, with backtracking on the discrete energy so every accepted
-iteration decreases it.  A plain explicit stepper is kept for cross-checks.
+iteration decreases it.
 
 The module also provides the Euler-Lagrange residual, the e*_lam / e_lam
 energy curves, bisection for the biaxial-escape threshold lambda_*, and the
@@ -336,8 +336,6 @@ def minimize_2d(
 
 def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, budget: int):
     opts = replace(opts, max_iters=budget)
-    if opts.stepper == "explicit":
-        opts = replace(opts, step=opts.step * prof.grid[1] ** 2)
     # The ladder, not CG: criterion 4's class-N check needs its slow drift.
     fields, it, converged = descent.descend(
         _problem_for(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts, direction="ladder")

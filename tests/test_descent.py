@@ -30,8 +30,7 @@ Groups:
  8. Fixed dofs: a descent gives back the initial values on them bit for
     bit, on real and complex radial fields and a real meridian field; the
     two-point nodes are the interior axis nodes in 3D and none in 2D.
- 9. The direction rule: CG rejects the explicit stepper, and an unknown
-    rule is rejected.
+ 9. The direction rule: an unknown rule is rejected.
 """
 
 import dataclasses
@@ -705,20 +704,19 @@ def test_energy_is_invariant_under_the_circle_action(kind, lam, alpha, seed):
     lam=st.floats(0.0, 120.0),
     noise=st.floats(0.01, 0.3),
     seed=st.integers(0, 2**32 - 1),
-    stepper=st.sampled_from(["semi_implicit", "explicit"]),
+    direction=st.sampled_from(["ladder", "cg"]),
 )
-def test_accepted_energies_never_rise(n, lam, noise, seed, stepper):
+def test_accepted_energies_never_rise(n, lam, noise, seed, direction):
     grid = uniform_grid(n)
     prof = r2.preset_profile("uS", grid, noise=noise, seed=seed)
     p = r2._problem_for(grid, lam)
     fields = (prof.f0, prof.f1, prof.f2)
-    # The explicit stepper's upper rungs overshoot, so its history also
+    # CG's line search overshoots and backtracks, so its history also
     # exercises the rejection of rising candidates.
-    step = 0.1 if stepper == "semi_implicit" else 0.5 * grid[1] ** 2
     energies = [descent.energy(p, stack_fields(*fields))]
-    opts = descent.SolveOptions(step=step, max_iters=300, stepper=stepper)
+    opts = descent.SolveOptions(max_iters=300)
     descent.descend(p, fields, opts, on_accept=lambda it, e: energies.append(e),
-                    direction="ladder")
+                    direction=direction)
     assert_never_rises(energies)
 
 
@@ -743,10 +741,8 @@ def assert_never_rises(energies):
         assert after <= before + 1e-10 + 1e-12 * abs(before)
 
 
-def test_cg_needs_the_semi_implicit_stepper():
+def test_unknown_direction_rule_is_rejected():
     p, fields = split_seed_case()
-    with pytest.raises(ValueError, match="semi_implicit"):
-        descent.descend(p, fields, descent.SolveOptions(stepper="explicit"), direction="cg")
     with pytest.raises(ValueError, match="direction rule"):
         descent.descend(p, fields, descent.SolveOptions(), direction="steepest")
 

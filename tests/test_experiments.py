@@ -238,6 +238,22 @@ def test_cli_non_numeric_tolerance(tmp_path, capsys):
     assert "error: tolerance grad_tol must be a positive number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("foo", "--set expects key=value, got 'foo'"),
+        ("max_iters=1.5", "solver option max_iters must be a whole number, not 1.5"),
+    ],
+)
+def test_cli_malformed_setting_is_a_config_error(tmp_path, capsys, setting, message):
+    # Exit status 1 is kept for solver failures and failed checks.
+    cfg = write_config(tmp_path, "kind = gap-2d\n")
+    rc = cli.main(["run", str(cfg), "--set", setting, "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_gap2d_seeds_the_preset_inits(tmp_path, monkeypatch):
     from ldglab import radial2d as r2
 
