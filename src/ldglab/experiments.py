@@ -604,9 +604,12 @@ def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     tasks = [(ell, h, rho, lam, th, opts) for ell in ells]
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which nothing else needs.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # spawn, not fork: the parent may hold BLAS threads.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 mp_context=multiprocessing.get_context("spawn")) as ex:
             points = dict(ex.map(_shape_point, tasks))
     else:
         points = dict(map(_shape_point, tasks))

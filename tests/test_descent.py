@@ -31,6 +31,12 @@ Groups:
     bit, on real and complex radial fields and a real meridian field; the
     two-point nodes are the interior axis nodes in 3D and none in 2D.
  9. The direction rule: an unknown rule is rejected.
+10. Bit-identity oracles: the lean helpers (one-pass inner products, in-place
+    projections and force, the increment through the free-dof mask, the
+    real branches of beta and grad W) equal the formulas they replaced bit
+    for bit on a real radial and a real meridian state, and within a fixed
+    tolerance on complex ones; descents under either rule take the same
+    iterates with the lean helpers as with the replaced ones.
 """
 
 import dataclasses
@@ -46,6 +52,7 @@ from hypothesis import strategies as st
 from ldglab import descent
 from ldglab import meridian3d as m3
 from ldglab import radial2d as r2
+from ldglab import tensor_core as tc
 from ldglab.descent import components, stack_fields
 from ldglab.profiles import uniform_grid
 from ldglab.tensor_core import beta_arrays, grad_w_tan_arrays
@@ -746,3 +753,144 @@ def test_unknown_direction_rule_is_rejected():
     with pytest.raises(ValueError, match="direction rule"):
         descent.descend(p, fields, descent.SolveOptions(), direction="steepest")
 
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracles: the formulas the lean helpers replaced.
+# ---------------------------------------------------------------------------
+
+#: On complex states the helpers may round differently from the reference
+#: formulas (a complex product orders its real and imaginary terms its own
+#: way); they must agree to this relative error, fixed before measuring.
+COMPLEX_TOL = 1e-15
+
+
+def ref_inner(a, b):
+    prod = (a * b.conj()).real if b.dtype.kind == "c" else a * b
+    return np.add.reduce(prod, axis=0)
+
+
+def ref_tangent(F, x):
+    return x - ref_inner(x, F) * F
+
+
+def ref_beta(f0, f1, f2):
+    return f0 * (f0**2 + 1.5 * np.abs(f1) ** 2 - 3.0 * np.abs(f2) ** 2) + (
+        1.5 * tc.SQRT3) * (f1**2 * np.conj(f2)).real
+
+
+def ref_grad_w(f0, f1, f2, beta=None):
+    if beta is None:
+        beta = ref_beta(f0, f1, f2)
+    g0 = (np.abs(f2) ** 2 - f0**2 - 0.5 * np.abs(f1) ** 2 + beta * f0) / tc.SQRT6
+    g1 = (-tc.SQRT3 * f2 * f1.conj() - f0 * f1 + beta * f1) / tc.SQRT6
+    g2 = (-(tc.SQRT3 / 2.0) * f1**2 + 2.0 * f0 * f2 + beta * f2) / tc.SQRT6
+    return g0, g1, g2
+
+
+def ref_force(p, F, af, gw):
+    r = np.where(p.mass > 0, ref_inner(af, F), 0.0) * F
+    r -= af
+    if p.lam != 0.0:
+        r -= p.lam_mass * np.array(gw)
+    return r
+
+
+def ref_semi_implicit(p, F, force, tau, dtype=np.float64):
+    """The increment gathered and scattered through the index array."""
+    delta = np.zeros_like(F)
+    rhs = tau * force.ravel()[p.free_dofs]
+    delta.ravel()[p.free_dofs] = descent._solve(p.factor(tau, dtype), rhs, dtype)
+    return delta
+
+
+def ref_renormalize(F):
+    F /= np.sqrt(ref_inner(F, F))
+    return F
+
+
+def real_radial_case():
+    """The noisy radial case's real parts, with a free axis node of zero
+    mass: a real state on which the force zeroes an unweighted row."""
+    p, (f0, f1, f2) = radial_free_axis_case()
+    return p, projected(p, (f0, f1.real, f2.real))
+
+
+ORACLE_CASES = [(real_radial_case, True), (real_meridian_case, True),
+                (radial_free_axis_case, False), (meridian_case, False)]
+
+
+@pytest.mark.parametrize("case, real", ORACLE_CASES)
+def test_lean_helpers_match_the_reference_formulas(case, real):
+    p, fields = case()
+    F = stack_fields(*fields)
+    assert np.isrealobj(F) == real
+    assert p.unweighted.size > 0
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(F.shape) * (1.0 if real else 1.0 + 0.5j)
+    af = descent.stiffness_products(p, F)
+    gw, want_gw = descent._grad_w(p, F), ref_grad_w(*components(F))
+    force, want_force = descent._force(p, F, af, gw), ref_force(p, F, af, want_gw)
+    pairs = {
+        "inner": (descent._inner(x, F), ref_inner(x, F)),
+        "beta": (descent._beta(p, F), ref_beta(*components(F))),
+        "grad_w": (np.array(gw), np.array(want_gw)),
+        "tangent": (descent._tangent(F, x.copy()), ref_tangent(F, x)),
+        "force": (force, want_force),
+        "renormalize": (descent._renormalize(F + 0.1 * x), ref_renormalize(F + 0.1 * x)),
+        "gradient": (descent.riemannian_gradient(p, F),
+                     ref_tangent(F, af / p.mass_safe + p.lam * np.array(want_gw))),
+    }
+    for dtype in (np.float64, np.float32):
+        pairs[f"increment {np.dtype(dtype)}"] = (
+            descent._semi_implicit(p, F, force, 0.2, dtype),
+            ref_semi_implicit(p, F, want_force, 0.2, dtype))
+    pairs["gradient"][1].ravel()[p.fixed_dofs] = 0.0
+    for name, (got, want) in pairs.items():
+        assert got.dtype == want.dtype, name
+        if real:
+            assert np.array_equal(got, want), name
+        else:
+            assert rel_err(got, want) <= COMPLEX_TOL, name
+
+
+@pytest.mark.parametrize("case, direction", [
+    (real_radial_case, "ladder"), (real_radial_case, "cg"), (real_meridian_case, "cg")])
+def test_a_lean_descent_takes_the_reference_iterates(monkeypatch, case, direction):
+    # The reference helpers return new arrays where the lean ones work in
+    # place, so this also checks that the CG update's in-place projections
+    # of the last direction leave every iterate as it was.
+    p, fields = case()
+    opts = descent.SolveOptions(max_iters=60)
+    energies = {"lean": [], "reference": []}
+
+    def run(name):
+        out = descent.descend(p, fields, opts, lambda it, e: energies[name].append(e),
+                              direction=direction)
+        return out[0], out[1]
+
+    lean, lean_iters = run("lean")
+    for name, ref in (("_inner", ref_inner), ("_tangent", ref_tangent), ("_force", ref_force),
+                      ("_semi_implicit", ref_semi_implicit), ("_renormalize", ref_renormalize),
+                      ("beta_arrays", ref_beta), ("grad_w_tan_arrays", ref_grad_w)):
+        monkeypatch.setattr(descent, name, ref)
+    want, want_iters = run("reference")
+    assert lean_iters == want_iters
+    assert energies["lean"] == energies["reference"] and len(energies["lean"]) > 10
+    for got, ref in zip(lean, want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(), (257,), (9, 33)])
+def test_real_beta_and_grad_w_equal_the_complex_formulas(shape):
+    # The complex formulas evaluated on real arrays, scalars included.
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((3,) + shape)
+    f0, f1, f2 = f / np.sqrt(np.sum(f**2, axis=0))
+    beta = tc.beta_arrays(f0, f1, f2)
+    assert np.array_equal(beta, ref_beta(f0, f1, f2))
+    for carried in (None, beta):
+        got = tc.grad_w_tan_arrays(f0, f1, f2, carried)
+        for g, want in zip(got, ref_grad_w(f0, f1, f2, carried)):
+            assert np.isrealobj(g) and np.shape(g) == shape
+            assert np.array_equal(g, want)

@@ -600,6 +600,33 @@ def test_importing_experiments_leaves_multiprocessing_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_shape_sweep_pool_has_at_most_one_spawned_worker_per_point(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    opened = []
+
+    class RecordingPool:
+        """Records how the pool is opened and maps in this process."""
+
+        def __init__(self, max_workers, mp_context):
+            opened.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    params = {"ells": [1.0, 1.5], "h": 1.0, "rho": 0.2, "target_h": 0.1, "max_iters": 100,
+              "workers": 64}
+    experiments.run(experiments.ExperimentConfig("shape-sweep", params, str(tmp_path)))
+    assert opened == [(2, "spawn")]
+
+
 def test_a_shape_sweep_with_two_workers_matches_the_serial_one(tmp_path):
     params = {"ells": [1.5], "h": 1.0, "rho": 0.2, "target_h": 0.1, "max_iters": 100}
     docs = [experiments.run(experiments.ExperimentConfig(

@@ -607,11 +607,19 @@ def test_field_csv_matches_the_csv_writer_on_awkward_values(tmp_path):
     f0, f1, f2 = (np.zeros((g.nz, g.nr), dtype=t) for t in (float, complex, complex))
     for part in (f0, f1.real, f1.imag, f2.real, f2.imag):
         part[...] = rng.choice(odd, size=part.shape)
-    fld = m3.MeridianField(g, f0, f1, f2)
-    with np.errstate(all="ignore"):
-        fld.to_csv(tmp_path / "field.csv")
-        rowwise_csv(fld, tmp_path / "reference.csv")
-    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    awkward = m3.MeridianField(g, f0, f1, f2)
+    # A real field on a real geometry: its zero imaginary columns, spelled
+    # once per distinct value, keep a signed zero apart from 0.0.
+    real = m3.seed_field(g, 1.0, "torus-seed", OPTS)
+    assert not (np.any(real.f1.imag) or np.any(real.f2.imag))
+    real.f2.imag[::2, ::3] = -0.0
+    for name, fld in (("awkward", awkward), ("real", real)):
+        with np.errstate(all="ignore"):
+            fld.to_csv(tmp_path / f"{name}.csv")
+            rowwise_csv(fld, tmp_path / f"{name}-reference.csv")
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}-reference.csv").read_bytes(), name
+    assert b",-0.0," in got and b",0.0," in got
 
 
 def test_field_rejects_shape_mismatch():
