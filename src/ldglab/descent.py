@@ -53,7 +53,14 @@ convergence test stay float64, and r = 0 still gives z = 0.  So CG factors
 and solves in float32 and promotes the increment to float64 before its
 tangent projection; the triangular solves then stream 4-byte values instead
 of 8-byte ones, a third fewer bytes with the int32 indices, and they are
-bound by memory bandwidth on the 3D meshes.
+bound by memory bandwidth on the 3D meshes.  Under either rule every solve
+is SuperLU's transposed one (Li, ACM TOMS 31, 2005).  The matrix is
+symmetric and factored with symmetric pivoting, so A^T x = b is A x = b,
+and the increment moves only at roundoff (about 1e-7 relative in float32,
+below 1e-15 in float64).  The transposed sweeps gather one dot product
+down each stored column instead of scattering updates into the solution,
+which is faster on these lattice factors of small supernodes
+(`Problem.factor`).
 
 The increment is, on the free nodes of each component,
 
@@ -295,6 +302,14 @@ class Problem:
         A float32 factor has the same fill and stores its values in half
         the bytes, so its triangular solves stream a third fewer bytes
         (the int32 row indices stay).
+
+        The matrix is symmetric, so `_solve` asks for the transposed solve
+        (trans="T"), whose column-oriented sweeps are the faster ones here.
+        Interleaved per-solve medians, plain -> transposed, on one thread
+        of a shared 2-core x86-64 host: 8.11 -> 6.93 ms on the cigar's fine
+        level (125 634 dofs, float32), 1.16 -> 0.94 ms on its coarse level,
+        6.15 -> 5.57 ms on the pancake's fine level, 24.9 -> 22.6 us in 2D
+        at n = 513 (float64) and 9.4 us either way at n = 129.
         """
         key = (tau, np.dtype(dtype))
         if key not in self.factors:
@@ -432,11 +447,13 @@ def _semi_implicit(p: Problem, F, force, tau, dtype=np.float64):
 def _solve(fac, rhs, dtype):
     """fac^-1 rhs for a factor of precision dtype, which the rhs is rounded
     to; the real and imaginary parts of a complex rhs go through one 2-column
-    solve."""
-    if rhs.dtype.kind == "c" and np.any(rhs.imag):
-        sol = fac.solve(np.column_stack((rhs.real, rhs.imag)).astype(dtype, copy=False))
-        return sol[:, 0] + 1j * sol[:, 1]
-    return fac.solve(rhs.real.astype(dtype, copy=False))
+    solve.  The shifted matrix is symmetric, so its transposed solve is the
+    same solve, and SuperLU's transposed sweeps are the faster ones
+    (`Problem.factor`)."""
+    two = rhs.dtype.kind == "c" and np.any(rhs.imag)
+    b = np.column_stack((rhs.real, rhs.imag)) if two else rhs.real
+    sol = fac.solve(b.astype(dtype, copy=False), trans="T")
+    return sol[:, 0] + 1j * sol[:, 1] if two else sol
 
 
 def _renormalize(F: np.ndarray) -> np.ndarray:

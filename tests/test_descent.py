@@ -17,7 +17,9 @@ Groups:
     ladder, and solves each increment in one call; the float32 increment
     matches the float64 one on real and complex states; factors live on
     the Problem, keyed by tau and precision, so descents with different
-    step sizes can share one Problem.
+    step sizes can share one Problem.  Every solve of a descent is
+    SuperLU's transposed solve, which on the symmetric shifted matrix
+    equals the plain one to roundoff.
  5. Flip sweeps refresh the carried products and signed biaxiality: after
     an accept under either rule, and in the ladder's deep-backtracking
     branch.
@@ -511,6 +513,62 @@ def test_the_float32_increment_matches_the_float64_one(case):
     assert sorted(p.factors, key=str) == [(0.2, np.dtype(np.float32)), (0.2, np.dtype(np.float64))]
     # The float32 factor is still exact at a zero force: r = 0 gives z = 0.
     assert not descent._semi_implicit(p, F, np.zeros_like(force), 0.2, np.float32).any()
+
+
+def plain_solve(fac, rhs, dtype):
+    """`descent._solve` with SuperLU's untransposed sweeps."""
+    if rhs.dtype.kind == "c" and np.any(rhs.imag):
+        sol = fac.solve(np.column_stack((rhs.real, rhs.imag)).astype(dtype))
+        return sol[:, 0] + 1j * sol[:, 1]
+    return fac.solve(rhs.real.astype(dtype))
+
+
+@pytest.mark.parametrize("case, dtype, tol", [
+    (radial_case, np.float64, 1e-12),
+    (meridian_case, np.float64, 1e-12),
+    (split_seed_case, np.float32, 1e-5),
+    (meridian_case, np.float32, 1e-5),
+])
+def test_the_transposed_solve_is_the_plain_solve(case, dtype, tol):
+    p, fields = case()
+    F = stack_fields(*fields)
+    force = descent._force(p, F, descent.stiffness_products(p, F), descent._grad_w(p, F))
+    rhs = 0.2 * force[p.free_mask]
+    # The shifted matrix is exactly symmetric, so A^T x = b is A x = b.
+    mat = p.shifted(0.2, dtype)
+    assert (mat != mat.T).nnz == 0
+    fac = p.factor(0.2, dtype)
+    got, want = descent._solve(fac, rhs, dtype), plain_solve(fac, rhs, dtype)
+    assert got.dtype == want.dtype
+    assert np.any(got.imag) == (F.dtype == complex)  # the 2-column solve too
+    assert 0.0 <= rel_diff([got], [want]) < tol
+
+
+class RecordingFactor:
+    """A SuperLU factor that records the `trans` and column count of every
+    solve."""
+
+    def __init__(self, factor, calls):
+        self._factor, self.calls = factor, calls
+
+    def solve(self, rhs, trans="N"):
+        self.calls.append((trans, rhs.shape[1:]))
+        return self._factor.solve(rhs, trans=trans)
+
+
+@pytest.mark.parametrize("direction", ["ladder", "cg"])
+@pytest.mark.parametrize("case", [split_seed_case, meridian_case])
+def test_every_solve_of_a_descent_is_transposed(monkeypatch, case, direction):
+    p, fields = case()
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: RecordingFactor(splu(*a, **kw), calls))
+    _, iters, _ = descent.descend(p, fields, descent.SolveOptions(max_iters=60),
+                                  direction=direction)
+    assert 0 < len(calls) <= iters
+    assert {trans for trans, _ in calls} == {"T"}
+    # Real states solve one column, complex ones two.
+    assert {cols for _, cols in calls} == ({(2,)} if case is meridian_case else {()})
 
 
 def test_descents_with_different_steps_share_one_problem():

@@ -14,6 +14,7 @@ import copy
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -294,9 +295,32 @@ def test_cli_dump_field_round_trips_cigar(tmp_path, capsys):
     )
     out = tmp_path / "res"
     cli.main(["run", str(cfg), "--out", str(out)])
+    assert_field_archive(out / "cigar_field.npz")
     dumped = tmp_path / "dumped.csv"
     assert cli.main(["dump-field", str(out / "cigar_field.npz"), "--csv", str(dumped)]) == 0
     assert dumped.read_bytes() == (out / "cigar_field.csv").read_bytes()
+
+
+def test_cli_dump_field_round_trips_pancake(tmp_path, capsys):
+    cfg = write_config(tmp_path, "kind = pancake\nell = 3.0\nell_small = 1.5\ntarget_h = 0.05\n")
+    out = tmp_path / "res"
+    doc = experiments.run(experiments.parse_config_file(cfg, {"out": str(out)}))
+    assert doc["summary"]["all_passed"]
+    assert doc["artifacts"] == {"field_csv": str(out / "pancake_field.csv"),
+                                "field_npz": str(out / "pancake_field.npz")}
+    assert_field_archive(out / "pancake_field.npz")
+    dumped = tmp_path / "dumped.csv"
+    assert cli.main(["dump-field", str(out / "pancake_field.npz"), "--csv", str(dumped)]) == 0
+    assert dumped.read_bytes() == (out / "pancake_field.csv").read_bytes()
+
+
+def assert_field_archive(path):
+    """Both 3D kinds store the same keys, uncompressed."""
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(
+            ["r", "z", "f0", "f1", "f2", "h", "ell", "rho", "target_h"])
 
 
 def test_cli_dump_field_round_trips_a_complex_field(tmp_path, capsys):
