@@ -20,10 +20,10 @@ backward-Euler, the potential explicit with a convexity-stabilizing shift,
 and the constraint's nodal Lagrange multiplier carried explicitly so that
 discrete stationary points are exact fixed points -- followed by nodewise
 renormalization.  The increment is solved once per accepted state at one
-fixed step tau0 = step * 2**LADDER_MAX, so every step of a descent uses one
-LU factor.  delta solves an SPD system with the negative tangential
-gradient on the right, so it is a descent direction and a small enough step
-along it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
+fixed step tau0 = TAU0 = 0.2, so every step of a descent uses one LU
+factor.  delta solves an SPD system with the negative tangential gradient
+on the right, so it is a descent direction and a small enough step along
+it decreases the energy (Alouges, SIAM J. Numer. Anal. 34, 1997).
 `descend` takes one of two direction rules:
 
 - "ladder" (the radial front end): the candidates are f + alpha delta,
@@ -99,12 +99,13 @@ product 331 -> 227 us, force 1.27 -> 0.88 ms, grad W_tan 1.08 -> 0.81 ms,
 beta 384 -> 251 us, tangent projection 851 -> 688 us, the increment without
 its solve 1.18 -> 0.73 ms, a candidate 3.44 -> 3.12 ms.
 
-The LU factors belong to the Problem, keyed by tau0 and precision, so every
-descent on one Problem reuses them: the 3D solver runs the seeds of one
-cascade level on one shared Problem and drops it before the next level.
+The LU factors belong to the Problem, keyed by precision, so every descent
+on one Problem reuses them: the 3D solver runs the seeds of one cascade
+level on one shared Problem and drops it before the next level.
 
-`SolveOptions` is the one solver configuration: `descend` reads all four
-fields (step, max_iters, grad_tol, energy_tol).  The radial and meridian
+`SolveOptions` is the one solver configuration: `descend` reads both of
+its fields (max_iters, grad_tol).  The step TAU0 and the decrement
+tolerance ENERGY_TOL are constants of the engine.  The radial and meridian
 front ends (the radial one re-exports it as `radial2d.SolveOptions`) always
 run their cascade and lower only max_iters on its coarse levels.  A
 max_iters that is not a whole number raises ValueError when the options are
@@ -113,7 +114,6 @@ made.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -132,10 +132,17 @@ from .tensor_core import (
 #: Convexity-stabilization constant (upper bound scale for D^2 W on S^4).
 STAB_C = 4.0
 
-#: Top of the step ladder: the increment is solved at tau0 = step *
-#: 2**LADDER_MAX and scaled by alpha = 2**(ladder - LADDER_MAX), so a descent
-#: starts (ladder 0) at the effective step `step` and never exceeds tau0.
+#: Top of the step ladder: the increment is solved at TAU0 and scaled by
+#: alpha = 2**(ladder - LADDER_MAX), so a descent starts (ladder 0) at the
+#: effective step TAU0 / 2**LADDER_MAX = 0.1 and never exceeds TAU0.
 LADDER_MAX = 1
+
+#: The one step tau0 of the increment, under either direction rule.
+TAU0 = 0.2
+
+#: Relative energy decrement below which an accept triggers the flip sweep
+#: and the convergence test; energies that agree to it tie.
+ENERGY_TOL = 1e-13
 
 #: Backtracking along one direction ends once a rejected step (alpha on the
 #: ladder, a in the CG line search) is at most this.
@@ -143,24 +150,6 @@ MIN_STEP = 2.0**-12
 
 #: k^2 of the components f0, f1, f2 (their phases are 1, e^{i phi}, e^{2i phi}).
 K2 = np.array([0.0, 1.0, 4.0])
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
-
-
-def trim_heap() -> None:
-    """Hand the free pages of the C heap back to the system (glibc only).
-
-    glibc keeps the pages of a freed LU factor mapped, and small live blocks
-    allocated among them decide, by timing, whether the next factor can
-    reuse them.  Trimming after a whole Problem is freed makes the peak
-    resident size follow the live factors, not the heap layout.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
 
 def stack_fields(f0, f1, f2) -> np.ndarray:
     """The (3, n) state with rows f0, f1, f2 (raveled): real when f1 and f2
@@ -224,10 +213,10 @@ class Problem:
     mass: nodal weights of the L2(volume) pairing (zero on weightless rows).
     free: per-component index arrays of unknowns.  Every other dof is
         fixed: a descent keeps the value its initial state has there.
-    factors: LU factors of the shifted matrix over every free dof, keyed by
-        (tau0, precision) and shared by every descent on this Problem: one
-        for the descents of one step size and direction rule.  The
-        operators must not change once a factor is cached.
+    factors: LU factors of the shifted matrix at TAU0 over every free dof,
+        keyed by precision and shared by every descent on this Problem: one
+        for the descents of one direction rule.  The operators must not
+        change once a factor is cached.
 
     `free_dofs` and `fixed_dofs` are the dofs inside and outside `free`, as
     sorted flat indices into a raveled (3, n) state, and `free_mask` marks
@@ -290,9 +279,9 @@ class Problem:
         mat.data = mat.data.astype(dtype, copy=False)
         return mat
 
-    def factor(self, tau: float, dtype=np.float64):
-        """SuperLU factor of the shifted matrix at step tau, in precision
-        `dtype` (float64 or float32), keyed by (tau, dtype).
+    def factor(self, dtype=np.float64):
+        """SuperLU factor of the shifted matrix at step TAU0, in precision
+        `dtype` (float64 or float32), keyed by dtype.
 
         The matrix is SPD, so it is factored in symmetric mode with a
         minimum-degree ordering of A^T + A.  SuperLU's factorization
@@ -311,10 +300,10 @@ class Problem:
         6.15 -> 5.57 ms on the pancake's fine level, 24.9 -> 22.6 us in 2D
         at n = 513 (float64) and 9.4 us either way at n = 129.
         """
-        key = (tau, np.dtype(dtype))
+        key = np.dtype(dtype)
         if key not in self.factors:
             self.factors[key] = spla.splu(
-                self.shifted(tau, dtype),
+                self.shifted(TAU0, dtype),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
@@ -325,19 +314,17 @@ class Problem:
 
 @dataclass
 class SolveOptions:
-    """The one solver configuration: every field drives `descend`.
+    """The one solver configuration: both fields drive `descend`.
 
     The 2D and 3D front ends pass it through; their coarse cascade levels
     run on a copy with a smaller max_iters.
     """
 
-    step: float = 0.1
     max_iters: int = 20000
     grad_tol: float = 1e-5
-    energy_tol: float = 1e-13
 
     def __post_init__(self):
-        for name in ("step", "max_iters", "grad_tol", "energy_tol"):
+        for name in ("max_iters", "grad_tol"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
                 raise ValueError(f"solver option {name} must be a finite number, not {val!r}")
@@ -346,7 +333,7 @@ class SolveOptions:
             raise ValueError(
                 f"solver option max_iters must be a whole number, not {self.max_iters!r}")
         self.max_iters = int(self.max_iters)
-        if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0 or self.energy_tol <= 0:
+        if self.max_iters <= 0 or self.grad_tol <= 0:
             raise ValueError("solver options must be positive")
 
 
@@ -433,14 +420,14 @@ def _force(p: Problem, F, af, gw):
     return r
 
 
-def _semi_implicit(p: Problem, F, force, tau, dtype=np.float64):
-    """Increment delta at step tau, zero on fixed dofs; force from `_force`.
+def _semi_implicit(p: Problem, F, force, dtype=np.float64):
+    """Increment delta at step TAU0, zero on fixed dofs; force from `_force`.
     One solve gives all three components, in the precision `dtype` of the
     factor (`Problem.factor`); delta comes back in F's dtype."""
     delta = np.zeros_like(F)
     rhs = force[p.free_mask]
-    rhs *= tau
-    delta[p.free_mask] = _solve(p.factor(tau, dtype), rhs, dtype)
+    rhs *= TAU0
+    delta[p.free_mask] = _solve(p.factor(dtype), rhs, dtype)
     return delta
 
 
@@ -588,7 +575,6 @@ def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
     # None after a flip, which changes f0.
     beta = _beta(p, F)
     e = energy(p, F, af, beta)
-    tau0 = opts.step * 2.0**LADDER_MAX
     gw = delta = None
     ladder = 0
     grow = 0
@@ -598,7 +584,7 @@ def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
         if delta is None:
             if gw is None:
                 gw = _grad_w(p, F, beta)
-            delta = _semi_implicit(p, F, _force(p, F, af, gw), tau0)
+            delta = _semi_implicit(p, F, _force(p, F, af, gw))
         alpha = 2.0 ** (ladder - LADDER_MAX)
         v, av, bv, e_new = _candidate(p, F, alpha * delta, fixed_values)
         if _rejects(e_new, e):
@@ -614,7 +600,7 @@ def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
                     continue
                 if gradient_norm(p, F, af, gw) < opts.grad_tol:
                     return F, it, True
-                if alpha * tau0 < 1e-15:
+                if alpha * TAU0 < 1e-15:
                     raise RuntimeError("descent stalled: step size underflow")
             ladder -= 1
             continue
@@ -627,7 +613,7 @@ def _ladder(p: Problem, F, opts: SolveOptions, on_accept):
         if grow >= 8 and ladder < LADDER_MAX:
             ladder += 1
             grow = 0
-        if it % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
+        if it % 10 == 0 or decrement < ENERGY_TOL * max(1.0, abs(e)):
             F, nflips = _sweep(p, F, af)
             if nflips:
                 beta = None
@@ -647,7 +633,6 @@ def _cg(p: Problem, F, opts: SolveOptions, on_accept):
     af = stiffness_products(p, F)
     beta = _beta(p, F)
     e = energy(p, F, af, beta)
-    tau0 = opts.step * 2.0**LADDER_MAX
     gw = z = None
     # The last accepted direction's residual r, increment z and direction d,
     # for PR+; None restarts along z.
@@ -665,7 +650,7 @@ def _cg(p: Problem, F, opts: SolveOptions, on_accept):
             r.ravel()[p.fixed_dofs] = 0.0
             # The factor is only a preconditioner here: a float32 one solves
             # faster, and r = 0 still gives z = 0.
-            z = _tangent(F, _semi_implicit(p, F, r, tau0, np.float32))
+            z = _tangent(F, _semi_implicit(p, F, r, np.float32))
             d = z
             if last is not None:
                 # The last direction's arrays are projected and overwritten in
@@ -706,7 +691,7 @@ def _cg(p: Problem, F, opts: SolveOptions, on_accept):
                 continue
             if gradient_norm(p, F, af, gw) < opts.grad_tol:
                 return F, it, True
-            if a * tau0 < 1e-15:
+            if a * TAU0 < 1e-15:
                 raise RuntimeError("descent stalled: step size underflow")
             a *= 0.5
             continue
@@ -717,7 +702,7 @@ def _cg(p: Problem, F, opts: SolveOptions, on_accept):
         a_start = min(1.5 * a, 4.0)
         accepted += 1
         on_accept(it, e)
-        if accepted % 10 == 0 or decrement < opts.energy_tol * max(1.0, abs(e)):
+        if accepted % 10 == 0 or decrement < ENERGY_TOL * max(1.0, abs(e)):
             F, nflips = _sweep(p, F, af)
             if nflips:
                 beta = last = None

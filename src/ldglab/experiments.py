@@ -24,6 +24,7 @@ import numpy as np
 from . import closed_forms as cf
 from . import meridian3d as m3
 from . import radial2d as r2
+from .descent import ENERGY_TOL
 from .profiles import RadialProfile, profile_from_map, uniform_grid
 
 VERSION = "artifact-0.1.0"
@@ -61,22 +62,22 @@ class ExperimentConfig:
                 params[key] = values  # a list key given one value is a one-element list
             elif isinstance(val, list):
                 raise ValueError(f"{key} takes one value, not {val!r}")
-            if key not in ("step", "max_iters"):  # SolveOptions checks these two
+            if key != "max_iters":  # SolveOptions checks it
                 test, message = _RULES.get((self.kind, key), _RULES[key])
                 for v in values:
                     if not test(v):
                         raise ValueError(message.format(key=key, val=v))
         self.params = params
-        if params.get("lambdas", []) != sorted(params.get("lambdas", [])):
-            raise ValueError("lambdas must be sorted")
-        if "lambdas" in params and {"lambda_max", "count"} & params.keys():
-            raise ValueError("lambdas replaces the default sweep: set lambdas or "
-                             "lambda_max and count, not both")
         # Every width of the kind's cylinder must fit its h and rho.
         for key in ("ell", "ell_small", "ells"):
             if key in self.defaults:
                 for ell in self.get(key) if key == "ells" else [self.get(key)]:
                     m3.check_shape(self.get("h"), ell, self.get("rho"))
+        # The shape-sweep checks read the first and last widths as the
+        # smallest and largest, and bracket neighbouring widths.
+        ells = params.get("ells", [])
+        if any(b <= a for a, b in zip(ells, ells[1:])):
+            raise ValueError(f"ells must be strictly increasing, not {ells!r}")
         self.opts = r2.SolveOptions(**{key: self.get(key) for key in _SOLVER_KEYS})
 
     def get(self, key):
@@ -86,12 +87,12 @@ class ExperimentConfig:
 
 
 #: The keys that hold a list of values.
-_LIST_KEYS = ("lambdas", "ells")
+_LIST_KEYS = ("ells",)
 
-#: The keys every kind reads: the four solver options, with the defaults of
+#: The keys every kind reads: the two solver options, with the defaults of
 #: `SolveOptions`, and `seed` and `workers`, which perfbench/child.py passes
 #: to every workload.
-_SOLVER_KEYS = ("step", "max_iters", "grad_tol", "energy_tol")
+_SOLVER_KEYS = ("max_iters", "grad_tol")
 _SHARED = {**{key: getattr(r2.SolveOptions, key) for key in _SOLVER_KEYS}, "seed": 0, "workers": 1}
 
 
@@ -110,8 +111,8 @@ def _at_least_zero(val) -> bool:
     return _finite(val) and val >= 0
 
 
-_TOLERANCE = (lambda val: not isinstance(val, bool) and isinstance(val, (int, float)) and val > 0,
-              "tolerance {key} must be a positive number")
+_TOLERANCE = (lambda val: _finite(val) and val > 0,
+              "tolerance {key} must be a positive number, not {val!r}")
 _COUPLING = (_at_least_zero, "coupling {key} must be a finite number >= 0, not {val!r}")
 _LENGTH = (lambda val: _finite(val) and val > 0, "{key} must be a finite number > 0, not {val!r}")
 
@@ -121,15 +122,14 @@ _LENGTH = (lambda val: _finite(val) and val > 0, "{key} must be a finite number 
 #: 5 nodes and `isotropy_residual` 9, and verify-closed-forms also solves on
 #: (grid - 1) // 2 + 1 nodes.
 _RULES = {
-    "tol": _TOLERANCE, "grad_tol": _TOLERANCE, "energy_tol": _TOLERANCE,
-    "lambda": _COUPLING, "lambda_max": _COUPLING, "lambdas": _COUPLING,
+    "tol": _TOLERANCE, "grad_tol": _TOLERANCE,
+    "lambda": _COUPLING, "lambda_max": _COUPLING,
     "noise": (_at_least_zero, "noise must be a finite number >= 0, not {val!r}"),
     "h": _LENGTH, "ell": _LENGTH, "rho": _LENGTH, "ell_small": _LENGTH, "ells": _LENGTH,
     "target_h": _LENGTH,
     "grid": _integer(5), ("verify-closed-forms", "grid"): _integer(9),
     "conformality_grid": _integer(9), "count": _integer(1), "seed": _integer(0),
     "workers": _integer(1),
-    "richardson": (lambda val: val in (True, False), "richardson must be true or false"),
 }
 
 
@@ -369,11 +369,8 @@ def _run_gap_2d(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 
 
 def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
-    lambdas = config.get("lambdas")
-    if lambdas is None:
-        lambdas = list(np.linspace(0.0, config.get("lambda_max"), config.get("count")))
-    richardson = bool(config.get("richardson"))
-    rows = r2.energy_curve(lambdas, config.opts, n=config.get("grid"), richardson=richardson)
+    lambdas = np.linspace(0.0, config.get("lambda_max"), config.get("count"))
+    rows = r2.energy_curve(lambdas, config.opts, n=config.get("grid"))
 
     csv_path = out_dir / "escape_sweep.csv"
     with open(csv_path, "w") as fh:
@@ -405,7 +402,7 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     env.add_run(rid, {"count": len(rows)})
     env.check("all rows valid", valid, "True", valid, rid)
     slow = [float(row.lam) for row in rows
-            if row.valid and not (row.converged and row.fine_converged is not False)]
+            if row.valid and not (row.converged and row.fine_converged)]
     env.check("winning class-S solves converged", slow, "none unconverged", not slow, rid)
     if len(rows) >= 2:
         env.check(
@@ -485,7 +482,7 @@ def _dual_seed_solve(geom, lam, opts):
     # goes to the first seed in SEEDS order: the split seed.
     low = min(res.energy for res in results.values())
     best = next(res for res in results.values()
-                if res.energy - low <= opts.energy_tol * max(1.0, abs(low)))
+                if res.energy - low <= ENERGY_TOL * max(1.0, abs(low)))
     return best, results
 
 
@@ -709,13 +706,13 @@ def _find_coexistence(rows, h, rho, lam, th, opts, env):
 
 #: Each kind's body, called as body(config, env, out_dir), and the keys it
 #: reads besides the `_SHARED` ones, with their defaults.  A 3D kind's
-#: defaults are its cylinder; `lambdas` unset means `count` values from 0 to
+#: defaults are its cylinder; escape-sweep sweeps `count` values from 0 to
 #: `lambda_max`.
 _RUNNERS = {
     "verify-closed-forms": (_run_verify_closed_forms, {"grid": 2049, "conformality_grid": 257}),
     "gap-2d": (_run_gap_2d, {"grid": 2049, "noise": 0.01}),
     "escape-sweep": (_run_escape_sweep, {
-        "grid": 1025, "lambdas": None, "lambda_max": 114.0, "count": 20, "richardson": True,
+        "grid": 1025, "lambda_max": 114.0, "count": 20,
     }),
     "lambda-star": (_run_lambda_star, {"grid": 1025, "tol": 0.5}),
     "cigar": (_run_cigar, {"h": 8.0, "ell": 0.6, "rho": 0.2, "target_h": 0.015, "lambda": 1.0}),

@@ -497,9 +497,8 @@ def minimize_seeds(
     mask first, with a third of the iteration budget (at least 500), then
     every seed's descent on `geom` from the transferred fields.  The seeds
     of one level share one Problem and so its LU factors; each level's
-    Problem is dropped, and its pages are handed back to the system, before
-    the next level factors anything.  A result's iterations count the
-    descents of both levels.
+    Problem is dropped before the next level factors anything.  A result's
+    iterations count the descents of both levels.
     """
     opts = opts or SolveOptions()
     coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
@@ -508,9 +507,7 @@ def minimize_seeds(
         coarse, lam, fields, replace(opts, max_iters=max(500, opts.max_iters // 3))
     )
     fields = {name: interp_field(res.field, geom) for name, res in pre.items()}
-    descent.trim_heap()
     results = _minimize_level(geom, lam, fields, opts)
-    descent.trim_heap()
     for name, res in results.items():
         res.seed_name = name
         res.iterations += pre[name].iterations

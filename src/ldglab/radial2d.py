@@ -360,9 +360,9 @@ class CurveRow:
     #: 'uS', 'bubbled'), or 'row' for the error that invalidated the row.
     failures: tuple[tuple[str, str], ...] = ()
     #: Whether the winning class-S solve converged, and whether its
-    #: Richardson partner on the fine grid did (None without Richardson).
+    #: Richardson partner on the fine grid did.
     converged: bool = False
-    fine_converged: bool | None = None
+    fine_converged: bool = False
 
 
 def _best_class_s(lam, grid, opts, warm: RadialProfile | None):
@@ -400,37 +400,29 @@ def energy_curve(
     lambdas,
     opts: SolveOptions | None = None,
     n: int = 1025,
-    richardson: bool = True,
 ) -> list[CurveRow]:
     """e*_lam (class-S minimum) and e_lam = min(6 pi, e*_lam) along a sweep.
 
     Ascends the sorted lambda values with warm starts, also trying the
-    canonical inits at every point and keeping the lowest energy.  With
-    richardson=True each e* is extrapolated from grids (n, 2n-1); the
-    fine solve starts from the winning n-grid profile and descends on the
-    fine grid alone (cascade=False).  Each row records whether both solves
-    converged.
+    canonical inits at every point and keeping the lowest energy.  Each e*
+    is Richardson-extrapolated from grids (n, 2n-1); the fine solve starts
+    from the winning n-grid profile and descends on the fine grid alone
+    (cascade=False).  Each row records whether both solves converged.
     """
     opts = opts or SolveOptions()
     lambdas = list(lambdas)
     if any(l < 0 for l in lambdas) or sorted(lambdas) != lambdas:
         raise ValueError("lambda values must be sorted and nonnegative")
     grid_c = uniform_grid(n)
-    grid_f = uniform_grid(2 * n - 1) if richardson else None
+    grid_f = uniform_grid(2 * n - 1)
     rows: list[CurveRow] = []
     warm = None
     for lam in lambdas:
         try:
             res, failures, _ = _best_class_s(lam, grid_c, opts, warm)
             warm = res.profile
-            estar = res.energy
-            fine_converged = None
-            if richardson:
-                res_f = minimize_2d(
-                    lam, "S", res.profile.interp_to(grid_f), opts, cascade=False
-                )
-                estar = (4.0 * res_f.energy - res.energy) / 3.0
-                fine_converged = res_f.converged
+            res_f = minimize_2d(lam, "S", res.profile.interp_to(grid_f), opts, cascade=False)
+            estar = (4.0 * res_f.energy - res.energy) / 3.0
             e = min(SIX_PI, estar)
             if estar <= SIX_PI:
                 bmin, bmax, gclass = res.beta_min, res.beta_max, "S"
@@ -440,7 +432,7 @@ def energy_curve(
             rows.append(
                 CurveRow(
                     lam, estar, e, bmin, bmax, gclass, True, failures,
-                    converged=res.converged, fine_converged=fine_converged,
+                    converged=res.converged, fine_converged=res_f.converged,
                 )
             )
         except RuntimeError as exc:

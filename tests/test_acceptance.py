@@ -68,7 +68,7 @@ def gap_runs():
 @pytest.fixture(scope="module")
 def curve_rows():
     lams = list(np.linspace(0.0, 114.0, 20))
-    return r2.energy_curve(lams, OPTS, n=1025, richardson=True)
+    return r2.energy_curve(lams, OPTS, n=1025)
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,7 @@ Groups:
     included, factors one matrix, in float32 under CG and float64 under the
     ladder, and solves each increment in one call; the float32 increment
     matches the float64 one on real and complex states; factors live on
-    the Problem, keyed by tau and precision, so descents with different
-    step sizes can share one Problem.  Every solve of a descent is
+    the Problem, keyed by precision.  Every solve of a descent is
     SuperLU's transposed solve, which on the symmetric shifted matrix
     equals the plain one to roundoff.
  5. Flip sweeps refresh the carried products and signed biaxiality: after
@@ -144,12 +143,14 @@ def reference_step(p, fields, tau):
     return out[0].real, out[1], out[2]
 
 
-def increment_step(p, fields, ladder, step=0.1):
-    """The candidate f + delta at tau = step * 2**ladder, before renormalization."""
+def increment_step(p, fields, ladder):
+    """The ladder's candidate f + alpha delta at rung `ladder`, alpha =
+    2**(ladder - LADDER_MAX), before renormalization."""
     F = stack_fields(*fields)
     af = descent.stiffness_products(p, F)
     force = descent._force(p, F, af, descent._grad_w(p, F))
-    return components(F + descent._semi_implicit(p, F, force, step * 2.0**ladder))
+    alpha = 2.0 ** (ladder - descent.LADDER_MAX)
+    return components(F + alpha * descent._semi_implicit(p, F, force))
 
 
 def per_component_step(p, fields, tau):
@@ -268,7 +269,8 @@ def test_increment_step_matches_full_rhs_reference(case, ladder):
     p, fields = case()
     assert np.any(fields[1].imag != 0.0)  # the 2-column solve is exercised
     got = increment_step(p, fields, ladder)
-    want = reference_step(p, fields, 0.1 * 2.0**ladder)
+    alpha = 2.0 ** (ladder - descent.LADDER_MAX)
+    want = [f + alpha * (v - f) for f, v in zip(fields, reference_step(p, fields, descent.TAU0))]
     assert got[0].dtype == float
     assert rel_diff(got, want) < 1e-12
     # The step moves the state: the comparison is not between two copies of f.
@@ -282,8 +284,8 @@ def test_stacked_step_matches_the_per_component_step(case):
     assert F.dtype == (float if case == "real" else complex)
     af = descent.stiffness_products(p, F)
     gw = descent._grad_w(p, F)
-    got = descent._semi_implicit(p, F, descent._force(p, F, af, gw), 0.2)
-    want = per_component_step(p, fields, 0.2)
+    got = descent._semi_implicit(p, F, descent._force(p, F, af, gw))
+    want = per_component_step(p, fields, descent.TAU0)
     for c in range(3):
         assert rel_err(got[c], want[c]) <= 1e-14, c
         assert rel_err(af[c], stiffness(p, c) @ fields[c]) <= 1e-14, c
@@ -340,7 +342,7 @@ def test_stationary_state_is_a_fixed_point(value, lam, direction):
     assert descent.gradient_norm(p, F) < 1e-12
     if lam == 0.0:
         assert np.max(np.abs(descent.stiffness_products(p, F)[1])) > 1.0
-    for ladder in (0, 6):
+    for ladder in (0, descent.LADDER_MAX):
         step = increment_step(p, fields, ladder)
         assert rel_diff(projected(p, step), fields) < 1e-13
     out, _, converged = descent.descend(p, fields, descent.SolveOptions(max_iters=30),
@@ -491,7 +493,7 @@ def test_a_descent_factors_one_matrix(monkeypatch, direction):
     assert len(set(accepted)) > 16 and len(evaluations) - len(accepted) > 16
     assert factored == [(p.free_dofs.size, precision)]
     assert p.free_dofs.size == sum(f.size for f in p.free)
-    assert list(p.factors) == [(0.1 * 2.0**descent.LADDER_MAX, precision)]
+    assert list(p.factors) == [precision]
     # One solve per increment, over every free dof at once.
     assert solve_sizes and set(solve_sizes) == {p.free_dofs.size}
     assert len(solve_sizes) <= iters
@@ -502,17 +504,17 @@ def test_the_float32_increment_matches_the_float64_one(case):
     p, fields = case()
     F = stack_fields(*fields)
     force = descent._force(p, F, descent.stiffness_products(p, F), descent._grad_w(p, F))
-    want = descent._semi_implicit(p, F, force, 0.2)
-    got = descent._semi_implicit(p, F, force, 0.2, np.float32)
+    want = descent._semi_implicit(p, F, force)
+    got = descent._semi_implicit(p, F, force, np.float32)
     assert got.dtype == want.dtype == F.dtype
     if F.dtype == complex:
         assert np.any(got.imag != 0.0)  # the 2-column solve is exercised
     assert 0.0 < rel_diff(got, want) < 1e-6
     assert not got.ravel()[p.fixed_dofs].any()
     # Two factors of the one matrix, one per precision.
-    assert sorted(p.factors, key=str) == [(0.2, np.dtype(np.float32)), (0.2, np.dtype(np.float64))]
+    assert sorted(p.factors, key=str) == [np.dtype(np.float32), np.dtype(np.float64)]
     # The float32 factor is still exact at a zero force: r = 0 gives z = 0.
-    assert not descent._semi_implicit(p, F, np.zeros_like(force), 0.2, np.float32).any()
+    assert not descent._semi_implicit(p, F, np.zeros_like(force), np.float32).any()
 
 
 def plain_solve(fac, rhs, dtype):
@@ -533,11 +535,11 @@ def test_the_transposed_solve_is_the_plain_solve(case, dtype, tol):
     p, fields = case()
     F = stack_fields(*fields)
     force = descent._force(p, F, descent.stiffness_products(p, F), descent._grad_w(p, F))
-    rhs = 0.2 * force[p.free_mask]
+    rhs = descent.TAU0 * force[p.free_mask]
     # The shifted matrix is exactly symmetric, so A^T x = b is A x = b.
-    mat = p.shifted(0.2, dtype)
+    mat = p.shifted(descent.TAU0, dtype)
     assert (mat != mat.T).nnz == 0
-    fac = p.factor(0.2, dtype)
+    fac = p.factor(dtype)
     got, want = descent._solve(fac, rhs, dtype), plain_solve(fac, rhs, dtype)
     assert got.dtype == want.dtype
     assert np.any(got.imag) == (F.dtype == complex)  # the 2-column solve too
@@ -571,21 +573,6 @@ def test_every_solve_of_a_descent_is_transposed(monkeypatch, case, direction):
     assert {cols for _, cols in calls} == ({(2,)} if case is meridian_case else {()})
 
 
-def test_descents_with_different_steps_share_one_problem():
-    p, fields = meridian_case()
-    shared = [descent.descend(p, fields, descent.SolveOptions(step=step, max_iters=60),
-                              direction="ladder")
-              for step in (0.1, 0.05, 0.1)]
-    assert p.factors
-    for step, got in zip((0.1, 0.05, 0.1), shared):
-        fresh, _ = meridian_case()
-        want = descent.descend(fresh, fields, descent.SolveOptions(step=step, max_iters=60),
-                               direction="ladder")
-        assert got[1:] == want[1:]
-        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
-    assert rel_diff(shared[0][0], shared[1][0]) > 1e-8
-
-
 def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
     p, fld = meridian_split_seed()
     f0, f1, f2 = fld.f0.ravel().copy(), fld.f1.ravel(), fld.f2.ravel()
@@ -612,12 +599,12 @@ def test_deep_backtracking_flip_refreshes_carried_products(monkeypatch):
         fresh(F, af, gw)
         return force(p, F, af, gw)
 
-    def rising_step(p, F, force, tau):
+    def rising_step(p, F, force):
         # Until the deep-backtracking flip, every candidate flips another
         # axis node, which raises the energy: each rung is rejected.  The
         # increment reverses that node for every alpha above 2**-21.
         if state["deep_flips"]:
-            return semi_implicit(p, F, force, tau)
+            return semi_implicit(p, F, force)
         delta = np.zeros_like(F)
         delta[0, other] = -(2.0**21) * F[0, other]
         return delta
@@ -671,7 +658,7 @@ def test_real_and_complex_arrays_give_the_same_step():
             "energy": [descent.energy(p, F)],
             "grad_w": gw,
             "force": force,
-            "step": descent._semi_implicit(p, F, force, 0.2),
+            "step": descent._semi_implicit(p, F, force),
             "gradient": descent.riemannian_gradient(p, F),
         }
     for key, got in out["real"].items():
@@ -854,11 +841,11 @@ def ref_force(p, F, af, gw):
     return r
 
 
-def ref_semi_implicit(p, F, force, tau, dtype=np.float64):
+def ref_semi_implicit(p, F, force, dtype=np.float64):
     """The increment gathered and scattered through the index array."""
     delta = np.zeros_like(F)
-    rhs = tau * force.ravel()[p.free_dofs]
-    delta.ravel()[p.free_dofs] = descent._solve(p.factor(tau, dtype), rhs, dtype)
+    rhs = descent.TAU0 * force.ravel()[p.free_dofs]
+    delta.ravel()[p.free_dofs] = descent._solve(p.factor(dtype), rhs, dtype)
     return delta
 
 
@@ -901,8 +888,8 @@ def test_lean_helpers_match_the_reference_formulas(case, real):
     }
     for dtype in (np.float64, np.float32):
         pairs[f"increment {np.dtype(dtype)}"] = (
-            descent._semi_implicit(p, F, force, 0.2, dtype),
-            ref_semi_implicit(p, F, want_force, 0.2, dtype))
+            descent._semi_implicit(p, F, force, dtype),
+            ref_semi_implicit(p, F, want_force, dtype))
     pairs["gradient"][1].ravel()[p.fixed_dofs] = 0.0
     for name, (got, want) in pairs.items():
         assert got.dtype == want.dtype, name

@@ -34,15 +34,15 @@ def test_parse_config(tmp_path):
         tmp_path,
         """
         # comment
-        kind = escape-sweep
-        grid = 257        # inline comment
-        lambdas = 0.0, 5.0, 10.0
+        kind = shape-sweep
+        workers = 2        # inline comment
+        ells = 0.6, 1.5, 3.0
         """,
     )
     cfg = experiments.parse_config_file(path, overrides={"seed": 3})
-    assert cfg.kind == "escape-sweep"
-    assert cfg.params["grid"] == 257
-    assert cfg.params["lambdas"] == [0.0, 5.0, 10.0]
+    assert cfg.kind == "shape-sweep"
+    assert cfg.params["workers"] == 2
+    assert cfg.params["ells"] == [0.6, 1.5, 3.0]
     assert experiments._parse_value("quick") == "quick"
     assert cfg.params["seed"] == 3
 
@@ -71,7 +71,7 @@ def test_every_shipped_config_takes_the_benchmark_overrides(tmp_path, kind):
     cfg = experiments.parse_config_file(path, overrides)
     assert cfg.kind == kind and cfg.output_dir == str(tmp_path)
     # The envelope's params record what was set, not the defaults.
-    assert "step" not in cfg.params and cfg.get("step") == 0.1
+    assert "max_iters" not in cfg.params and cfg.get("max_iters") == 20000
 
 
 @pytest.mark.parametrize(
@@ -82,6 +82,11 @@ def test_every_shipped_config_takes_the_benchmark_overrides(tmp_path, kind):
         ("pancake", "ring_eps=0.05"),
         ("verify-closed-forms", "bubble_radius=50"),
         ("lambda-star", "margin=2"),
+        # Settings that the solver and the sweep no longer take (lambdas:
+        # see test_cli_bad_size_seed_or_noise_is_a_config_error).
+        ("gap-2d", "step=0.05"),
+        ("lambda-star", "energy_tol=1e-12"),
+        ("escape-sweep", "richardson=false"),
     ],
 )
 def test_cli_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, kind, setting):
@@ -94,13 +99,13 @@ def test_cli_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, kind
 
 
 def test_parse_booleans(tmp_path):
-    # A config's "false" must arrive as False: any other word is rejected as
-    # a `richardson` value.
+    # A config's "false" arrives as False, which no number key takes.
     assert experiments._parse_value("false") is False
     assert experiments._parse_value("False") is False
     assert experiments._parse_value("TRUE") is True
-    path = write_config(tmp_path, "kind = escape-sweep\nrichardson = false\n")
-    assert experiments.parse_config_file(path).params["richardson"] is False
+    path = write_config(tmp_path, "kind = gap-2d\nnoise = false\n")
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0, not False"):
+        experiments.parse_config_file(path)
 
 
 def test_output_root_env(tmp_path, monkeypatch):
@@ -145,7 +150,7 @@ def test_gap2d_envelope_and_determinism(tmp_path):
 def test_escape_sweep_small(tmp_path):
     cfg = experiments.ExperimentConfig(
         "escape-sweep",
-        {"lambdas": [0.0, 15.0, 30.0], "grid": 257, "richardson": 0},
+        {"lambda_max": 30.0, "count": 3, "grid": 257},
         str(tmp_path),
     )
     doc = experiments.run(cfg)
@@ -423,7 +428,7 @@ def test_unconverged_solves_show_in_the_envelopes(tmp_path, monkeypatch):
     def checks(doc):
         return {c["name"]: c for c in doc["summary"]["checks"]}
 
-    sweep = {"lambdas": [0.0, 15.0], "grid": 65}
+    sweep = {"lambda_max": 15.0, "count": 2, "grid": 65}
     doc = experiments.run(experiments.ExperimentConfig("escape-sweep", sweep, str(tmp_path / "a")))
     assert checks(doc)["winning class-S solves converged"]["passed"]
 
@@ -456,10 +461,9 @@ def test_unconverged_solves_show_in_the_envelopes(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ("step=abc", "solver option step must be a finite number"),
         ("max_iters=1.5e3x", "solver option max_iters must be a finite number"),
         ("max_iters=0", "solver options must be positive"),
-        ("richardson=no", "richardson must be true or false"),
+        ("grad_tol=inf", "tolerance grad_tol must be a positive number, not inf"),
     ],
 )
 def test_cli_bad_solver_value_is_a_config_error(tmp_path, capsys, setting, message):
@@ -476,8 +480,7 @@ def test_cli_bad_solver_value_is_a_config_error(tmp_path, capsys, setting, messa
         ("kind = pancake\n", "lambda=-0.5"),
         ("kind = shape-sweep\n", "lambda=nan"),
         ("kind = escape-sweep\ngrid = 33\n", "lambda_max=-114"),
-        ("kind = escape-sweep\ngrid = 33\n", "lambdas=0,-2,4"),
-        ("kind = escape-sweep\ngrid = 33\n", "lambdas=0,inf"),
+        ("kind = escape-sweep\ngrid = 33\n", "lambda_max=inf"),
     ],
 )
 def test_cli_negative_lambda_is_a_config_error(tmp_path, capsys, body, setting):
@@ -525,6 +528,10 @@ def test_dual_seed_solve_ties_within_the_energy_tolerance(monkeypatch, split_gap
         ("kind = escape-sweep\ngrid = 33\n", "count=0", "count must be an integer >= 1"),
         ("kind = escape-sweep\ngrid = 33\n", "count=-3", "count must be an integer >= 1"),
         ("kind = escape-sweep\ngrid = 33\n", "count=2.5", "count must be an integer >= 1"),
+        ("kind = shape-sweep\n", "ells=12,0.6,1.5",
+         "ells must be strictly increasing, not [12, 0.6, 1.5]"),
+        ("kind = shape-sweep\n", "ells=0.6,1.5,1.5",
+         "ells must be strictly increasing, not [0.6, 1.5, 1.5]"),
     ],
 )
 def test_cli_bad_lattice_or_count_is_a_config_error(tmp_path, capsys, body, setting, message):
@@ -581,11 +588,13 @@ def test_unset_geometry_keys_take_the_kinds_cylinder():
         ("kind = shape-sweep\n", "workers=0", "workers must be an integer >= 1, not 0"),
         ("kind = gap-2d\n", "noise=-1", "noise must be a finite number >= 0, not -1"),
         ("kind = gap-2d\n", "noise=nan", "noise must be a finite number >= 0, not nan"),
-        ("kind = escape-sweep\n", "lambdas=10,5", "lambdas must be sorted"),
+        ("kind = lambda-star\n", "tol=inf", "tolerance tol must be a positive number, not inf"),
+        # The sweep is always `count` values from 0 to `lambda_max`: a lambdas
+        # list, sorted or not, with or without those keys, is an unknown key.
+        ("kind = escape-sweep\n", "lambdas=10,5", "escape-sweep reads no key 'lambdas'"),
         ("kind = escape-sweep\nlambda_max = 50\n", "lambdas=0,5",
-         "lambdas replaces the default sweep: set lambdas or lambda_max and count, not both"),
-        ("kind = escape-sweep\ncount = 7\n", "lambdas=0,5",
-         "lambdas replaces the default sweep: set lambdas or lambda_max and count, not both"),
+         "escape-sweep reads no key 'lambdas'"),
+        ("kind = escape-sweep\ncount = 7\n", "lambdas=0,5", "escape-sweep reads no key 'lambdas'"),
     ],
 )
 def test_cli_bad_size_seed_or_noise_is_a_config_error(tmp_path, capsys, body, setting, message):
@@ -594,16 +603,6 @@ def test_cli_bad_size_seed_or_noise_is_a_config_error(tmp_path, capsys, body, se
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
-
-
-def test_scalar_lambdas_is_a_one_element_sweep(tmp_path):
-    params = {"lambdas": 5.0, "grid": 33, "richardson": False, "max_iters": 300}
-    cfg = experiments.ExperimentConfig("escape-sweep", params, str(tmp_path))
-    assert cfg.params["lambdas"] == [5.0] and params["lambdas"] == 5.0
-    doc = experiments.run(cfg)
-    rows = list(csv.reader((tmp_path / "escape_sweep.csv").read_text().splitlines()))
-    assert len(rows) == 2 and float(rows[1][0]) == 5.0
-    assert doc["summary"]["checks"]
 
 
 def test_scalar_ells_is_a_one_point_shape_sweep(tmp_path):

@@ -25,8 +25,8 @@ Groups:
     subnormals and non-finite values; shape validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
     for bit, factor one matrix per level, once, and drop the coarse Problem
-    before the fine level factors anything, trimming the heap after each
-    level; a seed's iterations count both levels.
+    before the fine level factors anything; a seed's iterations count both
+    levels.
 """
 
 import csv
@@ -727,24 +727,6 @@ def test_coarse_problem_is_dropped_before_the_fine_level(monkeypatch):
     assert any(level == "coarse" for level, _ in log.problems)
     assert any(level == "fine" for level, _ in log.keys)
     assert log.coarse_alive_at_fine == []
-
-
-def test_heap_is_trimmed_after_each_level_is_freed(monkeypatch):
-    g = small_cigar()
-    log = FactorLog(monkeypatch, levels_of(g))
-    trims = []  # (fine factorizations so far, levels of the live Problems)
-
-    def recording_trim():
-        fine = sum(1 for level, _ in log.keys if level == "fine")
-        trims.append((fine, [lv for lv, p in log.problems if p() is not None]))
-
-    monkeypatch.setattr(descent, "trim_heap", recording_trim)
-    m3.minimize_seeds(g, 1.0, SEEDS, OPTS)
-    fine_total = sum(1 for level, _ in log.keys if level == "fine")
-    assert fine_total > 0
-    # Once before the fine level factors anything and once after it, each
-    # time with no Problem alive.
-    assert trims == [(0, []), (fine_total, [])]
 
 
 def test_seed_iterations_count_both_levels(monkeypatch):

@@ -173,7 +173,7 @@ def test_class_preservation_at_zero_lambda():
 
 def test_energy_curve_coarse():
     lambdas = [0.0, 10.0, 20.0, 30.0]
-    rows = r2.energy_curve(lambdas, r2.SolveOptions(), n=257, richardson=False)
+    rows = r2.energy_curve(lambdas, r2.SolveOptions(), n=257)
     est = [row.estar for row in rows]
     assert all(row.valid for row in rows)
     assert est[0] == pytest.approx(TWO_PI, abs=5e-3)
@@ -188,7 +188,7 @@ def test_energy_curve_coarse():
 
 def test_energy_curve_records_failed_inits(monkeypatch):
     lambdas = [0.0, 10.0]
-    clean = r2.energy_curve(lambdas, n=129, richardson=False)
+    clean = r2.energy_curve(lambdas, n=129)
     solve = r2.minimize_2d
 
     def failing(lam, class_tag, init, *args, **kwargs):
@@ -198,14 +198,14 @@ def test_energy_curve_records_failed_inits(monkeypatch):
 
     failing.inits = ("bubbled",)
     monkeypatch.setattr(r2, "minimize_2d", failing)
-    rows = r2.energy_curve(lambdas, n=129, richardson=False)
+    rows = r2.energy_curve(lambdas, n=129)
     # At weak coupling 'bubbled' only ever ties the other inits.
     assert [row.estar for row in rows] == pytest.approx([row.estar for row in clean], rel=1e-12)
     assert all(row.failures == (("bubbled", "no bubbled"),) for row in rows)
     assert all(row.failures == () for row in clean)
     # With every init failing, the row is invalid and carries the reasons.
     failing.inits = ("uS", "bubbled")
-    (row,) = r2.energy_curve([0.0], n=129, richardson=False)
+    (row,) = r2.energy_curve([0.0], n=129)
     assert not row.valid
     ((name, message),) = row.failures
     assert name == "row" and "no uS" in message and "no bubbled" in message
@@ -228,7 +228,7 @@ def test_warm_starts_descend_on_their_own_grid(monkeypatch):
 
     monkeypatch.setattr(r2, "minimize_2d", labelled)
     monkeypatch.setattr(r2, "_descend", recording)
-    rows = r2.energy_curve([0.0, 6.0], n=257, richardson=True)
+    rows = r2.energy_curve([0.0, 6.0], n=257)
     assert all(row.valid for row in rows)
     assert calls == [
         ("uS", [129, 257]), ("bubbled", [129, 257]), (513, [513]),
@@ -249,12 +249,11 @@ def test_unconverged_solves_are_recorded(monkeypatch):
         out, it, _ = step(prof, *args)
         return out, it, False
 
-    clean = r2.energy_curve([0.0, 6.0], n=129, richardson=True)
+    clean = r2.energy_curve([0.0, 6.0], n=129)
     assert all(row.converged and row.fine_converged for row in clean)
-    assert all(row.fine_converged is None for row in r2.energy_curve([0.0], n=129, richardson=False))
 
     monkeypatch.setattr(r2, "_descend", unconverged)
-    rows = r2.energy_curve([0.0, 6.0], n=129, richardson=True)
+    rows = r2.energy_curve([0.0, 6.0], n=129)
     # Unconverged is not failed: the rows stay valid and keep their energies.
     assert [row.estar for row in rows] == [row.estar for row in clean]
     assert all(row.valid and not row.converged and row.fine_converged is False for row in rows)
@@ -414,7 +413,7 @@ def test_second_variation_rejects_nonstationary():
 
 def test_solve_options_validation():
     with pytest.raises(ValueError):
-        r2.SolveOptions(step=-1.0)
+        r2.SolveOptions(grad_tol=-1.0)
     with pytest.raises(ValueError):
         r2.SolveOptions(max_iters=0)
     # A max_iters with a fraction is refused, not truncated; a whole float,
