@@ -3,14 +3,14 @@
 Modules:
   tensor_core  -- admissible-tensor algebra in R + C + C coordinates
   closed_forms -- explicit harmonic maps, tangent maps, verifiers
-  profiles     -- radial profile container and grids
+  profiles     -- radial profile container, grids and the CSV dialect
   radial2d     -- constrained 2D minimizer, energy curves, escape threshold
   meridian3d   -- axisymmetric 3D solver, classification, diagnostics
   experiments  -- canned experiment drivers and result envelopes
   cli          -- `ldglab` command-line entry point
 """
 
-from .profiles import RadialProfile, log_graded_grid, profile_from_map, uniform_grid
+from .profiles import RadialProfile, profile_from_map, uniform_grid
 from .tensor_core import UVector, beta_tilde, det_q, grad_w_tangential, potential_w, q_to_u, u_to_q
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "beta_tilde",
     "det_q",
     "grad_w_tangential",
-    "log_graded_grid",
     "potential_w",
     "profile_from_map",
     "q_to_u",

@@ -16,9 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
+from .meridian3d import MeridianField
 
 
 def _parse_set(pairs):
@@ -75,28 +74,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "dump-field":
-        from .meridian3d import MeridianField, build_geometry
-
         try:
-            with np.load(args.result) as data:
-                # Files written before target_h was stored carry only the r-spacing.
-                th = data["target_h"] if "target_h" in data else data["r"][1] - data["r"][0]
-                shape = (float(data["h"]), float(data["ell"]), float(data["rho"]))
-                fields = [data[key] for key in ("f0", "f1", "f2")]
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"error: cannot read a field from {args.result}: {exc}", file=sys.stderr)
+            MeridianField.load(args.result).to_csv(args.csv)
+        except ValueError as exc:  # the archive is unreadable or invalid
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        try:
-            geom = build_geometry(*shape, target_h=float(th))
-        except ValueError as exc:
-            print(f"error: {args.result} stores no valid cylinder: {exc}", file=sys.stderr)
+        except OSError as exc:  # the CSV cannot be opened or written
+            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return 2
-        try:
-            fld = MeridianField(geom, *fields)
-        except ValueError as exc:
-            print(f"error: {args.result} does not match its rebuilt mask: {exc}", file=sys.stderr)
-            return 2
-        fld.to_csv(args.csv)
         print(f"wrote {args.csv}")
         return 0
 

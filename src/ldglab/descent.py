@@ -204,12 +204,11 @@ def components(F: np.ndarray):
 class Problem:
     """Discrete constrained-minimization problem fed to the engine.
 
-    stiff: diag(A_0, A_1, A_2) (`stack_stiffness`), A_k = S + k^2 diag(pen)
-        with S the Laplacian the components share (full node set); 1/2
-        f_k^T A_k f_k is the quadratic energy part of component k including
-        couplings to fixed nodes.  `lap` is S = A_0, a view of the first
-        block.
-    pen: nodal weight P of the k^2/r^2 term.
+    stiff: diag(A_0, A_1, A_2) (`stack_stiffness`), A_k = S + k^2 diag(P)
+        with S the Laplacian the components share (full node set) and P the
+        nodal weight of the k^2/r^2 term; 1/2 f_k^T A_k f_k is the quadratic
+        energy part of component k including couplings to fixed nodes.
+        `lap` is S = A_0, a view of the first block.
     mass: nodal weights of the L2(volume) pairing (zero on weightless rows).
     free: per-component index arrays of unknowns.  Every other dof is
         fixed: a descent keeps the value its initial state has there.
@@ -237,7 +236,6 @@ class Problem:
     """
 
     stiff: sp.csr_matrix
-    pen: np.ndarray
     mass: np.ndarray
     free: Sequence[np.ndarray]
     lam: float

@@ -25,7 +25,7 @@ from . import closed_forms as cf
 from . import meridian3d as m3
 from . import radial2d as r2
 from .descent import ENERGY_TOL
-from .profiles import RadialProfile, profile_from_map, uniform_grid
+from .profiles import RadialProfile, profile_from_map, uniform_grid, write_csv
 
 VERSION = "artifact-0.1.0"
 
@@ -155,8 +155,6 @@ def parse_config_file(path, overrides=None) -> ExperimentConfig:
 def _parse_value(val: str):
     if "," in val:
         return [_parse_value(v.strip()) for v in val.split(",") if v.strip()]
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
     for cast in (int, float):
         try:
             return cast(val)
@@ -223,39 +221,22 @@ class _Envelope:
         return doc
 
 
+#: The fields of a 2D or 3D minimizer result that every run record holds.
+_RESULT_KEYS = ("energy", "dirichlet", "potential", "residual", "iterations",
+                "beta_min", "beta_max", "converged")
+
+
 def _report_2d(res: r2.MinResult2D) -> dict:
-    return {
-        "energy": res.energy,
-        "dirichlet": res.dirichlet,
-        "potential": res.potential,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "class": res.class_tag,
-        "beta_min": res.beta_min,
-        "beta_max": res.beta_max,
-        "converged": res.converged,
-        "escaped": res.escaped,
-        "classification": None,
-        "singularities": [],
-    }
+    return {**{key: getattr(res, key) for key in _RESULT_KEYS},
+            "class": res.class_tag, "escaped": res.escaped,
+            "classification": None, "singularities": []}
 
 
 def _report_3d(res: m3.MinResult3D) -> dict:
-    return {
-        "energy": res.energy,
-        "dirichlet": res.dirichlet,
-        "potential": res.potential,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "beta_min": res.beta_min,
-        "beta_max": res.beta_max,
-        "converged": res.converged,
-        "classification": res.classification,
-        "seed": res.seed_name,
-        "singularities": [
-            {"position": s.position, "jump": list(s.jump)} for s in res.singularities
-        ],
-    }
+    return {**{key: getattr(res, key) for key in _RESULT_KEYS},
+            "classification": res.classification, "seed": res.seed_name,
+            "singularities": [{"position": s.position, "jump": list(s.jump)}
+                              for s in res.singularities]}
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +354,8 @@ def _run_escape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
     rows = r2.energy_curve(lambdas, config.opts, n=config.get("grid"))
 
     csv_path = out_dir / "escape_sweep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("lambda,estar,e,beta_min,beta_max\n")
-        for row in rows:
-            cells = (row.lam, row.estar, row.e, row.beta_min, row.beta_max)
-            fh.write(",".join(repr(float(x)) for x in cells) + "\n")
+    cells = [(row.lam, row.estar, row.e, row.beta_min, row.beta_max) for row in rows]
+    write_csv(csv_path, ("lambda", "estar", "e", "beta_min", "beta_max"), zip(*cells))
     env.artifact("sweep_csv", csv_path)
 
     for row in rows:
@@ -476,30 +454,26 @@ def _run_lambda_star(config: ExperimentConfig, env: _Envelope, out_dir: Path):
 SEEDS = ("split-seed", "torus-seed")
 
 
+def _winner(energies: dict) -> str:
+    """The seed of the lowest of `energies` ({seed: energy}).  Energies that
+    agree to the descent's own resolution tie, and a tie goes to the first
+    seed in the dict's order (SEEDS order: the split seed)."""
+    low = min(energies.values())
+    return next(seed for seed, e in energies.items()
+                if e - low <= ENERGY_TOL * max(1.0, abs(low)))
+
+
 def _dual_seed_solve(geom, lam, opts):
     results = m3.minimize_seeds(geom, lam, SEEDS, opts)
-    # Energies that agree to the descent's own resolution tie, and a tie
-    # goes to the first seed in SEEDS order: the split seed.
-    low = min(res.energy for res in results.values())
-    best = next(res for res in results.values()
-                if res.energy - low <= ENERGY_TOL * max(1.0, abs(low)))
-    return best, results
+    return results[_winner({seed: res.energy for seed, res in results.items()})], results
 
 
-def _write_field(env: _Envelope, stem: Path, fld: m3.MeridianField, target_h: float):
-    """Write a 3D field as `<stem>.csv` and `<stem>.npz` and record both.
-
-    The npz holds the lattice (r, z), the three components and the cylinder
-    (h, ell, rho, target_h) that `ldglab dump-field` rebuilds the mask from.
-    It is stored uncompressed: on the cigar field `np.savez_compressed`
-    takes 63 ms and `np.savez` 4 ms, for 664 700 against 1 760 932 bytes.
-    """
-    g = fld.geom
+def _write_field(env: _Envelope, stem: Path, fld: m3.MeridianField):
+    """Write a 3D field as `<stem>.csv` and `<stem>.npz` and record both."""
     csv_path, npz_path = stem.with_suffix(".csv"), stem.with_suffix(".npz")
     fld.to_csv(csv_path)
     env.artifact("field_csv", csv_path)
-    np.savez(npz_path, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2,
-             h=g.h, ell=g.ell, rho=g.rho, target_h=target_h)
+    fld.save(npz_path)
     env.artifact("field_npz", npz_path)
 
 
@@ -541,7 +515,7 @@ def _run_cigar(config: ExperimentConfig, env: _Envelope, out_dir: Path):
         "vertical energy identity", ids["vertical"], "< 5e-2",
         ids["vertical"] == ids["vertical"] and ids["vertical"] < 5e-2, rid,
     )
-    _write_field(env, out_dir / "cigar_field", best.field, th)
+    _write_field(env, out_dir / "cigar_field", best.field)
 
 
 def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
@@ -584,7 +558,7 @@ def _run_pancake(config: ExperimentConfig, env: _Envelope, out_dir: Path):
         "ball-energy monotonicity", float(np.min(np.diff(mono))), ">= -1e-3",
         bool(np.all(np.diff(mono) >= -1e-3)), rid,
     )
-    _write_field(env, out_dir / "pancake_field", best.field, th)
+    _write_field(env, out_dir / "pancake_field", best.field)
 
 
 def _shape_point(args):
@@ -626,10 +600,8 @@ def _run_shape_sweep(config: ExperimentConfig, env: _Envelope, out_dir: Path):
         rid = env.add_run(f"shape/ell={ell:g}", {"ell": ell, **data})
         rows.append((ell, data))
 
-    def winner(data):
-        return min(data.values(), key=lambda d: d["energy"])["classification"]
-
-    classes = [winner(d) for _, d in rows]
+    classes = [d[_winner({seed: v["energy"] for seed, v in d.items()})]["classification"]
+               for _, d in rows]
     first_torus = next((e for (e, d), c in zip(rows, classes) if c == "Torus"), None)
     last_split = next(
         (e for (e, d), c in reversed(list(zip(rows, classes))) if c == "Split"), None

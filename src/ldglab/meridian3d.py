@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import descent
+from .profiles import write_csv
 from .radial2d import SolveOptions, _trapezoid_weights, minimize_2d, uniform_grid
 from .tensor_core import (
     beta_arrays,
@@ -78,6 +79,7 @@ class CylinderGeometry:
     h: float
     ell: float
     rho: float
+    target_h: float  # the lattice spacing asked of `build_geometry`
     r: np.ndarray
     z: np.ndarray
     interior: np.ndarray  # bool (nz, nr)
@@ -184,7 +186,7 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     normals = np.stack([nr_ / nn, nz_ / nn], axis=-1)
     foot = np.stack([foot_r, foot_z], axis=-1)
 
-    geom = CylinderGeometry(h, ell, rho, r, z, interior, dirichlet, normals, foot)
+    geom = CylinderGeometry(h, ell, rho, target_h, r, z, interior, dirichlet, normals, foot)
     _check_inclusions(geom)
     return geom
 
@@ -238,35 +240,53 @@ class MeridianField:
         return MeridianField(self.geom, self.f0.copy(), self.f1.copy(), self.f2.copy())
 
     def to_csv(self, path) -> None:
-        """Active nodes in row-major (z, then r) order, one row each.
-
-        Every value is spelled by repr, in the bytes csv.writer gives, and
-        every column calls it once per distinct value.  Besides r, x3 and
-        an all-zero imaginary part, f0 and beta repeat across the
-        z-symmetric halves: 22 155 and 26 396 distinct values among the
-        43 733 rows of the cigar-3d result, which takes 139 ms instead of
-        148 ms with one repr per value in those columns.
-        """
+        """Active nodes in row-major (z, then r) order, one row each."""
         g = self.geom
         act = g.active
         iz, jr = np.nonzero(act)
         f1, f2 = self.f1[act], self.f2[act]
-        cols = (g.r[jr], g.z[iz], self.f0[act], f1.real, f1.imag, f2.real, f2.imag,
-                self.beta()[act])
-        # No cell needs quoting, and rows end in \r\n.
-        rows = zip(*map(_repr_distinct, cols))
-        lines = ["r,x3,f0,Re f1,Im f1,Re f2,Im f2,beta", *map(",".join, rows)]
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        write_csv(path, ("r", "x3", "f0", "Re f1", "Im f1", "Re f2", "Im f2", "beta"),
+                  (g.r[jr], g.z[iz], self.f0[act], f1.real, f1.imag, f2.real, f2.imag,
+                   self.beta()[act]))
 
+    def save(self, path) -> None:
+        """Write the field as an npz archive that `load` reads back.
 
-def _repr_distinct(values) -> list:
-    """[repr(v) for v in values], calling repr once per distinct bit pattern
-    (so -0.0 keeps its sign)."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    spelled = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    return spelled[inverse.ravel()].tolist()
+        It holds the lattice (r, z), the three components and the cylinder
+        (h, ell, rho, target_h) that `load` rebuilds the mask from.  It is
+        stored uncompressed: on the cigar field `np.savez_compressed` takes
+        63 ms and `np.savez` 4 ms, for 664 700 against 1 760 932 bytes.
+        """
+        g = self.geom
+        # Through a file object, which np.savez does not suffix with ".npz".
+        with open(path, "wb") as fh:
+            np.savez(fh, r=g.r, z=g.z, f0=self.f0, f1=self.f1, f2=self.f2,
+                     h=g.h, ell=g.ell, rho=g.rho, target_h=g.target_h)
+
+    @classmethod
+    def load(cls, path) -> "MeridianField":
+        """The field that `save` wrote to `path`, on its rebuilt geometry.
+
+        Raises ValueError when the file cannot be read as such an archive,
+        when it stores no valid cylinder, or when its arrays do not fit the
+        rebuilt mask.
+        """
+        try:
+            with np.load(path) as data:
+                shape = [float(data[key]) for key in ("h", "ell", "rho", "target_h")]
+                fields = [data[key] for key in ("f0", "f1", "f2")]
+        # EOFError: an empty file; TypeError: a plain .npy array, or a
+        # cylinder value that is not a scalar.
+        except (OSError, KeyError, ValueError, EOFError, TypeError) as exc:
+            raise ValueError(f"cannot read a field from {path}: {exc}") from exc
+        try:
+            geom = build_geometry(*shape)
+        except ValueError as exc:
+            raise ValueError(f"{path} stores no valid cylinder: {exc}") from exc
+        try:
+            return cls(geom, *fields)
+        except ValueError as exc:
+            raise ValueError(f"{path} does not match its rebuilt mask: {exc}") from exc
 
 
 def homeotropic_tensor(normal3) -> np.ndarray:
@@ -380,7 +400,7 @@ class _MeridianDisc:
 
 def _problem_for(geom: CylinderGeometry, lam: float) -> descent.Problem:
     d = geom.disc
-    return descent.Problem(d.stiff, d.pen, d.mass, (d.free0, d.free12, d.free12), lam)
+    return descent.Problem(d.stiff, d.mass, (d.free0, d.free12, d.free12), lam)
 
 
 def meridian_energy(field: MeridianField, lam: float):

@@ -252,7 +252,7 @@ def preset_profile(
 
 def _problem_for(grid: np.ndarray, lam: float) -> descent.Problem:
     d = _disc_for(grid)
-    return descent.Problem(d.stiff, d.pen, d.mass, (d.interior,) * 3, lam)
+    return descent.Problem(d.stiff, d.mass, (d.interior,) * 3, lam)
 
 
 def minimize_2d(

@@ -43,8 +43,6 @@ E12 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / SQRT2
 E21 = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]) / SQRT2
 E22 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / SQRT2
 
-BASIS = (E0, E11, E12, E21, E22)
-
 
 @dataclass(frozen=True)
 class UVector:

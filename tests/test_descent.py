@@ -105,8 +105,11 @@ def meridian_case(lam=1.0):
 
 
 def stiffness(p, c):
-    """A_c = S + k_c^2 diag(P) on the full node set."""
-    return p.lap + descent.K2[c] * sp.diags(p.pen)
+    """A_c, the c-th diagonal block of the stacked stiffness, on the full node
+    set (`test_shared_laplacian_and_weight_equal_each_components_stiffness`
+    checks it against the edgewise references)."""
+    n = p.mass.size
+    return p.stiff[c * n:(c + 1) * n, c * n:(c + 1) * n]
 
 
 def reference_matrix(p, c, tau):
@@ -237,18 +240,19 @@ def edgewise_meridian_stiffness(g, k):
 def test_shared_laplacian_and_weight_equal_each_components_stiffness(kind):
     if kind == "radial":
         grid = uniform_grid(33)
-        p = r2._problem_for(grid, 1.0)
+        d, p = r2._disc_for(grid), r2._problem_for(grid, 1.0)
         want = [edgewise_radial_stiffness(grid, k) for k in (0, 1, 2)]
     else:
         g = m3.build_geometry(2.0, 0.6, 0.2, target_h=0.15)
-        p = m3._problem_for(g, 1.0)
+        d, p = g.disc, m3._problem_for(g, 1.0)
         want = [edgewise_meridian_stiffness(g, k) for k in (0, 1, 2)]
     for c, ref in enumerate(want):
-        got = stiffness(p, c).toarray()
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), c
+        # S and P of the front end's discretization, and the Problem's block.
+        for got in (d.lap + descent.K2[c] * sp.diags(d.pen), stiffness(p, c)):
+            assert np.max(np.abs(got.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref)), c
     # The k^2/r^2 weight vanishes on the axis, where the mass is the axis
     # column's lumped share (3D) or zero (2D).
-    assert np.all(p.pen[p.mass == 0.0] == 0.0)
+    assert np.all(d.pen[d.mass == 0.0] == 0.0)
 
 
 @pytest.mark.parametrize("case", [radial_case, meridian_case])
@@ -314,7 +318,8 @@ def test_a_free_node_without_a_stored_diagonal_is_rejected():
     a = p.lap.tolil()
     k = p.free[1][3]
     a[k, k] = 0.0
-    p = dataclasses.replace(p, stiff=descent.stack_stiffness(a.tocsr(), p.pen))
+    pen = r2._disc_for(uniform_grid(p.mass.size)).pen
+    p = dataclasses.replace(p, stiff=descent.stack_stiffness(a.tocsr(), pen))
     with pytest.raises(ValueError, match="diagonal"):
         p.shifted(0.1)
 
@@ -322,7 +327,7 @@ def test_a_free_node_without_a_stored_diagonal_is_rejected():
 def constant_problem(value, lam, n=65):
     """Radial operators with both ends pinned to one constant unit vector."""
     d = r2._disc_for(uniform_grid(n))
-    prob = descent.Problem(stiff=d.stiff, pen=d.pen, mass=d.mass, free=(d.interior,) * 3, lam=lam)
+    prob = descent.Problem(stiff=d.stiff, mass=d.mass, free=(d.interior,) * 3, lam=lam)
     fields = (np.full(n, value[0], dtype=float), np.full(n, value[1], dtype=complex),
               np.full(n, value[2], dtype=complex))
     return prob, fields

@@ -99,12 +99,11 @@ def test_cli_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, kind
 
 
 def test_parse_booleans(tmp_path):
-    # A config's "false" arrives as False, which no number key takes.
-    assert experiments._parse_value("false") is False
-    assert experiments._parse_value("False") is False
-    assert experiments._parse_value("TRUE") is True
+    # No key takes a boolean: "false" stays a string, which no number key takes.
+    assert experiments._parse_value("false") == "false"
+    assert experiments._parse_value("TRUE") == "TRUE"
     path = write_config(tmp_path, "kind = gap-2d\nnoise = false\n")
-    with pytest.raises(ValueError, match="noise must be a finite number >= 0, not False"):
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0, not 'false'"):
         experiments.parse_config_file(path)
 
 
@@ -180,12 +179,22 @@ def test_escape_sweep_csv_is_numeric(tmp_path):
     cfg = write_config(tmp_path, "kind = escape-sweep\ngrid = 33\ncount = 3\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 0
     doc = json.loads((tmp_path / "res" / "escape-sweep.json").read_text())
+    names = ["lambda", "estar", "e", "beta_min", "beta_max"]
     with open(doc["artifacts"]["sweep_csv"], newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "estar", "e", "beta_min", "beta_max"]
+    assert rows[0] == names
     assert len(rows) == 4
     for row in rows[1:]:
         assert len([float(cell) for cell in row]) == 5
+    # Byte-identical to csv.writer on the envelope's rows, as every CSV is.
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(names)
+        for run in doc["runs"]:
+            if run["id"].startswith("sweep/lam="):
+                w.writerow([repr(float(run[name])) for name in names])
+    assert Path(doc["artifacts"]["sweep_csv"]).read_bytes() == reference.read_bytes()
 
 
 def test_report_richardson_rows():
@@ -278,22 +287,8 @@ def test_gap2d_seeds_the_preset_inits(tmp_path, monkeypatch):
     assert calls == [("uS", 5), ("ghbar", 6)]
 
 
-def test_cli_dump_field(tmp_path, capsys):
-    from ldglab import meridian3d as m3
-    from ldglab.radial2d import SolveOptions
-
-    g = m3.build_geometry(1.0, 0.8, 0.2, target_h=0.1)
-    fld = m3.seed_field(g, 1.0, "torus-seed", SolveOptions(max_iters=100))
-    npz = tmp_path / "f.npz"
-    np.savez(npz, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2, h=1.0, ell=0.8, rho=0.2)
-    out_csv = tmp_path / "f.csv"
-    rc = cli.main(["dump-field", str(npz), "--csv", str(out_csv)])
-    assert rc == 0
-    assert out_csv.read_text().startswith("r,x3,f0")
-
-
 def test_cli_dump_field_round_trips_cigar(tmp_path, capsys):
-    # At this size the r-spacing alone rebuilds a 133-row mask for the
+    # At this size the r-spacing alone would rebuild a 133-row mask for the
     # 135-row field; the stored target_h rebuilds the solver's own mask.
     cfg = write_config(
         tmp_path, "kind = cigar\nh = 2.0\nell = 1.0\nrho = 0.2\nlambda = 1.0\ntarget_h = 0.03\n"
@@ -342,8 +337,7 @@ def test_cli_dump_field_round_trips_a_complex_field(tmp_path, capsys):
     norm = np.sqrt(f0**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
     fld = m3.MeridianField(g, f0 / norm, f1 / norm, f2 / norm)
     npz = tmp_path / "f.npz"
-    np.savez_compressed(npz, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2,
-                        h=h, ell=ell, rho=rho, target_h=th)
+    fld.save(npz)
     own, dumped = tmp_path / "own.csv", tmp_path / "dumped.csv"
     fld.to_csv(own)
     assert cli.main(["dump-field", str(npz), "--csv", str(dumped)]) == 0
@@ -380,10 +374,22 @@ def test_cli_dump_field_rejects_a_bad_lattice_spacing(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("content", [None, "no field keys"])
+@pytest.mark.parametrize("content", [None, "no field keys", "no target_h", "empty", "npy"])
 def test_cli_dump_field_reports_an_unreadable_file(tmp_path, capsys, content):
+    from ldglab import meridian3d as m3
+
     npz = tmp_path / "f.npz"
-    if content is not None:
+    if content == "no target_h":
+        # Every key of a field archive but the lattice spacing.
+        g = m3.build_geometry(1.0, 0.8, 0.2, target_h=0.1)
+        fld = m3.seed_field(g, 1.0, "torus-seed")
+        np.savez(npz, r=g.r, z=g.z, f0=fld.f0, f1=fld.f1, f2=fld.f2, h=1.0, ell=0.8, rho=0.2)
+    elif content == "empty":
+        npz.write_bytes(b"")
+    elif content == "npy":  # a plain array, not an archive
+        with open(npz, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    elif content is not None:
         np.savez(npz, note=content)
     out_csv = tmp_path / "f.csv"
     assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
@@ -391,6 +397,19 @@ def test_cli_dump_field_reports_an_unreadable_file(tmp_path, capsys, content):
     assert err.startswith(f"error: cannot read a field from {npz}")
     assert "Traceback" not in err
     assert not out_csv.exists()
+
+
+def test_cli_dump_field_reports_an_unwritable_csv(tmp_path, capsys):
+    from ldglab import meridian3d as m3
+
+    npz = tmp_path / "f.npz"
+    m3.seed_field(m3.build_geometry(1.0, 0.8, 0.2, target_h=0.1), 1.0, "torus-seed").save(npz)
+    out_csv = tmp_path / "missing" / "f.csv"
+    assert cli.main(["dump-field", str(npz), "--csv", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_csv}: ")
+    assert "Traceback" not in err
+    assert not out_csv.parent.exists()
 
 
 def test_lambda_star_payload_records_failed_inits(tmp_path, monkeypatch):
@@ -492,31 +511,54 @@ def test_cli_negative_lambda_is_a_config_error(tmp_path, capsys, body, setting):
     assert not (tmp_path / "res").exists()
 
 
-@pytest.mark.parametrize(
-    "split_gap, winner",
-    [
-        (0.0, "split-seed"),
-        (np.spacing(646.2463257777018), "split-seed"),  # 1 ulp above: a tie
-        (1e-6, "torus-seed"),
-        (-1e-6, "split-seed"),
-    ],
-)
-def test_dual_seed_solve_ties_within_the_energy_tolerance(monkeypatch, split_gap, winner):
+#: (The split seed's energy above the torus seed's TIE_ENERGY, the winning
+#: seed.)  Energies within descent.ENERGY_TOL relative tie, and a tie goes to
+#: the split seed.
+TIE_ENERGY = 646.2463257777018
+TIES = [
+    (0.0, "split-seed"),
+    (np.spacing(TIE_ENERGY), "split-seed"),  # 1 ulp above: a tie
+    (1e-6, "torus-seed"),
+    (-1e-6, "split-seed"),
+    (1e-14 * TIE_ENERGY, "split-seed"),  # 1e-14 relative above: a tie
+]
+
+
+def fake_seed_solves(split_gap):
+    """A stand-in for m3.minimize_seeds whose split seed ends split_gap above
+    the torus seed."""
     from types import SimpleNamespace
 
+    def fake_seeds(geom, lam, seeds, opts):
+        energies = {"split-seed": TIE_ENERGY + split_gap, "torus-seed": TIE_ENERGY}
+        classes = {"split-seed": "Split", "torus-seed": "Torus"}
+        return {s: SimpleNamespace(seed_name=s, energy=energies[s], classification=classes[s],
+                                   converged=True, singularities=[]) for s in seeds}
+
+    return fake_seeds
+
+
+@pytest.mark.parametrize("split_gap, winner", TIES)
+def test_dual_seed_solve_ties_within_the_energy_tolerance(monkeypatch, split_gap, winner):
     from ldglab import descent
     from ldglab import meridian3d as m3
 
-    e = 646.2463257777018
-
-    def fake_seeds(geom, lam, seeds, opts):
-        energies = {"split-seed": e + split_gap, "torus-seed": e}
-        return {s: SimpleNamespace(seed_name=s, energy=energies[s]) for s in seeds}
-
-    monkeypatch.setattr(m3, "minimize_seeds", fake_seeds)
+    monkeypatch.setattr(m3, "minimize_seeds", fake_seed_solves(split_gap))
     best, results = experiments._dual_seed_solve(None, 1.0, descent.SolveOptions())
     assert list(results) == list(experiments.SEEDS)
     assert best.seed_name == winner
+
+
+@pytest.mark.parametrize("split_gap, winner", TIES)
+def test_shape_sweep_ties_like_the_dual_seed_solve(tmp_path, monkeypatch, split_gap, winner):
+    # Each width's class is its winning seed's, by the cigar and pancake rule.
+    from ldglab import meridian3d as m3
+
+    monkeypatch.setattr(m3, "minimize_seeds", fake_seed_solves(split_gap))
+    params = {"ells": [1.5], "h": 1.0, "rho": 0.2, "target_h": 0.1}
+    doc = experiments.run(experiments.ExperimentConfig("shape-sweep", params, str(tmp_path)))
+    (summary,) = [run for run in doc["runs"] if run["id"] == "shape/summary"]
+    assert summary["classes"] == [{"split-seed": "Split", "torus-seed": "Torus"}[winner]]
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,8 @@ Groups:
  7. Instability form: admissibility check, zero at zero, negativity on the
     synthetic singular field, the finite-difference reference.
  8. CSV output against the node-by-node csv.writer, also on signed zeros,
-    subnormals and non-finite values; shape validation.
+    subnormals and non-finite values; the npz archive round trip; shape
+    validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
     for bit, factor one matrix per level, once, and drop the coarse Problem
     before the fine level factors anything; a seed's iterations count both
@@ -620,6 +621,28 @@ def test_field_csv_matches_the_csv_writer_on_awkward_values(tmp_path):
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}-reference.csv").read_bytes(), name
     assert b",-0.0," in got and b",0.0," in got
+
+
+def test_field_archive_round_trips_a_complex_field(tmp_path):
+    # Nonzero imaginary parts everywhere off the axis, on a lattice whose
+    # target_h is not its r-spacing.
+    g = small_cigar(target_h=0.07)
+    assert g.target_h == 0.07 and g.hr != g.target_h
+    rng = np.random.default_rng(4)
+    f0, f1, f2 = (rng.standard_normal((g.nz, g.nr)) + 1j * rng.standard_normal((g.nz, g.nr))
+                  for _ in range(3))
+    norm = np.sqrt(f0.real**2 + np.abs(f1) ** 2 + np.abs(f2) ** 2)
+    fld = m3.MeridianField(g, f0.real / norm, f1 / norm, f2 / norm)
+    # save writes the path it is given, with or without an .npz suffix.
+    fld.save(tmp_path / "f.field")
+    back = m3.MeridianField.load(tmp_path / "f.field")
+    for name in ("r", "z", "interior", "dirichlet", "normals", "foot"):
+        assert np.array_equal(getattr(back.geom, name), getattr(g, name)), name
+    assert (back.geom.h, back.geom.ell, back.geom.rho, back.geom.target_h) == (
+        g.h, g.ell, g.rho, g.target_h)
+    for name in ("f0", "f1", "f2"):
+        a, b = getattr(back, name), getattr(fld, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_field_rejects_shape_mismatch():
