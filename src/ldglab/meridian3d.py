@@ -8,13 +8,15 @@ f = (f0, f1, f2) on the meridian half-section, with energy
     E_lam = pi * int ( |grad f|^2 + (|f1|^2 + 4 |f2|^2)/r^2 + 2 lam W(f) ) r dr dz.
 
 The solver is the shared projected-descent engine on a masked uniform
-(r, z) grid: interior nodes are unknowns, the exterior-adjacent layer
-carries the homeotropic (outward normal) data pulled back to the nearest
-boundary point, the axis column keeps f1 = f2 = 0 with f0 free (its unit
-norm forces the +/-1 trace).  Downstream diagnostics: axis-trace
-singularity detection, torus/split classification, the radial /
-horizontal / vertical energy identities, and the singularity instability
-quadratic form.
+(r, z) grid: interior nodes are unknowns, and the data layer carries the
+homeotropic (outward normal) data pulled back to the nearest boundary
+point.  The data layer is the non-interior ends of the lattice edges
+that touch the interior; an edge joins two 4-neighbours inside the grid,
+so none wraps from the r = ell column to the axis.  The axis column
+keeps f1 = f2 = 0 with f0 free (its unit norm forces the +/-1 trace).
+Downstream diagnostics: axis-trace singularity detection, torus/split
+classification, the radial / horizontal / vertical energy identities, and
+the singularity instability quadratic form.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class CylinderGeometry:
     z: np.ndarray
     interior: np.ndarray  # bool (nz, nr)
     dirichlet: np.ndarray  # bool (nz, nr): data-carrying layer
+    edges: np.ndarray  # (2, m) flat index pairs of 4-neighbours, r-edges then z-edges
     normals: np.ndarray  # (nz, nr, 2) outward normal at dirichlet nodes
     foot: np.ndarray  # (nz, nr, 2) nearest boundary point of dirichlet nodes
 
@@ -141,10 +144,11 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     """Mask a uniform meridian lattice by 4-disc membership.
 
     A node is interior iff its 4-norm distance to the deflated rectangle
-    is body rho (equivalently, it lies in some admissible 4-disc).  The
-    Dirichlet layer is every non-interior node 4-adjacent to an interior
-    one; it stores the outward normal and nearest boundary point of the
-    smoothed boundary curve.
+    is below rho (equivalently, it lies in some admissible 4-disc).  The
+    lattice's edges join 4-neighbours: first every r-edge, then every
+    z-edge, each in row-major order.  They mark the data layer (the
+    module docstring gives the rule), which stores the outward normal and
+    nearest boundary point of the smoothed boundary curve.
     """
     check_shape(h, ell, rho)
     if not (math.isfinite(target_h) and target_h > 0):
@@ -160,11 +164,13 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     # |z| - (h - rho) and |r| - (ell - rho), so the guard scales with the
     # lattice, not with rho.
     interior = phi < -1e-12 * max(h, ell)
-    shifted = np.zeros_like(interior)
-    for ax, d in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        shifted |= np.roll(interior, d, axis=ax)
-    # Rolls wrap around; wrapped rows/cols cannot be adjacent in-grid.
-    dirichlet = shifted & ~interior
+    node = np.arange(nz * nr).reshape(nz, nr)
+    edges = np.stack([np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()]),
+                      np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])])
+    # The far end of every edge end that is interior.
+    dirichlet = np.zeros(nz * nr, dtype=bool)
+    dirichlet[edges[::-1][interior.ravel()[edges]]] = True
+    dirichlet = dirichlet.reshape(nz, nr) & ~interior
 
     # Nearest boundary point: from the clamped center of the touching 4-disc.
     cr = np.clip(rr, -(ell - rho), ell - rho)
@@ -186,7 +192,7 @@ def build_geometry(h: float, ell: float, rho: float, target_h: float = 0.025) ->
     normals = np.stack([nr_ / nn, nz_ / nn], axis=-1)
     foot = np.stack([foot_r, foot_z], axis=-1)
 
-    geom = CylinderGeometry(h, ell, rho, target_h, r, z, interior, dirichlet, normals, foot)
+    geom = CylinderGeometry(h, ell, rho, target_h, r, z, interior, dirichlet, edges, normals, foot)
     _check_inclusions(geom)
     return geom
 
@@ -345,37 +351,21 @@ class _MeridianDisc:
     def __init__(self, geom: CylinderGeometry):
         nz, nr = geom.nz, geom.nr
         hr, hz = geom.hr, geom.hz
-        act = geom.active
         inter = geom.interior
         n_all = nz * nr
-        flat = lambda i, j: i * nr + j
 
-        rows, cols, vals = [], [], []
-
-        def add_edges(ii, jj, ii2, jj2, coef):
-            a = flat(ii, jj)
-            b = flat(ii2, jj2)
-            rows.extend([a, b, a, b])
-            cols.extend([a, b, b, a])
-            vals.extend([coef, coef, -coef, -coef])
-
-        # r-edges: include when both endpoints active and one interior.
-        i_idx, j_idx = np.nonzero(
-            act[:, :-1] & act[:, 1:] & (inter[:, :-1] | inter[:, 1:])
+        # The edges that touch the interior; their other ends are active.
+        a, b = geom.edges[:, inter.ravel()[geom.edges].any(axis=0)]
+        n_r = np.count_nonzero(b - a == 1)  # the r-edges come first
+        rmid = 0.5 * (geom.r[a % nr] + geom.r[b % nr])
+        coef = np.concatenate([hz * rmid[:n_r] / hr, hr * rmid[n_r:] / hz])
+        # COO entries direction by direction, [a, b, a, b] x [a, b, b, a] x
+        # [c, c, -c, -c] in each: this order fixes how the diagonal sums.
+        rows, cols, vals = (
+            np.concatenate([q[:, :n_r].ravel(), q[:, n_r:].ravel()])
+            for q in (np.stack([a, b, a, b]), np.stack([a, b, b, a]),
+                      np.stack([coef, coef, -coef, -coef]))
         )
-        rmid = 0.5 * (geom.r[j_idx] + geom.r[j_idx + 1])
-        coef_r = hz * rmid / hr
-        add_edges(i_idx, j_idx, i_idx, j_idx + 1, coef_r)
-        # z-edges.
-        i_idx, j_idx = np.nonzero(
-            act[:-1, :] & act[1:, :] & (inter[:-1, :] | inter[1:, :])
-        )
-        coef_z = hr * geom.r[j_idx] / hz
-        add_edges(i_idx, j_idx, i_idx + 1, j_idx, coef_z)
-
-        rows = np.concatenate([np.atleast_1d(v) for v in rows])
-        cols = np.concatenate([np.atleast_1d(v) for v in cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in vals])
         lap = sp.csr_matrix((vals, (rows, cols)), shape=(n_all, n_all))
 
         m = np.zeros((nz, nr))
@@ -683,20 +673,17 @@ def classify(field: MeridianField):
     # level it would add to every import of the package.
     from scipy.sparse.csgraph import connected_components
 
-    # Components of the 4-neighbour graph on the deep cells, numbered in
-    # raster order.  The largest wins; on a tie, the one that starts first.
-    n = int(np.count_nonzero(deep))
-    node = np.full(deep.shape, -1)
-    node[deep] = np.arange(n)
-    across = deep[:, :-1] & deep[:, 1:]
-    along = deep[:-1] & deep[1:]
-    a = np.concatenate([node[:, :-1][across], node[:-1][along]])
-    b = np.concatenate([node[:, 1:][across], node[1:][along]])
+    # Components of the lattice edges whose two ends are deep, read on the
+    # deep cells in raster order.  The largest wins; on a tie, the one that
+    # starts first.
+    a, b = g.edges[:, deep.ravel()[g.edges].all(axis=0)]
+    n = g.nz * g.nr
     graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
-    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    labels = labels[deep.ravel()]
+    ids, first, sizes = np.unique(labels, return_index=True, return_counts=True)
     k = np.lexsort((first, -sizes))[0]
-    zi, ri = (ix[labels == k] for ix in np.nonzero(deep))
+    zi, ri = (ix[labels == ids[k]] for ix in np.nonzero(deep))
     ring = {
         "r_range": (float(g.r[ri.min()]), float(g.r[ri.max()])),
         "z_range": (float(g.z[zi.min()]), float(g.z[zi.max()])),

@@ -473,7 +473,9 @@ def estimate_lambda_star(
     the failed and the unconverged inits.  The seed bracket defaults to the
     certified interval [24 sqrt2/(2 pi - 3 sqrt3), 3^8 (sqrt6/4) pi^2]; a
     missing sign change there is reported as an error with both endpoint
-    energies.
+    energies.  Both bracket ends start without a warm profile; the first
+    midpoint warm-starts from the lower end's profile, and every later
+    midpoint from the midpoint before it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -481,19 +483,17 @@ def estimate_lambda_star(
     grid = uniform_grid(n)
     lo, hi = bracket if bracket is not None else (LAMBDA_STAR_LOWER, LAMBDA_STAR_UPPER)
 
-    warm: dict[str, RadialProfile | None] = {"lo": None, "hi": None}
     failures: list[tuple[float, str, str]] = []
     unconverged: list[tuple[float, str]] = []
 
-    def g(lam, side):
-        res, failed, slow = _best_class_s(lam, grid, opts, warm[side])
+    def g(lam, warm):
+        res, failed, slow = _best_class_s(lam, grid, opts, warm)
         failures.extend((lam, name, message) for name, message in failed)
         unconverged.extend((lam, name) for name in slow)
-        warm[side] = res.profile
-        return res.energy - SIX_PI
+        return res.energy - SIX_PI, res.profile
 
-    g_lo = g(lo, "lo")
-    g_hi = g(hi, "hi")
+    g_lo, warm = g(lo, None)
+    g_hi, _ = g(hi, None)
     if not (g_lo < 0.0 < g_hi):
         raise RuntimeError(
             "no sign change over the seed bracket: "
@@ -501,7 +501,8 @@ def estimate_lambda_star(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if g(mid, "lo") < 0.0:
+        g_mid, warm = g(mid, warm)
+        if g_mid < 0.0:
             lo = mid
         else:
             hi = mid

@@ -526,11 +526,12 @@ TIES = [
 
 def fake_seed_solves(split_gap):
     """A stand-in for m3.minimize_seeds whose split seed ends split_gap above
-    the torus seed."""
+    the torus seed; a callable split_gap is read at the geometry's ell."""
     from types import SimpleNamespace
 
     def fake_seeds(geom, lam, seeds, opts):
-        energies = {"split-seed": TIE_ENERGY + split_gap, "torus-seed": TIE_ENERGY}
+        gap = split_gap(geom.ell) if callable(split_gap) else split_gap
+        energies = {"split-seed": TIE_ENERGY + gap, "torus-seed": TIE_ENERGY}
         classes = {"split-seed": "Split", "torus-seed": "Torus"}
         return {s: SimpleNamespace(seed_name=s, energy=energies[s], classification=classes[s],
                                    converged=True, singularities=[]) for s in seeds}
@@ -559,6 +560,33 @@ def test_shape_sweep_ties_like_the_dual_seed_solve(tmp_path, monkeypatch, split_
     doc = experiments.run(experiments.ExperimentConfig("shape-sweep", params, str(tmp_path)))
     (summary,) = [run for run in doc["runs"] if run["id"] == "shape/summary"]
     assert summary["classes"] == [{"split-seed": "Split", "torus-seed": "Torus"}[winner]]
+
+
+@pytest.mark.parametrize(
+    "split_gap, bisected, witness",
+    [
+        # The split seed ends 4.6% below at ell = 1 and 9.8% above at
+        # ell = 2, so neither width is a witness (a gap under 2%): bisect to
+        # 1.5 (3.0% above), then to 1.25 (0.8% below), the witness.
+        (lambda ell: 100.0 * (ell - 1.3), [1.5, 1.25], 1.25),
+        # The torus seed wins at both widths: nothing to bisect.
+        (lambda ell: 70.0, [], None),
+    ],
+)
+def test_shape_sweep_bisects_where_the_winner_flips(tmp_path, monkeypatch, split_gap, bisected,
+                                                     witness):
+    from ldglab import meridian3d as m3
+
+    monkeypatch.setattr(m3, "minimize_seeds", fake_seed_solves(split_gap))
+    params = {"ells": [1.0, 2.0], "h": 1.0, "rho": 0.2, "target_h": 0.1}
+    doc = experiments.run(experiments.ExperimentConfig("shape-sweep", params, str(tmp_path)))
+    runs = {run["id"]: run for run in doc["runs"]}
+    assert [(rid, run["ell"]) for rid, run in runs.items() if rid.startswith("shape/bisect")] == [
+        (f"shape/bisect-ell={ell:.4f}", ell) for ell in bisected]
+    assert runs["shape/coexistence"]["ell"] == witness
+    assert doc["summary"]["scalars"]["coexistence_ell"]["value"] == witness
+    (check,) = [c for c in doc["summary"]["checks"] if c["name"] == "coexistence witness"]
+    assert check["passed"] == (witness is not None)
 
 
 @pytest.mark.parametrize(

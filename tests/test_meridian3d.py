@@ -2,8 +2,9 @@
 
 Groups:
  1. Geometry: 4-disc membership, inclusions, Hausdorff shrinkage, errors;
-    properties (hypothesis): every valid (h, ell, rho, target_h) passes the
-    inclusions with active 4-neighbours of every interior node, and every
+    properties (hypothesis, plus the cigar and pancake meshes): every valid
+    (h, ell, rho, target_h) passes the inclusions, and its data layer is
+    exactly the non-interior in-grid 4-neighbours of interior nodes; every
     invalid triple raises ValueError.
  2. Homeotropic data: cap/wall values, unit norms and unit data-layer
     normals; the boundary tensor's sqrt(3/2) factor; the data, converted
@@ -37,7 +38,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldglab import descent
@@ -94,6 +95,10 @@ def cylinder_shapes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(shape=cylinder_shapes())
+# The cigar and pancake meshes: both have an interior axis node level with
+# a non-interior node of the r = ell column that no interior node touches.
+@example(shape=(8.0, 0.6, 0.2, 0.015))
+@example(shape=(0.8, 12.0, 0.2, 0.025))
 def test_geometry_inclusions_and_active_neighbours(shape):
     h, ell, rho, target_h = shape
     g = m3.build_geometry(h, ell, rho, target_h=target_h)
@@ -111,6 +116,10 @@ def test_geometry_inclusions_and_active_neighbours(shape):
     for di, dj in ((1, 0), (-1, 0), (0, 1)):
         assert np.all(act[i + di, j + dj])
     assert np.all(act[i[j > 0], j[j > 0] - 1])
+    # Conversely, every data node has an interior 4-neighbour inside the grid.
+    inside = np.pad(g.interior, 1)
+    touched = inside[:-2, 1:-1] | inside[2:, 1:-1] | inside[1:-1, :-2] | inside[1:-1, 2:]
+    assert np.array_equal(g.dirichlet, touched & ~g.interior)
 
 
 @settings(max_examples=40, deadline=None)
