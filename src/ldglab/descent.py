@@ -100,8 +100,10 @@ beta 384 -> 251 us, tangent projection 851 -> 688 us, the increment without
 its solve 1.18 -> 0.73 ms, a candidate 3.44 -> 3.12 ms.
 
 The LU factors belong to the Problem, keyed by precision, so every descent
-on one Problem reuses them: the 3D solver runs the seeds of one cascade
-level on one shared Problem and drops it before the next level.
+on one Problem reuses them.  The 3D solver runs the seeds of one cascade
+level on one shared Problem and drops it before the next level.  The 2D
+front end runs every descent at one (grid, lam) on one shared Problem and
+replaces it when lam changes, so each grid holds at most one factor.
 
 `SolveOptions` is the one solver configuration: `descend` reads both of
 its fields (max_iters, grad_tol).  The step TAU0 and the decrement

@@ -709,7 +709,10 @@ def run(config: ExperimentConfig) -> dict:
 
 
 def report(envelope_paths) -> str:
-    """Markdown summary table across envelopes; missing files are noted.
+    """Markdown summary table across envelopes.
+
+    A path that cannot be read, or that holds no envelope (`_is_envelope`),
+    gets one row that marks it unavailable.
 
     When two envelopes of the same kind differ only in their grid (sizes n
     and 2n-1), a Richardson-extrapolated row is appended for every shared
@@ -722,12 +725,15 @@ def report(envelope_paths) -> str:
     for path in envelope_paths:
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError):
+        # ValueError: malformed JSON, or bytes that are not UTF-8.
+        except (OSError, ValueError):
+            doc = None
+        if not _is_envelope(doc):
             lines.append(f"| {path} | unavailable | - | - | - |")
             continue
         docs.append(doc)
-        kind = doc.get("config", {}).get("kind", "?")
-        for chk in doc.get("summary", {}).get("checks", []):
+        kind = doc["config"]["kind"]
+        for chk in doc["summary"]["checks"]:
             lines.append(
                 "| {} | {} | {} | {} | {} |".format(
                     kind,
@@ -737,17 +743,33 @@ def report(envelope_paths) -> str:
                     "yes" if chk["passed"] else "NO",
                 )
             )
-        arts = doc.get("artifacts", {})
+        arts = doc["artifacts"]
         if arts:
-            lines.append(f"| {kind} | artifacts | {'; '.join(arts.values())} |  |  |")
+            lines.append(f"| {kind} | artifacts | {'; '.join(map(str, arts.values()))} |  |  |")
     lines.extend(_richardson_rows(docs))
     return "\n".join(lines) + "\n"
 
 
+def _is_envelope(doc) -> bool:
+    """Whether a parsed JSON document has the parts of an envelope
+    (`_Envelope.finish`) that `report` reads."""
+    try:
+        config, summary = doc["config"], doc["summary"]
+        return (isinstance(config["kind"], str) and isinstance(config["params"], dict)
+                and isinstance(doc["artifacts"], dict)
+                and all(isinstance(s, dict) and "value" in s for s in summary["scalars"].values())
+                and all(isinstance(c, dict) and {"name", "value", "target", "passed"} <= c.keys()
+                        for c in summary["checks"]))
+    except (TypeError, KeyError, AttributeError):
+        return False
+
+
 def _richardson_rows(docs) -> list[str]:
+    """Richardson-extrapolated rows for same-kind envelopes at grids n and
+    2n-1 (`report`)."""
     by_kind: dict[str, list[dict]] = {}
     for doc in docs:
-        by_kind.setdefault(doc.get("config", {}).get("kind", "?"), []).append(doc)
+        by_kind.setdefault(doc["config"]["kind"], []).append(doc)
     rows = []
     for kind, group in by_kind.items():
         if len(group) < 2:

@@ -112,10 +112,18 @@ class _Discretization:
         self.lap = descent.first_block(self.stiff)
         self.mass = 2.0 * np.pi * wr  # diagonal, vanishes at r = 0
         self.interior = np.arange(1, self.n - 1)
+        #: The Problem of the last descent on this grid (`_descent_problem`).
+        self.descent_problem: descent.Problem | None = None
 
-    def grad_sq(self, f0, f1, f2) -> np.ndarray:
-        """|grad u|^2 along the profile (finite limit on the axis)."""
-        d0, d1, d2 = (np.gradient(f, self.r, edge_order=2) for f in (f0, f1, f2))
+    def grad_sq(self, f0, f1, f2, derivs=None) -> np.ndarray:
+        """|grad u|^2 along the profile (finite limit on the axis).
+
+        derivs optionally carries the radial derivatives of f0, f1, f2
+        (np.gradient, second order at the ends).
+        """
+        if derivs is None:
+            derivs = [np.gradient(f, self.r, edge_order=2) for f in (f0, f1, f2)]
+        d0, d1, d2 = derivs
         g = np.abs(d0) ** 2 + np.abs(d1) ** 2 + np.abs(d2) ** 2
         g[1:] += (np.abs(f1[1:]) ** 2 + 4.0 * np.abs(f2[1:]) ** 2) / self.r[1:] ** 2
         g[0] += np.abs(d1[0]) ** 2 + 4.0 * np.abs(d2[0]) ** 2
@@ -186,16 +194,16 @@ def el_residual_2d(profile: RadialProfile, lam: float) -> float:
         )
     d = _disc_for(profile.grid)
     r = profile.grid
-    f0, f1, f2 = profile.f0.astype(complex), profile.f1, profile.f2
-    g2 = d.grad_sq(profile.f0, f1, f2)
-    gw0, gw1, gw2 = grad_w_tan_arrays(profile.f0, f1, f2)
+    fields = (profile.f0.astype(complex), profile.f1, profile.f2)
+    derivs = [np.gradient(f, r, edge_order=2) for f in fields]
+    g2 = d.grad_sq(*fields, derivs)
+    gws = grad_w_tan_arrays(profile.f0, profile.f1, profile.f2)
     res_max = 0.0
-    for k, (f, gw) in enumerate(((f0, gw0), (f1, gw1), (f2, gw2))):
-        d1 = np.gradient(f, r, edge_order=2)
+    for k, (f, df, gw) in enumerate(zip(fields, derivs, gws)):
         d2v = _second_deriv_interior(f, r)
         res = (
             d2v
-            + d1[1:-1] / r[1:-1]
+            + df[1:-1] / r[1:-1]
             - (k * k) * f[1:-1] / r[1:-1] ** 2
             + g2[1:-1] * f[1:-1]
             - lam * np.asarray(gw, dtype=complex)[1:-1]
@@ -251,8 +259,22 @@ def preset_profile(
 
 
 def _problem_for(grid: np.ndarray, lam: float) -> descent.Problem:
+    """A new Problem at lam on grid, with no factor yet."""
     d = _disc_for(grid)
     return descent.Problem(d.stiff, d.mass, (d.interior,) * 3, lam)
+
+
+def _descent_problem(grid: np.ndarray, lam: float) -> descent.Problem:
+    """The Problem that every descent at lam on grid shares, and so one LU
+    factor: at one sweep point, the warm start, the presets on each of their
+    cascade levels, the Richardson solve and 'ghbar'.  The grid's
+    discretization holds the last one it handed out; a new lam replaces it,
+    so each grid keeps at most one factor alive and none outlives its lam.
+    """
+    d = _disc_for(grid)
+    if d.descent_problem is None or d.descent_problem.lam != lam:
+        d.descent_problem = _problem_for(grid, lam)
+    return d.descent_problem
 
 
 def minimize_2d(
@@ -338,7 +360,7 @@ def _descend(prof: RadialProfile, lam: float, opts: SolveOptions, budget: int):
     opts = replace(opts, max_iters=budget)
     # The ladder, not CG: criterion 4's class-N check needs its slow drift.
     fields, it, converged = descent.descend(
-        _problem_for(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts, direction="ladder")
+        _descent_problem(prof.grid, lam), (prof.f0, prof.f1, prof.f2), opts, direction="ladder")
     return RadialProfile(prof.grid.copy(), *fields), it, converged
 
 

@@ -220,9 +220,15 @@ def test_report_markdown(tmp_path):
     )
     experiments.run(cfg)
     env_path = tmp_path / "gap-2d.json"
-    md = experiments.report([str(env_path), str(tmp_path / "missing.json")])
+    # A missing file, and JSON files that are not envelopes, each get one
+    # unavailable row.
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "other.json").write_text('{"a": 1}')
+    bad = [str(tmp_path / name) for name in ("missing.json", "list.json", "other.json")]
+    md = experiments.report([str(env_path), *bad])
     assert "| gap-2d |" in md
-    assert "unavailable" in md
+    for path in bad:
+        assert md.count(f"| {path} | unavailable |") == 1, path
     with pytest.raises(ValueError):
         experiments.report([])
 

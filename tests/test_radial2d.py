@@ -266,6 +266,71 @@ def test_unconverged_solves_are_recorded(monkeypatch):
     )
 
 
+def record_curve(monkeypatch, lambdas, n):
+    """energy_curve(lambdas, n=n) from an empty discretization cache, with
+    every minimize_2d result, the order of every matrix that splu factors
+    and the (grid size, lambda) of every descent."""
+    monkeypatch.setattr(r2, "_DISC_CACHE", {})
+    solve, splu, descend = r2.minimize_2d, spla.splu, descent.descend
+    log = {"results": [], "factored": [], "descents": []}
+
+    def recording_solve(*args, **kwargs):
+        log["results"].append(solve(*args, **kwargs))
+        return log["results"][-1]
+
+    def counting_splu(mat, *args, **kwargs):
+        log["factored"].append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
+
+    def recording_descend(p, *args, **kwargs):
+        log["descents"].append((p.mass.size, p.lam))
+        return descend(p, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(r2, "minimize_2d", recording_solve)
+        patch.setattr(spla, "splu", counting_splu)
+        patch.setattr(descent, "descend", recording_descend)
+        return r2.energy_curve(lambdas, n=n), log
+
+
+def test_the_descents_at_one_lambda_share_one_factor_per_grid(monkeypatch):
+    # Above lambda_*: 'uS', 'bubbled' and 'ghbar' on 129 nodes, and the
+    # Richardson solve on 257.
+    rows, shared = record_curve(monkeypatch, [100.0], 129)
+    assert rows[0].valid and rows[0].global_class == "N"
+    assert sorted(shared["descents"]) == [(129, 100.0)] * 3 + [(257, 100.0)]
+    # One factor per grid, over the three components' interior nodes.
+    assert sorted(shared["factored"]) == [3 * 127, 3 * 255]
+    # Bit for bit what a fresh Problem, and factor, for every descent gives.
+    monkeypatch.setattr(r2, "_descent_problem", r2._problem_for)
+    fresh_rows, fresh = record_curve(monkeypatch, [100.0], 129)
+    assert len(fresh["factored"]) == len(fresh["descents"]) == 4
+    assert fresh_rows == rows
+    assert len(fresh["results"]) == len(shared["results"]) == 4
+    for a, b in zip(shared["results"], fresh["results"]):
+        assert (a.energy, a.iterations, a.residual) == (b.energy, b.iterations, b.residual)
+        for name in ("f0", "f1", "f2"):
+            assert getattr(a.profile, name).tobytes() == getattr(b.profile, name).tobytes()
+
+
+def test_a_new_lambda_replaces_the_shared_factor(monkeypatch):
+    grid = uniform_grid(129)
+    monkeypatch.setattr(r2, "_DISC_CACHE", {})
+    alone = r2.minimize_2d(60.0, "S", "uS", grid=grid)
+    monkeypatch.setattr(r2, "_DISC_CACHE", {})
+    r2.minimize_2d(5.0, "S", "uS", grid=grid)
+    after = r2.minimize_2d(60.0, "S", "uS", grid=grid)
+    assert (after.energy, after.iterations) == (alone.energy, alone.iterations)
+    for name in ("f0", "f1", "f2"):
+        assert getattr(after.profile, name).tobytes() == getattr(alone.profile, name).tobytes()
+    # The grid holds one Problem, the last lambda's; radial_energy's
+    # lambda = 0 Problem does not replace it.
+    (disc,) = r2._DISC_CACHE.values()
+    held = disc.descent_problem
+    r2.radial_energy(after.profile, 60.0)
+    assert disc.descent_problem is held and held.lam == 60.0
+
+
 def test_lambda_star_coarse_bracket():
     lo, hi, pt = r2.estimate_lambda_star(tol=2.0, n=257, bracket=(60.0, 140.0))
     assert hi - lo <= 2.0
