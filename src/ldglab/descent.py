@@ -100,10 +100,12 @@ beta 384 -> 251 us, tangent projection 851 -> 688 us, the increment without
 its solve 1.18 -> 0.73 ms, a candidate 3.44 -> 3.12 ms.
 
 The LU factors belong to the Problem, keyed by precision, so every descent
-on one Problem reuses them.  The 3D solver runs the seeds of one cascade
-level on one shared Problem and drops it before the next level.  The 2D
-front end runs every descent at one (grid, lam) on one shared Problem and
-replaces it when lam changes, so each grid holds at most one factor.
+on one Problem reuses them, and a factor lives as long as the sweep point
+or cascade level that shares it.  The 3D solver runs the seeds of one
+cascade level on one shared Problem and drops it, with the rest of that
+level, before the next level.  The 2D front end runs every descent at one
+(grid, lam) of a sweep point on one shared Problem, dropped when the point
+ends; a 2D solve outside a sweep point holds no Problem once it returns.
 
 `SolveOptions` is the one solver configuration: `descend` reads both of
 its fields (max_iters, grad_tol).  The step TAU0 and the decrement
@@ -232,7 +234,7 @@ class Problem:
     the energy (from the local quadratic form), keeping the iteration
     monotone while the axis trace moves.
 
-    The per-node constants of the iteration (S, lam M, the mass mask, the
+    The constants of the iteration (S, lam M, the mass mask and sum, the
     free and fixed dofs) are computed once, when the Problem is made; make a
     new Problem (`dataclasses.replace`) rather than assigning to its fields.
     """
@@ -246,6 +248,7 @@ class Problem:
     def __post_init__(self):
         n = self.mass.size
         self.lap = first_block(self.stiff)
+        self.mass_sum = float(np.sum(self.mass))
         weighted = self.mass > 0
         self.unweighted = np.flatnonzero(~weighted)
         self.mass_safe = np.where(weighted, self.mass, 1.0)
@@ -404,7 +407,7 @@ def riemannian_gradient(p: Problem, F: np.ndarray, af=None, gw=None) -> np.ndarr
 
 def gradient_norm(p: Problem, F: np.ndarray, af=None, gw=None) -> float:
     g = riemannian_gradient(p, F, af, gw)
-    return math.sqrt(float(p.mass @ _inner(g, g)) / float(np.sum(p.mass)))
+    return math.sqrt(float(p.mass @ _inner(g, g)) / p.mass_sum)
 
 
 def _force(p: Problem, F, af, gw):

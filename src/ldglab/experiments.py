@@ -3,8 +3,10 @@
 Each experiment kind composes the library modules into a reproducible
 batch run: it writes CSV artifacts plus a JSON result envelope whose
 summary scalars each name the run they came from.  Envelopes are
-deterministic for a fixed (config, seed); wall-clock times live in a
-separate "timing" field so the rest of the document is byte-stable.
+deterministic for a fixed (config, seed); the wall-clock time and the
+process's peak resident size (MiB, where the `resource` module exists)
+live in a separate "timing" field so the rest of the document is
+byte-stable.
 
 Kinds: verify-closed-forms, gap-2d, escape-sweep, lambda-star, cigar,
 pancake, shape-sweep.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +29,11 @@ from . import meridian3d as m3
 from . import radial2d as r2
 from .descent import ENERGY_TOL
 from .profiles import RadialProfile, profile_from_map, uniform_grid, write_csv
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 VERSION = "artifact-0.1.0"
 
@@ -215,6 +223,11 @@ class _Envelope:
             "artifacts": self.artifacts,
             "timing": {"wall_seconds": time.time() - self._t0},
         }
+        if resource is not None:
+            # This process's peak resident size so far; ru_maxrss is in KiB
+            # on Linux and in bytes on macOS.
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            doc["timing"]["peak_rss_mb"] = rss / (2.0**20 if sys.platform == "darwin" else 1024.0)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{self.config.kind}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True))

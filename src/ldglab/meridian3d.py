@@ -511,9 +511,12 @@ def minimize_seeds(
     The seeds run level by level: every seed's descent on a twice-coarser
     mask first, with a third of the iteration budget (at least 500), then
     every seed's descent on `geom` from the transferred fields.  The seeds
-    of one level share one Problem and so its LU factors; each level's
-    Problem is dropped before the next level factors anything.  A result's
-    iterations count the descents of both levels.
+    of one level share one Problem and so its LU factors: a factor lives as
+    long as the cascade level that shares it.  Of the coarse level only the
+    transferred fields and the iteration counts reach the fine level, so
+    the fine level factors with nothing of the coarse one alive: no Problem,
+    result or geometry.  A result's iterations count the descents of both
+    levels.
     """
     opts = opts or SolveOptions()
     coarse = build_geometry(geom.h, geom.ell, geom.rho, target_h=2.0 * geom.hr)
@@ -522,10 +525,14 @@ def minimize_seeds(
         coarse, lam, fields, replace(opts, max_iters=max(500, opts.max_iters // 3))
     )
     fields = {name: interp_field(res.field, geom) for name, res in pre.items()}
+    pre_iters = {name: res.iterations for name, res in pre.items()}
+    # The coarse results hold the coarse geometry, with its operators and
+    # boundary data: free them before the fine level factors anything.
+    del coarse, pre
     results = _minimize_level(geom, lam, fields, opts)
     for name, res in results.items():
         res.seed_name = name
-        res.iterations += pre[name].iterations
+        res.iterations += pre_iters[name]
     return results
 
 

@@ -25,6 +25,7 @@ harmonic solutions).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,8 +113,6 @@ class _Discretization:
         self.lap = descent.first_block(self.stiff)
         self.mass = 2.0 * np.pi * wr  # diagonal, vanishes at r = 0
         self.interior = np.arange(1, self.n - 1)
-        #: The Problem of the last descent on this grid (`_descent_problem`).
-        self.descent_problem: descent.Problem | None = None
 
     def grad_sq(self, f0, f1, f2, derivs=None) -> np.ndarray:
         """|grad u|^2 along the profile (finite limit on the axis).
@@ -264,17 +263,38 @@ def _problem_for(grid: np.ndarray, lam: float) -> descent.Problem:
     return descent.Problem(d.stiff, d.mass, (d.interior,) * 3, lam)
 
 
-def _descent_problem(grid: np.ndarray, lam: float) -> descent.Problem:
-    """The Problem that every descent at lam on grid shares, and so one LU
-    factor: at one sweep point, the warm start, the presets on each of their
-    cascade levels, the Richardson solve and 'ghbar'.  The grid's
-    discretization holds the last one it handed out; a new lam replaces it,
-    so each grid keeps at most one factor alive and none outlives its lam.
+#: The Problems that the descents of the current sweep point share, keyed by
+#: (grid bytes, lam); None outside a sweep point (`_sweep_point`).
+_SHARED: dict[tuple[bytes, float], descent.Problem] | None = None
+
+
+@contextmanager
+def _sweep_point():
+    """Scope of one sweep point: one `energy_curve` lambda step or one
+    `estimate_lambda_star` evaluation.  Its descents share one Problem, and
+    so one LU factor, per (grid, lam); all of them are dropped when it ends.
     """
-    d = _disc_for(grid)
-    if d.descent_problem is None or d.descent_problem.lam != lam:
-        d.descent_problem = _problem_for(grid, lam)
-    return d.descent_problem
+    global _SHARED
+    outer, _SHARED = _SHARED, {}
+    try:
+        yield
+    finally:
+        _SHARED = outer
+
+
+def _descent_problem(grid: np.ndarray, lam: float) -> descent.Problem:
+    """The Problem of a descent at lam on grid.  Inside a sweep point every
+    descent at one (grid, lam) shares one, and so one LU factor: the warm
+    start, the presets on each of their cascade levels, the Richardson solve
+    and 'ghbar'.  A factor lives as long as the sweep point that shares it;
+    outside one, each descent gets a new Problem, freed when it returns.
+    """
+    if _SHARED is None:
+        return _problem_for(grid, lam)
+    key = (grid.tobytes(), lam)
+    if key not in _SHARED:
+        _SHARED[key] = _problem_for(grid, lam)
+    return _SHARED[key]
 
 
 def minimize_2d(
@@ -299,7 +319,10 @@ def minimize_2d(
     boundary datum to within `validate`'s tolerance; the descent starts
     from a copy with both written exactly, and keeps them.  Returns the
     converged state with its energy split, EL residual, and beta range;
-    class escape is flagged, not fatal.
+    class escape is flagged, not fatal.  Inside a sweep point of
+    `energy_curve` or `estimate_lambda_star` its descents share the sweep
+    point's Problems (`_descent_problem`); called on its own, it holds no
+    Problem, and so no LU factor, once it returns.
     """
     opts = opts or SolveOptions()
     if class_tag not in ("N", "S"):
@@ -430,6 +453,8 @@ def energy_curve(
     is Richardson-extrapolated from grids (n, 2n-1); the fine solve starts
     from the winning n-grid profile and descends on the fine grid alone
     (cascade=False).  Each row records whether both solves converged.
+    Every lambda is one sweep point (`_sweep_point`): its descents share one
+    LU factor per grid, freed before the next lambda.
     """
     opts = opts or SolveOptions()
     lambdas = list(lambdas)
@@ -440,30 +465,31 @@ def energy_curve(
     rows: list[CurveRow] = []
     warm = None
     for lam in lambdas:
-        try:
-            res, failures, _ = _best_class_s(lam, grid_c, opts, warm)
-            warm = res.profile
-            res_f = minimize_2d(lam, "S", res.profile.interp_to(grid_f), opts, cascade=False)
-            estar = (4.0 * res_f.energy - res.energy) / 3.0
-            e = min(SIX_PI, estar)
-            if estar <= SIX_PI:
-                bmin, bmax, gclass = res.beta_min, res.beta_max, "S"
-            else:
-                gh = minimize_2d(lam, "N", "ghbar", opts, grid=grid_c)
-                bmin, bmax, gclass = gh.beta_min, gh.beta_max, "N"
-            rows.append(
-                CurveRow(
-                    lam, estar, e, bmin, bmax, gclass, True, failures,
-                    converged=res.converged, fine_converged=res_f.converged,
+        with _sweep_point():
+            try:
+                res, failures, _ = _best_class_s(lam, grid_c, opts, warm)
+                warm = res.profile
+                res_f = minimize_2d(lam, "S", res.profile.interp_to(grid_f), opts, cascade=False)
+                estar = (4.0 * res_f.energy - res.energy) / 3.0
+                e = min(SIX_PI, estar)
+                if estar <= SIX_PI:
+                    bmin, bmax, gclass = res.beta_min, res.beta_max, "S"
+                else:
+                    gh = minimize_2d(lam, "N", "ghbar", opts, grid=grid_c)
+                    bmin, bmax, gclass = gh.beta_min, gh.beta_max, "N"
+                rows.append(
+                    CurveRow(
+                        lam, estar, e, bmin, bmax, gclass, True, failures,
+                        converged=res.converged, fine_converged=res_f.converged,
+                    )
                 )
-            )
-        except RuntimeError as exc:
-            rows.append(
-                CurveRow(
-                    lam, math.nan, math.nan, math.nan, math.nan, "?", False,
-                    failures=(("row", str(exc)),),
+            except RuntimeError as exc:
+                rows.append(
+                    CurveRow(
+                        lam, math.nan, math.nan, math.nan, math.nan, "?", False,
+                        failures=(("row", str(exc)),),
+                    )
                 )
-            )
     return rows
 
 
@@ -497,7 +523,8 @@ def estimate_lambda_star(
     missing sign change there is reported as an error with both endpoint
     energies.  Both bracket ends start without a warm profile; the first
     midpoint warm-starts from the lower end's profile, and every later
-    midpoint from the midpoint before it.
+    midpoint from the midpoint before it.  Every evaluation is one sweep
+    point (`_sweep_point`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -509,7 +536,8 @@ def estimate_lambda_star(
     unconverged: list[tuple[float, str]] = []
 
     def g(lam, warm):
-        res, failed, slow = _best_class_s(lam, grid, opts, warm)
+        with _sweep_point():
+            res, failed, slow = _best_class_s(lam, grid, opts, warm)
         failures.extend((lam, name, message) for name, message in failed)
         unconverged.extend((lam, name) for name in slow)
         return res.energy - SIX_PI, res.profile

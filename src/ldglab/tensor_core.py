@@ -145,7 +145,7 @@ def grad_w_tangential(u: UVector) -> UVector:
 def _real(f1, f2) -> bool:
     """Whether f1 and f2 are both held in real arrays: then |f|^2 is f f and
     conj is the identity, which the helpers below use, bit for bit."""
-    return not (np.iscomplexobj(f1) or np.iscomplexobj(f2))
+    return np.asarray(f1).dtype.kind != "c" and np.asarray(f2).dtype.kind != "c"
 
 
 def beta_arrays(f0, f1, f2):
@@ -196,9 +196,10 @@ def grad_w_tan_arrays(f0, f1, f2, beta=None):
         g1 = (-SQRT3 * f2 * f1.conj() - f0 * f1 + beta * f1) / SQRT6
         g2 = (-(SQRT3 / 2.0) * f1**2 + 2.0 * f0 * f2 + beta * f2) / SQRT6
         return g0, g1, g2
-    # The same sums in the same order, through one scratch array.
-    shape = np.broadcast(f0, f1, f2, beta).shape
-    g0, g1, g2, t = (np.empty(shape) for _ in range(4))
+    # The same sums in the same order, through one scratch row t; the four
+    # rows are views of one array ([k, ...] keeps a 0-d row an array).
+    rows = np.empty((4,) + np.broadcast(f0, f1, f2, beta).shape)
+    g0, g1, g2, t = (rows[k, ...] for k in range(4))
     sq1 = f1 * f1
     np.multiply(f2, f2, out=g0)
     g0 -= np.multiply(f0, f0, out=t)

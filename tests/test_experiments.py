@@ -126,6 +126,10 @@ def test_gap2d_envelope_and_determinism(tmp_path):
     )
     doc1 = experiments.run(cfg)
     assert doc1["summary"]["all_passed"]
+    # The timing field carries the wall time and this process's peak
+    # resident size, in MiB: more than the numpy import alone takes.
+    assert set(doc1["timing"]) == {"wall_seconds", "peak_rss_mb"}
+    assert 10.0 < doc1["timing"]["peak_rss_mb"] < 1e5
     # Every summary scalar names a run id present in the envelope.
     ids = {run["id"] for run in doc1["runs"]}
     for entry in doc1["summary"]["scalars"].values():

@@ -27,8 +27,8 @@ Groups:
     validation.
  9. Level-by-level seeds: shared per-level Problems match single-seed solves bit
     for bit, factor one matrix per level, once, and drop the coarse Problem
-    before the fine level factors anything; a seed's iterations count both
-    levels.
+    and geometry, and every other factor, before the fine level factors
+    anything; a seed's iterations count both levels.
 """
 
 import csv
@@ -690,17 +690,24 @@ def test_minimize_seeds_matches_single_seed_solves():
 
 
 class FactorLog:
-    """Counts 3D `splu` calls by (level, matrix) and watches the live Problems.
+    """Counts 3D `splu` calls by (level, matrix) and watches what is alive.
 
     Matrices of other sizes (the split seed's 2D solve) are passed through.
+    At the first fine factorization it lists the coarse Problems and
+    geometries still alive, and every Problem, 2D or 3D, that still holds a
+    factor (the fine Problem stores its own only once splu returns).
     """
 
     def __init__(self, monkeypatch, levels):
         self.levels = levels  # matrix size -> level name
         self.keys = []  # (level, matrix digest) per factorization
         self.problems = []  # (level, weakref to the Problem)
+        self.coarse_geometries = []  # weakref to each coarse CylinderGeometry
+        self.factoring = []  # (nodes, weakref) of every Problem that asked for a factor
         self.coarse_alive_at_fine = []
-        splu, problem_for = spla.splu, m3._problem_for
+        self.coarse_geometries_alive_at_fine = []
+        self.factors_alive_at_fine = []  # (nodes, precisions) per Problem
+        splu, problem_for, factor = spla.splu, m3._problem_for, descent.Problem.factor
 
         def counting_splu(mat, *args, **kwargs):
             level = self.levels.get(mat.shape[0])
@@ -709,6 +716,13 @@ class FactorLog:
             if level == "fine" and not any(k[0] == "fine" for k in self.keys):
                 self.coarse_alive_at_fine = [
                     lv for lv, p in self.problems if lv == "coarse" and p() is not None
+                ]
+                self.coarse_geometries_alive_at_fine = [
+                    g() for g in self.coarse_geometries if g() is not None
+                ]
+                self.factors_alive_at_fine = [
+                    (n, sorted(map(str, p().factors)))
+                    for n, p in self.factoring if p() is not None and p().factors
                 ]
             digest = hashlib.sha256(
                 mat.data.tobytes() + mat.indices.tobytes() + mat.indptr.tobytes()
@@ -720,10 +734,18 @@ class FactorLog:
             p = problem_for(geom, lam)
             level = self.levels[geom.disc.free0.size + 2 * geom.disc.free12.size]
             self.problems.append((level, weakref.ref(p)))
+            if level == "coarse" and all(g() is not geom for g in self.coarse_geometries):
+                self.coarse_geometries.append(weakref.ref(geom))
             return p
+
+        def recording_factor(p, dtype=np.float64):
+            if not p.factors:
+                self.factoring.append((p.mass.size, weakref.ref(p)))
+            return factor(p, dtype)
 
         monkeypatch.setattr(spla, "splu", counting_splu)
         monkeypatch.setattr(m3, "_problem_for", recording_problem_for)
+        monkeypatch.setattr(descent.Problem, "factor", recording_factor)
 
 
 def levels_of(g):
@@ -765,6 +787,13 @@ def test_coarse_problem_is_dropped_before_the_fine_level(monkeypatch):
     assert any(level == "coarse" for level, _ in log.problems)
     assert any(level == "fine" for level, _ in log.keys)
     assert log.coarse_alive_at_fine == []
+    # Nor does the coarse geometry (operators, boundary data) outlive its
+    # level, nor any other Problem, such as the split seed's 2D ones, hold
+    # a factor when the fine level factors.
+    assert len(log.coarse_geometries) == 1
+    assert log.coarse_geometries_alive_at_fine == []
+    assert {n for n, _ in log.factoring} >= {129, 257, 513}
+    assert log.factors_alive_at_fine == []
 
 
 def test_seed_iterations_count_both_levels(monkeypatch):

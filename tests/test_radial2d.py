@@ -12,6 +12,8 @@ Groups:
     finite-difference reference.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -268,11 +270,12 @@ def test_unconverged_solves_are_recorded(monkeypatch):
 
 def record_curve(monkeypatch, lambdas, n):
     """energy_curve(lambdas, n=n) from an empty discretization cache, with
-    every minimize_2d result, the order of every matrix that splu factors
-    and the (grid size, lambda) of every descent."""
+    every minimize_2d result, the order of every matrix that splu factors,
+    the (grid size, lambda) of every descent and a weak reference to the
+    Problem of every descent."""
     monkeypatch.setattr(r2, "_DISC_CACHE", {})
     solve, splu, descend = r2.minimize_2d, spla.splu, descent.descend
-    log = {"results": [], "factored": [], "descents": []}
+    log = {"results": [], "factored": [], "descents": [], "problems": []}
 
     def recording_solve(*args, **kwargs):
         log["results"].append(solve(*args, **kwargs))
@@ -284,6 +287,7 @@ def record_curve(monkeypatch, lambdas, n):
 
     def recording_descend(p, *args, **kwargs):
         log["descents"].append((p.mass.size, p.lam))
+        log["problems"].append(weakref.ref(p))
         return descend(p, *args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -313,22 +317,39 @@ def test_the_descents_at_one_lambda_share_one_factor_per_grid(monkeypatch):
             assert getattr(a.profile, name).tobytes() == getattr(b.profile, name).tobytes()
 
 
-def test_a_new_lambda_replaces_the_shared_factor(monkeypatch):
-    grid = uniform_grid(129)
-    monkeypatch.setattr(r2, "_DISC_CACHE", {})
-    alone = r2.minimize_2d(60.0, "S", "uS", grid=grid)
-    monkeypatch.setattr(r2, "_DISC_CACHE", {})
-    r2.minimize_2d(5.0, "S", "uS", grid=grid)
-    after = r2.minimize_2d(60.0, "S", "uS", grid=grid)
-    assert (after.energy, after.iterations) == (alone.energy, alone.iterations)
-    for name in ("f0", "f1", "f2"):
-        assert getattr(after.profile, name).tobytes() == getattr(alone.profile, name).tobytes()
-    # The grid holds one Problem, the last lambda's; radial_energy's
-    # lambda = 0 Problem does not replace it.
-    (disc,) = r2._DISC_CACHE.values()
-    held = disc.descent_problem
-    r2.radial_energy(after.profile, 60.0)
-    assert disc.descent_problem is held and held.lam == 60.0
+def test_each_sweep_point_factors_afresh(monkeypatch):
+    # One lambda twice: the second sweep point does not reuse the first one's
+    # factors (warm, 'uS' and 'bubbled' on 129 nodes, Richardson on 257).
+    rows, shared = record_curve(monkeypatch, [5.0, 5.0], 129)
+    assert [row.global_class for row in rows] == ["S", "S"]
+    assert shared["factored"] == [3 * 127, 3 * 255] * 2
+    # No Problem, and so no factor, outlives the sweep.
+    assert len(shared["problems"]) == 7
+    assert all(p() is None for p in shared["problems"])
+    # Bit for bit what a fresh Problem, and factor, for every descent gives.
+    monkeypatch.setattr(r2, "_descent_problem", r2._problem_for)
+    fresh_rows, fresh = record_curve(monkeypatch, [5.0, 5.0], 129)
+    assert fresh_rows == rows
+    assert len(fresh["results"]) == len(shared["results"]) == 7
+    for a, b in zip(shared["results"], fresh["results"]):
+        assert (a.energy, a.iterations, a.residual) == (b.energy, b.iterations, b.residual)
+        for name in ("f0", "f1", "f2"):
+            assert getattr(a.profile, name).tobytes() == getattr(b.profile, name).tobytes()
+
+
+def test_a_solve_outside_a_sweep_holds_no_problem_once_it_returns(monkeypatch):
+    problems = []
+    descend = descent.descend
+
+    def recording_descend(p, *args, **kwargs):
+        problems.append(weakref.ref(p))
+        return descend(p, *args, **kwargs)
+
+    monkeypatch.setattr(descent, "descend", recording_descend)
+    r2.minimize_2d(5.0, "S", "uS", grid=uniform_grid(257))
+    # The cascade's two levels, 129 and 257 nodes, each on its own Problem.
+    assert len(problems) == 2
+    assert all(p() is None for p in problems)
 
 
 def test_lambda_star_coarse_bracket():
